@@ -23,6 +23,7 @@ from .lattice import (
     WalkDistribution,
     a1_boundary_constant,
     a1_defect,
+    origin,
     span_check,
 )
 from .observables import (
@@ -33,9 +34,9 @@ from .observables import (
     observable_from_config,
     reduce_to_site,
 )
-from .phase import DEFAULT_BUDGET, Strip, simulate_walk
+from .phase import DEFAULT_BUDGET, BudgetExceededError, Strip, simulate_walk
 from .presets import PRESETS, preset
-from .rational import format_rational, parse_rational, to_jsonable
+from .rational import format_rational, parse_rational, write_csv, write_json
 from .svgplot import write_loglog_svg
 
 COMMANDS = (
@@ -121,7 +122,10 @@ def _observables_from_config(config: dict, walk: WalkDistribution, budget: int):
         depth = 0
         if isinstance(obs, CellObservable):
             depth = obs.depth
-            obs = reduce_to_site(obs, walk, budget)
+            try:
+                obs = reduce_to_site(obs, walk, budget)
+            except BudgetExceededError as exc:
+                raise ConfigError(str(exc)) from exc
         out.append((obs, depth))
     if not out:
         raise ConfigError("config declares no observables")
@@ -131,23 +135,19 @@ def _observables_from_config(config: dict, walk: WalkDistribution, budget: int):
 def _locals_from_config(config: dict, walk: WalkDistribution):
     specs = config.get("locals")
     if not specs:
-        return [mixing.LocalObservable.unit_square((0,) * walk.dim)]
+        return [mixing.LocalObservable.unit_square(origin(walk.dim))]
     out = []
     for spec in specs:
         terms = []
         for term in spec["terms"]:
             strip = Strip(
-                tuple(int(c) for c in term.get("site", (0,) * walk.dim)),
+                tuple(int(c) for c in term.get("site", origin(walk.dim))),
                 parse_rational(term.get("lo", 0)),
                 parse_rational(term.get("hi", 1)),
             )
             terms.append((strip, parse_rational(term.get("weight", 1))))
         out.append(mixing.LocalObservable(tuple(terms)))
     return out
-
-
-def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(to_jsonable(payload), sort_keys=True, indent=2) + "\n")
 
 
 def _meta(config: dict, command: str) -> dict:
@@ -170,7 +170,7 @@ def _cmd_span_check(config, walk, out_dir, args):
         "basis": [list(row) for row in verdict.basis],
         "walk": walk.to_json_dict(),
     }
-    _write_json(out_dir / "span_check.json", payload)
+    write_json(out_dir / "span_check.json", payload)
     return 0, json.dumps({"verdict": verdict.verdict}), payload
 
 
@@ -187,13 +187,13 @@ def _cmd_simulate(config, walk, out_dir, args):
         "empirical_mean": list(hist.empirical_mean()),
         "sites_seen": len(hist.counts),
     }
-    _write_json(out_dir / "simulate.json", payload)
+    write_json(out_dir / "simulate.json", payload)
     return 0, f"simulate: {samples} samples, {len(hist.counts)} sites", payload
 
 
 def _write_report(report, out_dir, stem, written):
     report.write_csv(out_dir / f"{stem}.csv")
-    _write_json(out_dir / f"{stem}.json", report.to_json_dict())
+    write_json(out_dir / f"{stem}.json", report.to_json_dict())
     written.extend([f"{stem}.csv", f"{stem}.json"])
 
 
@@ -215,7 +215,7 @@ def _cmd_correlate(config, walk, out_dir, args):
             )
             _write_report(report, out_dir, f"correlate_{i}_{j}", written)
     payload = {**_meta(config, "correlate"), "walk": walk.to_json_dict(), "artifacts": written}
-    _write_json(out_dir / "correlate.json", payload)
+    write_json(out_dir / "correlate.json", payload)
     return 0, f"correlate: wrote {len(written)} artifacts", payload
 
 
@@ -277,7 +277,7 @@ def _cmd_mixing_report(config, walk, out_dir, args):
                     continue
                 _write_report(rep, out_dir, f"m1_{i}_{j}", written)
     payload = {**meta, "kinds": kinds, "walk": walk.to_json_dict(), "averages": averages, "artifacts": written}
-    _write_json(out_dir / "mixing_report.json", payload)
+    write_json(out_dir / "mixing_report.json", payload)
     return 0, f"mixing-report: kinds={','.join(kinds)}, {len(written)} artifacts", payload
 
 
@@ -300,42 +300,27 @@ def _cmd_fourier_decay(config, walk, out_dir, args):
         raise ConfigError(
             f"grid {grid} is below the bandwidth {2 * bandwidth + 1} required for n_max={n_max}"
         )
-    rows = []
-    for n in n_list:
-        _, norms = fourier.defect_signal(walk, n, fc, grid)
-        rows.append(norms)
+    rows = [fourier.defect_signal(walk, n, fc, grid)[1] for n in n_list]
     meta = _meta(config, "fourier-decay")
-    csv_path = out_dir / "decay.csv"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(f"# config_hash={meta['config_hash']} seed={meta['seed']}\n")
-        fh.write("n,r_n,l1_grid,sobolev,a_norm,bound\n")
-        for row in rows:
-            fh.write(
-                f"{row.n},{row.r},{row.l1_grid!r},{row.sobolev!r},{row.a_norm!r},{row.bound!r}\n"
-            )
+    write_csv(
+        out_dir / "decay.csv",
+        meta,
+        ["n", "r_n", "l1_grid", "sobolev", "a_norm", "bound"],
+        [[row.n, row.r, repr(row.l1_grid), repr(row.sobolev), repr(row.a_norm), repr(row.bound)] for row in rows],
+    )
     payload = {
         **meta,
         "eps": format_rational(eps),
         "eps_within_proof_bound": fc.eps_within_proof_bound,
         "eps_proof_bound": format_rational(fc.eps_proof_bound),
         "grid": grid,
-        "rows": [
-            {
-                "n": row.n,
-                "r": row.r,
-                "l1_grid": row.l1_grid,
-                "sobolev": row.sobolev,
-                "a_norm": row.a_norm,
-                "bound": row.bound,
-            }
-            for row in rows
-        ],
+        "rows": rows,
         "monotone": all(
             rows[i].h_total >= rows[i + 1].h_total for i in range(len(rows) - 1)
         ),
         "embedding_ok": all(row.a_norm <= row.bound + 1e-8 for row in rows),
     }
-    _write_json(out_dir / "fourier_decay.json", payload)
+    write_json(out_dir / "fourier_decay.json", payload)
     if args.plot:
         write_loglog_svg(
             out_dir / "decay.svg",
@@ -371,7 +356,7 @@ def _cmd_nowak_test(config, walk, out_dir, args):
         "constants": {str(d): fourier.nowak_constant(d) for d in dims},
         "failures": failures,
     }
-    _write_json(out_dir / "nowak_test.json", payload)
+    write_json(out_dir / "nowak_test.json", payload)
     code = 0 if not failures else 1
     return code, f"nowak-test: {len(failures)} violations in {count * len(dims)} signals", payload
 
@@ -410,7 +395,7 @@ def _cmd_a1_check(config, walk, out_dir, args):
         "rows": rows,
         "ok": ok,
     }
-    _write_json(out_dir / "a1_check.json", payload)
+    write_json(out_dir / "a1_check.json", payload)
     return (0 if ok else 1), f"a1-check: ok={ok} over r={r_list}", payload
 
 
@@ -429,7 +414,7 @@ def _cmd_audit(config, walk, out_dir, args):
         metadata=_meta(config, "audit"),
     )
     record.write_csv(out_dir / "audit.csv")
-    _write_json(out_dir / "audit.json", record.to_json_dict())
+    write_json(out_dir / "audit.json", record.to_json_dict())
     code = 0 if record.ok else 1
     return code, f"audit: ok={record.ok} ({len(record.m2_rows)} M2 rows, {len(record.m4_rows)} M4 rows)", record.to_json_dict()
 

@@ -145,16 +145,6 @@ def box_kernel_hat(r: int, theta):
     return np.prod(_dirichlet_axis(r, arr), axis=-1)
 
 
-def box_kernel_grid(dim: int, r: int, grid_size: int) -> TorusGrid:
-    """Box kernel transform on the full grid, via its product structure."""
-    M = int(grid_size)
-    axis = _dirichlet_axis(r, 2.0 * np.pi * np.arange(M) / M)
-    values = axis
-    for _ in range(dim - 1):
-        values = np.multiply.outer(values, axis)
-    return TorusGrid(dim, M, values.astype(complex))
-
-
 # ---------------------------------------------------------------------------
 # pairings and norms
 

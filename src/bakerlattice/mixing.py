@@ -18,20 +18,20 @@ Notions measured (t the time, V a box of the exhaustive family):
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 
-from .lattice import WalkDistribution
+from .lattice import WalkDistribution, origin
 from .observables import (
     NON_CONVERGENT,
     Box,
     BoxFamily,
     CellObservable,
     PeriodicTail,
+    Sentinel,
     SiteObservable,
     box_average,
     box_average_product,
@@ -44,24 +44,11 @@ from .phase import (
     cylinder_interval,
     push_strip,
 )
-from .rational import format_rational, to_jsonable
+from .rational import format_rational, to_jsonable, write_csv
 
 
-class NotComputableType:
-    """Sentinel: the requested limit is outside the analytic tail models."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NotComputable"
-
-
-NOT_COMPUTABLE = NotComputableType()
+# the requested limit is outside the analytic tail models
+NOT_COMPUTABLE = Sentinel("NotComputable")
 
 
 @dataclass(frozen=True)
@@ -160,20 +147,16 @@ def m1_limit(f: SiteObservable, g: SiteObservable, p: WalkDistribution, n: int):
         raise ValueError("M1 limit needs a periodic first observable")
     ev = evolve_site(f, p, n)
     family = BoxFamily.translation_invariant(f.dim)
-    gt = g.tail
-    if isinstance(gt, PeriodicTail):
+    if isinstance(g.tail, PeriodicTail):
         joint = Box(
-            tuple(0 for _ in range(f.dim)),
-            tuple(lcm(ev.tail.period[i], gt.period[i]) - 1 for i in range(f.dim)),
+            origin(f.dim),
+            tuple(lcm(ev.tail.period[i], g.tail.period[i]) - 1 for i in range(f.dim)),
         )
         return box_average_product(ev, g, joint)
-    if hasattr(gt, "constant"):
-        return gt.constant * ev.analytic_average(family)
-    if hasattr(gt, "constants"):
-        values = set(gt.constants.values())
-        if len(values) == 1:
-            return next(iter(values)) * ev.analytic_average(family)
-    return NOT_COMPUTABLE
+    av_g = g.analytic_average(family)
+    if av_g is None or av_g is NON_CONVERGENT:
+        return NOT_COMPUTABLE
+    return av_g * ev.analytic_average(family)
 
 
 def itinerary_oracle(
@@ -242,8 +225,8 @@ class CorrelationReport:
             {
                 "kind": self.kind,
                 "target": None if self.target is NON_CONVERGENT else self.target,
-                "series": {_key_str(k): v for k, v in sorted(self.series.items())},
-                "gap_series": {_key_str(k): v for k, v in sorted(self.gap_series.items())},
+                "series": dict(sorted(self.series.items())),
+                "gap_series": dict(sorted(self.gap_series.items())),
                 "eps_scan": self.eps_scan,
                 "metadata": self.metadata,
             }
@@ -251,29 +234,17 @@ class CorrelationReport:
 
     def write_csv(self, path):
         devs = self.deviations()
-        with open(path, "w", newline="") as fh:
-            for key, value in self.metadata.items():
-                if isinstance(value, (str, int, float)):
-                    fh.write(f"# {key}={value}\n")
-            writer = csv.writer(fh)
-            if self.kind == "M5":
-                writer.writerow(["n", "gap", "target_zero"])
-                for n, v in sorted(self.series.items()):
-                    writer.writerow([n, _cell(v), 0])
-            elif self.kind == "M2":
-                writer.writerow(["n", "r", "value", "target", "deviation"])
-                for (n, r), v in sorted(self.series.items()):
-                    writer.writerow([n, r, _cell(v), _cell(self.target), _cell(devs.get((n, r)))])
-            else:
-                writer.writerow(["n", "value", "target", "deviation"])
-                for n, v in sorted(self.series.items()):
-                    writer.writerow([n, _cell(v), _cell(self.target), _cell(devs.get(n))])
-
-
-def _key_str(key) -> str:
-    if isinstance(key, tuple):
-        return ",".join(str(k) for k in key)
-    return str(key)
+        series = sorted(self.series.items())
+        if self.kind == "M5":
+            columns = ["n", "gap", "target_zero"]
+            rows = [[n, _cell(v), 0] for n, v in series]
+        elif self.kind == "M2":
+            columns = ["n", "r", "value", "target", "deviation"]
+            rows = [[n, r, _cell(v), _cell(self.target), _cell(devs.get((n, r)))] for (n, r), v in series]
+        else:
+            columns = ["n", "value", "target", "deviation"]
+            rows = [[n, _cell(v), _cell(self.target), _cell(devs.get(n))] for n, v in series]
+        write_csv(path, self.metadata, columns, rows)
 
 
 def _cell(value):
@@ -353,7 +324,7 @@ def m2_table(
     for n in sorted(int(n) for n in n_list):
         ev = evolve_site(f, p, n)
         for r in sorted(int(r) for r in r_list):
-            series[(n, r)] = box_average_product(ev, g, Box.centered(origin_of(f.dim), r))
+            series[(n, r)] = box_average_product(ev, g, Box.centered(origin(f.dim), r))
     scan = {}
     if have_target:
         volumes = {(2 * r + 1) ** f.dim for _, r in series}
@@ -373,10 +344,6 @@ def m2_table(
     return CorrelationReport(
         "M2", series, target, metadata=metadata or {}, eps_scan=scan
     )
-
-
-def origin_of(dim: int) -> tuple[int, ...]:
-    return (0,) * dim
 
 
 def m1_report(
@@ -491,56 +458,22 @@ class AuditRecord:
         return all(r.ok for r in self.m4_rows) and all(r.ok for r in self.m2_rows)
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            for key, value in self.metadata.items():
-                if isinstance(value, (str, int, float)):
-                    fh.write(f"# {key}={value}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["n", "r", "term1", "term2", "term3", "bound", "measured"])
-            for row in self.m2_rows:
-                writer.writerow(
-                    [
-                        row.n,
-                        row.r,
-                        _cell(row.term1),
-                        _cell(row.term2),
-                        _cell(row.term3),
-                        _cell(row.bound),
-                        _cell(row.measured),
-                    ]
-                )
+        write_csv(
+            path,
+            self.metadata,
+            ["n", "r", "term1", "term2", "term3", "bound", "measured"],
+            [
+                [row.n, row.r, *(_cell(v) for v in (row.term1, row.term2, row.term3, row.bound, row.measured))]
+                for row in self.m2_rows
+            ],
+        )
 
     def to_json_dict(self) -> dict:
         return to_jsonable(
             {
                 "ok": self.ok,
-                "m4": [
-                    {
-                        "observable": r.observable,
-                        "local": r.local,
-                        "n": r.n,
-                        "deviation": r.deviation,
-                        "bound": r.bound,
-                        "zero_mean": r.zero_mean,
-                        "ok": r.ok,
-                    }
-                    for r in self.m4_rows
-                ],
-                "m2": [
-                    {
-                        "observable": r.observable,
-                        "other": r.other,
-                        "n": r.n,
-                        "r": r.r,
-                        "term1": r.term1,
-                        "term2": r.term2,
-                        "term3": r.term3,
-                        "bound": r.bound,
-                        "measured": r.measured,
-                        "ok": r.ok,
-                    }
-                    for r in self.m2_rows
-                ],
+                "m4": [{**to_jsonable(r), "ok": r.ok} for r in self.m4_rows],
+                "m2": [{**to_jsonable(r), "bound": r.bound, "ok": r.ok} for r in self.m2_rows],
                 "metadata": self.metadata,
             }
         )
@@ -586,11 +519,11 @@ def implication_audit(
             av_g = G.analytic_average(family)
             if av_g is None or av_g is NON_CONVERGENT:
                 continue
-            abs_G = _absolute_observable(G)
+            abs_G = SiteObservable(G.dim, G.tail.map(abs))
             for n in n_list:
                 ev = evolve_site(f, p, n)
                 for r in r_list:
-                    box = Box.centered((0,) * p.dim, r)
+                    box = Box.centered(origin(p.dim), r)
                     entry = box_average_product(ev, G, box)
                     term1 = abs(av_f) * abs(box_average(G, box) - av_g)
                     term3 = gaps[n] * box_average(abs_G, box)
@@ -608,24 +541,3 @@ def implication_audit(
                     )
     return AuditRecord(tuple(m4_rows), tuple(m2_rows), metadata or {})
 
-
-def _absolute_observable(g: SiteObservable) -> SiteObservable:
-    """|G| with the same tail structure."""
-    t = g.tail
-    if isinstance(t, PeriodicTail):
-        return SiteObservable(g.dim, PeriodicTail(t.period, {k: abs(v) for k, v in t.table.items()}))
-    if hasattr(t, "constants"):
-        return SiteObservable(
-            g.dim,
-            type(t)(
-                {k: abs(v) for k, v in t.constants.items()},
-                t.box,
-                {k: abs(v) for k, v in t.table.items()},
-            ),
-        )
-    if hasattr(t, "constant"):
-        return SiteObservable(
-            g.dim,
-            type(t)(abs(t.constant), t.box, {k: abs(v) for k, v in t.table.items()}),
-        )
-    raise ValueError("cannot take the absolute value of a raw evaluator")

@@ -29,21 +29,20 @@ from .phase import DEFAULT_BUDGET, BudgetExceededError, PartitionTable, PhasePoi
 from .rational import format_rational, parse_rational
 
 
-class NonConvergentType:
-    """Sentinel: the infinite-volume average does not exist for this family."""
+class Sentinel:
+    """Named marker for a limit that has no value; compare with ``is``."""
 
-    _instance = None
+    __slots__ = ("name",)
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name: str):
+        self.name = name
 
     def __repr__(self):
-        return "NonConvergent"
+        return self.name
 
 
-NON_CONVERGENT = NonConvergentType()
+# the infinite-volume average does not exist for this family
+NON_CONVERGENT = Sentinel("NonConvergent")
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +164,48 @@ class BoxFamily:
 # tail models and site observables
 
 
+def _correlate(value, pn, sites) -> dict:
+    """site -> sum_beta p^(n)_beta value(site + beta), for each of the sites."""
+    out = {}
+    for site in sites:
+        acc = 0
+        for beta, w in pn.entries.items():
+            acc += w * value(tuple(a + b for a, b in zip(site, beta)))
+        out[site] = acc
+    return out
+
+
+def _table_config(table: dict) -> dict:
+    return {",".join(map(str, s)): format_rational(Fraction(v)) for s, v in sorted(table.items())}
+
+
+class Tail:
+    """A tail model: the whole site function, declared by its behavior off a window.
+
+    Each model implements
+      value(site)        the function at one site;
+      values()           the finite set of values taken (bound, sup deviation);
+      average(family)    exact infinite-volume average, NON_CONVERGENT or None;
+      map(fn)            the same model for fn applied pointwise;
+      evolve(pn, reach)  the model of alpha -> sum_beta pn_beta f(alpha + beta)
+                         for a law pn whose steps are at most reach long;
+      window_1d()        (lo, hi, c_neg, c_pos) when a 1d function is constant
+                         on each side of [lo, hi], else None;
+      to_config()        the config dict that observable_from_config reads.
+    """
+
+    def bound(self):
+        return max(abs(v) for v in self.values())
+
+    def sup_deviation(self, center):
+        return max(abs(v - center) for v in self.values())
+
+    def window_1d(self):
+        return None
+
+
 @dataclass(frozen=True)
-class PeriodicTail:
+class PeriodicTail(Tail):
     period: tuple[int, ...]
     table: dict  # residue tuple -> value
 
@@ -178,9 +217,30 @@ class PeriodicTail:
         if missing:
             raise ValueError(f"periodic table misses residues, e.g. {missing[0]}")
 
+    def value(self, site):
+        return self.table[tuple(c % l for c, l in zip(site, self.period))]
+
+    def values(self):
+        return self.table.values()
+
+    def average(self, family):
+        cell = 1
+        for l in self.period:
+            cell *= l
+        return sum(self.table.values()) / Fraction(cell)
+
+    def map(self, fn):
+        return PeriodicTail(self.period, {k: fn(v) for k, v in self.table.items()})
+
+    def evolve(self, pn, reach):
+        return PeriodicTail(self.period, _correlate(self.value, pn, self.table))
+
+    def to_config(self):
+        return {"kind": "periodic", "period": list(self.period), "table": _table_config(self.table)}
+
 
 @dataclass(frozen=True)
-class ConstantOutsideBoxTail:
+class ConstantOutsideBoxTail(Tail):
     constant: object
     box: Box
     table: dict  # site -> value, keys inside box
@@ -190,9 +250,36 @@ class ConstantOutsideBoxTail:
             if not self.box.contains(s):
                 raise ValueError(f"table site {s} outside the declared box")
 
+    def value(self, site):
+        return self.table.get(site, self.constant)
+
+    def values(self):
+        return [self.constant, *self.table.values()]
+
+    def average(self, family):
+        return self.constant
+
+    def map(self, fn):
+        return ConstantOutsideBoxTail(fn(self.constant), self.box, {k: fn(v) for k, v in self.table.items()})
+
+    def evolve(self, pn, reach):
+        box = self.box.dilate(reach)
+        return ConstantOutsideBoxTail(self.constant, box, _correlate(self.value, pn, box.sites()))
+
+    def window_1d(self):
+        return self.box.lo[0], self.box.hi[0], self.constant, self.constant
+
+    def to_config(self):
+        return {
+            "kind": "constantOutsideBox",
+            "constant": format_rational(Fraction(self.constant)),
+            "box": {"lo": list(self.box.lo), "hi": list(self.box.hi)},
+            "table": _table_config(self.table),
+        }
+
 
 @dataclass(frozen=True)
-class OrthantTail:
+class OrthantTail(Tail):
     """Constant on each orthant outside the box; coordinate 0 counts as positive."""
 
     constants: dict  # sign tuple in {-1,+1}^d -> value
@@ -208,13 +295,78 @@ class OrthantTail:
             if not self.box.contains(s):
                 raise ValueError(f"table site {s} outside the declared box")
 
+    def value(self, site):
+        return self.table.get(site, self.constants[_signs(site)])
+
+    def values(self):
+        return [*self.constants.values(), *self.table.values()]
+
+    def average(self, family):
+        values = set(self.constants.values())
+        if len(values) == 1:
+            return next(iter(values))
+        if family.translation_invariant_p:
+            return NON_CONVERGENT
+        # centered boxes weight every orthant equally in the limit
+        return sum(self.constants.values()) / Fraction(2**self.box.dim)
+
+    def map(self, fn):
+        return OrthantTail(
+            {k: fn(v) for k, v in self.constants.items()},
+            self.box,
+            {k: fn(v) for k, v in self.table.items()},
+        )
+
+    def evolve(self, pn, reach):
+        if self.box.dim != 1:
+            raise ValueError(
+                "evolution of orthant tails is exactly representable only in dimension 1"
+            )
+        lo, hi, _, _ = self.window_1d()
+        box = Box((lo - reach,), (hi + reach,))
+        return OrthantTail(self.constants, box, _correlate(self.value, pn, box.sites()))
+
+    def window_1d(self):
+        # widen so that everything right of the window is a nonnegative site
+        lo, hi = min(self.box.lo[0], 0), max(self.box.hi[0], -1)
+        return lo, hi, self.constants[(-1,)], self.constants[(1,)]
+
+    def to_config(self):
+        return {
+            "kind": "orthant",
+            "constants": _table_config(self.constants),
+            "box": {"lo": list(self.box.lo), "hi": list(self.box.hi)},
+            "table": _table_config(self.table),
+        }
+
 
 @dataclass(frozen=True)
-class CustomTail:
+class CustomTail(Tail):
     """Raw evaluator with a declared bound; averages are only estimated."""
 
     evaluator: Callable
     declared_bound: float
+
+    def value(self, site):
+        return self.evaluator(site)
+
+    def values(self):
+        raise ValueError("sup deviation needs a tail model, not a raw evaluator")
+
+    def bound(self):
+        return self.declared_bound
+
+    def average(self, family):
+        return None
+
+    def map(self, fn):
+        raise ValueError("cannot map a raw evaluator through a function")
+
+    def evolve(self, pn, reach):
+        raise ValueError("evolution needs a tail model (periodic, boxed, or orthant)")
+
+    def to_config(self):
+        raise ValueError("raw evaluators have no config form")
 
 
 def _signs(site: Site) -> tuple[int, ...]:
@@ -224,65 +376,30 @@ def _signs(site: Site) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class SiteObservable:
     dim: int
-    tail: object
+    tail: Tail
 
     def value(self, site):
-        site = tuple(int(c) for c in site)
-        t = self.tail
-        if isinstance(t, PeriodicTail):
-            return t.table[tuple(c % l for c, l in zip(site, t.period))]
-        if isinstance(t, ConstantOutsideBoxTail):
-            return t.table.get(site, t.constant)
-        if isinstance(t, OrthantTail):
-            return t.table.get(site, t.constants[_signs(site)])
-        return t.evaluator(site)
+        return self.tail.value(tuple(int(c) for c in site))
 
     def bound(self):
-        t = self.tail
-        if isinstance(t, PeriodicTail):
-            return max(abs(v) for v in t.table.values())
-        if isinstance(t, ConstantOutsideBoxTail):
-            vals = [abs(t.constant)] + [abs(v) for v in t.table.values()]
-            return max(vals)
-        if isinstance(t, OrthantTail):
-            vals = [abs(v) for v in t.constants.values()]
-            vals += [abs(v) for v in t.table.values()]
-            return max(vals)
-        return t.declared_bound
+        return self.tail.bound()
 
     def analytic_average(self, family: BoxFamily):
         """Exact infinite-volume average, NON_CONVERGENT, or None (no analytic path)."""
-        t = self.tail
-        if isinstance(t, PeriodicTail):
-            cell = 1
-            for l in t.period:
-                cell *= l
-            return sum(t.table.values()) / Fraction(cell)
-        if isinstance(t, ConstantOutsideBoxTail):
-            return t.constant
-        if isinstance(t, OrthantTail):
-            values = set(t.constants.values())
-            if len(values) == 1:
-                return next(iter(values))
-            if family.translation_invariant_p:
-                return NON_CONVERGENT
-            # centered boxes weight every orthant equally in the limit
-            return sum(t.constants.values()) / Fraction(2**self.dim)
-        return None
+        return self.tail.average(family)
 
     def sup_deviation(self, center):
         """Exact sup over all sites of |value - center|; needs a tail model."""
-        t = self.tail
-        if isinstance(t, PeriodicTail):
-            return max(abs(v - center) for v in t.table.values())
-        if isinstance(t, ConstantOutsideBoxTail):
-            devs = [abs(t.constant - center)] + [abs(v - center) for v in t.table.values()]
-            return max(devs)
-        if isinstance(t, OrthantTail):
-            devs = [abs(v - center) for v in t.constants.values()]
-            devs += [abs(v - center) for v in t.table.values()]
-            return max(devs)
-        raise ValueError("sup deviation needs a tail model, not a raw evaluator")
+        return self.tail.sup_deviation(center)
+
+
+def _parse_value(v):
+    """Floats stay floats; everything else parses as an exact rational."""
+    return v if isinstance(v, float) else parse_rational(v)
+
+
+def _site_table(table: Mapping) -> dict:
+    return {tuple(int(c) for c in s): _parse_value(v) for s, v in table.items()}
 
 
 def periodic_observable(period, table: Mapping) -> SiteObservable:
@@ -290,25 +407,20 @@ def periodic_observable(period, table: Mapping) -> SiteObservable:
     clean = {}
     for residue, v in table.items():
         key = (residue,) if isinstance(residue, int) else tuple(int(c) for c in residue)
-        clean[tuple(c % l for c, l in zip(key, period))] = parse_rational(v) if not isinstance(v, float) else v
+        clean[tuple(c % l for c, l in zip(key, period))] = _parse_value(v)
     return SiteObservable(len(period), PeriodicTail(period, clean))
 
 
 def constant_observable(dim: int, value) -> SiteObservable:
-    value = parse_rational(value) if not isinstance(value, float) else value
-    return SiteObservable(dim, PeriodicTail((1,) * dim, {origin(dim): value}))
+    return SiteObservable(dim, PeriodicTail((1,) * dim, {origin(dim): _parse_value(value)}))
 
 
 def localized_observable(dim: int, constant, box: Box, table: Mapping) -> SiteObservable:
-    constant = parse_rational(constant) if not isinstance(constant, float) else constant
-    clean = {tuple(int(c) for c in s): (parse_rational(v) if not isinstance(v, float) else v) for s, v in table.items()}
-    return SiteObservable(dim, ConstantOutsideBoxTail(constant, box, clean))
+    return SiteObservable(dim, ConstantOutsideBoxTail(_parse_value(constant), box, _site_table(table)))
 
 
 def orthant_observable(dim: int, constants: Mapping, box: Box, table: Mapping) -> SiteObservable:
-    consts = {tuple(s): parse_rational(v) if not isinstance(v, float) else v for s, v in constants.items()}
-    clean = {tuple(int(c) for c in s): (parse_rational(v) if not isinstance(v, float) else v) for s, v in table.items()}
-    return SiteObservable(dim, OrthantTail(consts, box, clean))
+    return SiteObservable(dim, OrthantTail(_site_table(constants), box, _site_table(table)))
 
 
 def sign_observable() -> SiteObservable:
@@ -327,17 +439,6 @@ def custom_observable(dim: int, evaluator: Callable, bound: float) -> SiteObserv
 
 # ---------------------------------------------------------------------------
 # box sums and averages
-
-
-def _orthant_form(obs: SiteObservable):
-    """(window_lo, window_hi, c_neg, c_pos) for 1d eventually-constant tails."""
-    t = obs.tail
-    if isinstance(t, ConstantOutsideBoxTail):
-        return t.box.lo[0], t.box.hi[0], t.constant, t.constant
-    if isinstance(t, OrthantTail):
-        # widen so that everything right of the window is a nonnegative site
-        return min(t.box.lo[0], 0), max(t.box.hi[0], -1), t.constants[(-1,)], t.constants[(1,)]
-    return None
 
 
 def _box_sum_1d_tail(forms, box: Box):
@@ -369,7 +470,7 @@ def _residue_count(rho: int, l: int, a: int, b: int) -> int:
 def _box_sum(observables, box: Box):
     """Exact sum over the box of the pointwise product of the observables."""
     if box.dim == 1:
-        forms = [_orthant_form(o) for o in observables]
+        forms = [o.tail.window_1d() for o in observables]
         if all(f is not None for f in forms):
             total, wlo, whi = _box_sum_1d_tail(forms, box)
             for a in range(wlo, whi + 1):
@@ -582,44 +683,7 @@ def evolve_site(f: SiteObservable, p: WalkDistribution, n: int) -> SiteObservabl
         raise ValueError("evolution steps must be nonnegative")
     if f.dim != p.dim:
         raise ValueError("observable and walk dimensions differ")
-    pn = convolution_power(p, n)
-    t = f.tail
-    if isinstance(t, PeriodicTail):
-        new_table = {}
-        for residue in t.table:
-            acc = 0
-            for beta, w in pn.entries.items():
-                shifted = tuple((r + b) % l for r, b, l in zip(residue, beta, t.period))
-                acc += w * t.table[shifted]
-            new_table[residue] = acc
-        return SiteObservable(f.dim, PeriodicTail(t.period, new_table))
-    if isinstance(t, ConstantOutsideBoxTail):
-        reach = n * p.max_step
-        new_box = t.box.dilate(reach)
-        new_table = {}
-        for site in new_box.sites():
-            acc = 0
-            for beta, w in pn.entries.items():
-                acc += w * f.value(tuple(a + b for a, b in zip(site, beta)))
-            new_table[site] = acc
-        return SiteObservable(f.dim, ConstantOutsideBoxTail(t.constant, new_box, new_table))
-    if isinstance(t, OrthantTail):
-        if f.dim != 1:
-            raise ValueError(
-                "evolution of orthant tails is exactly representable only in dimension 1"
-            )
-        reach = n * p.max_step
-        lo = min(0, t.box.lo[0]) - reach
-        hi = max(-1, t.box.hi[0]) + reach
-        new_box = Box((lo,), (hi,))
-        new_table = {}
-        for site in new_box.sites():
-            acc = 0
-            for beta, w in pn.entries.items():
-                acc += w * f.value((site[0] + beta[0],))
-            new_table[site] = acc
-        return SiteObservable(f.dim, OrthantTail(t.constants, new_box, new_table))
-    raise ValueError("evolution needs a tail model (periodic, boxed, or orthant)")
+    return SiteObservable(f.dim, f.tail.evolve(convolution_power(p, n), n * p.max_step))
 
 
 def av_invariance_check(f: SiteObservable, p: WalkDistribution, n: int, family: BoxFamily | None = None):
@@ -637,18 +701,20 @@ def av_invariance_check(f: SiteObservable, p: WalkDistribution, n: int, family: 
 # config (de)serialization
 
 
-def _parse_value(v):
-    if isinstance(v, float):
-        return v
-    return parse_rational(v)
-
-
 def _parse_table(table: Mapping) -> dict:
-    out = {}
-    for key, v in table.items():
-        coords = tuple(int(c) for c in str(key).split(","))
-        out[coords] = _parse_value(v)
-    return out
+    """Config table with "i,j" site keys."""
+    return {tuple(int(c) for c in str(key).split(",")): _parse_value(v) for key, v in table.items()}
+
+
+def _box_from_config(dim: int, cfg: Mapping) -> Box:
+    """``box: {lo, hi}`` as written by observable_to_config, else ``center``/``radius``."""
+    if "box" in cfg:
+        box = Box(tuple(int(c) for c in cfg["box"]["lo"]), tuple(int(c) for c in cfg["box"]["hi"]))
+    else:
+        box = Box.centered(cfg.get("center", origin(dim)), int(cfg.get("radius", 0)))
+    if box.dim != dim:
+        raise ValueError(f"box of dimension {box.dim} for a {dim}-dimensional walk")
+    return box
 
 
 def observable_from_config(dim: int, cfg: Mapping):
@@ -656,15 +722,11 @@ def observable_from_config(dim: int, cfg: Mapping):
     if kind == "periodic":
         return periodic_observable(cfg["period"], _parse_table(cfg["table"]))
     if kind == "constantOutsideBox":
-        box = Box.centered(cfg.get("center", origin(dim)), int(cfg.get("radius", 0)))
-        return localized_observable(dim, cfg["constant"], box, _parse_table(cfg.get("table", {})))
+        return localized_observable(dim, cfg["constant"], _box_from_config(dim, cfg), _parse_table(cfg.get("table", {})))
     if kind == "orthant":
-        box = Box.centered(cfg.get("center", origin(dim)), int(cfg.get("radius", 0)))
-        constants = {
-            tuple(int(c) for c in str(k).split(",")): _parse_value(v)
-            for k, v in cfg["constants"].items()
-        }
-        return orthant_observable(dim, constants, box, _parse_table(cfg.get("table", {})))
+        return orthant_observable(
+            dim, _parse_table(cfg["constants"]), _box_from_config(dim, cfg), _parse_table(cfg.get("table", {}))
+        )
     if kind == "sign1d":
         if dim != 1:
             raise ValueError("sign1d needs a one-dimensional walk")
@@ -696,25 +758,4 @@ def observable_to_config(obs) -> dict:
                 for (site, word), v in sorted(obs.values.items())
             ],
         }
-    t = obs.tail
-    if isinstance(t, PeriodicTail):
-        return {
-            "kind": "periodic",
-            "period": list(t.period),
-            "table": {",".join(map(str, r)): format_rational(Fraction(v)) for r, v in sorted(t.table.items())},
-        }
-    if isinstance(t, ConstantOutsideBoxTail):
-        return {
-            "kind": "constantOutsideBox",
-            "constant": format_rational(Fraction(t.constant)),
-            "box": {"lo": list(t.box.lo), "hi": list(t.box.hi)},
-            "table": {",".join(map(str, s)): format_rational(Fraction(v)) for s, v in sorted(t.table.items())},
-        }
-    if isinstance(t, OrthantTail):
-        return {
-            "kind": "orthant",
-            "constants": {",".join(map(str, s)): format_rational(Fraction(v)) for s, v in sorted(t.constants.items())},
-            "box": {"lo": list(t.box.lo), "hi": list(t.box.hi)},
-            "table": {",".join(map(str, s)): format_rational(Fraction(v)) for s, v in sorted(t.table.items())},
-        }
-    raise ValueError("raw evaluators have no config form")
+    return obs.tail.to_config()

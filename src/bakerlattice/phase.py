@@ -10,7 +10,6 @@ against which all correlation formulas are checked.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +22,7 @@ from .lattice import (
     WalkDistribution,
     convolution_power,
 )
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_rational, write_csv
 
 DEFAULT_BUDGET = 10**7
 
@@ -253,21 +252,16 @@ class SiteHistogram:
     def write_csv(self, path, metadata: dict | None = None):
         law = self.exact_law()
         sites = sorted(set(self.counts) | set(law.entries))
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# seed={self.seed} steps={self.steps} samples={self.samples}\n")
-            for key, value in (metadata or {}).items():
-                fh.write(f"# {key}={value}\n")
-            writer = csv.writer(fh)
-            writer.writerow(
-                [f"site_{i}" for i in range(self.walk.dim)]
-                + ["count", "empirical_p", "exact_p"]
-            )
-            for site in sites:
-                count = self.counts.get(site, 0)
-                writer.writerow(
-                    list(site)
-                    + [count, repr(count / self.samples), format_rational(law[site])]
-                )
+        rows = []
+        for site in sites:
+            count = self.counts.get(site, 0)
+            rows.append([*site, count, repr(count / self.samples), format_rational(law[site])])
+        write_csv(
+            path,
+            {"seed": self.seed, "steps": self.steps, "samples": self.samples, **(metadata or {})},
+            [f"site_{i}" for i in range(self.walk.dim)] + ["count", "empirical_p", "exact_p"],
+            rows,
+        )
 
 
 def simulate_walk(

@@ -2,15 +2,18 @@
 
 Rational values travel through the public interfaces as strings of the form
 "num/den" (or "num" for integers); these helpers centralize parsing,
-formatting, rounding conventions, and JSON preparation.
+formatting, rounding conventions, JSON preparation and the artifact writers.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import json
 from fractions import Fraction
 from math import floor
 from numbers import Rational
+from pathlib import Path
 
 
 def parse_rational(value) -> Fraction:
@@ -80,3 +83,18 @@ def _json_key(key) -> str:
     if isinstance(key, tuple):
         return ",".join(_json_key(k) for k in key)
     return str(key)
+
+
+def write_json(path, payload):
+    """Sorted, indented JSON of ``to_jsonable(payload)`` with a final newline."""
+    Path(path).write_text(json.dumps(to_jsonable(payload), sort_keys=True, indent=2) + "\n")
+
+
+def write_csv(path, metadata: dict, columns, rows):
+    """CSV artifact: one ``# key=value ...`` line of the scalar metadata, then columns and rows."""
+    scalars = "".join(f" {k}={v}" for k, v in metadata.items() if isinstance(v, (str, int, float)))
+    with open(path, "w", newline="") as fh:
+        fh.write(f"#{scalars}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)

@@ -67,6 +67,19 @@ def test_undersized_grid_exit_2(tmp_path, capsys):
     assert run("fourier-decay", config, tmp_path / "o", grid=64) == 2
 
 
+def test_cell_budget_overflow_exit_2(tmp_path, capsys):
+    config = {
+        "observables": [
+            {"kind": "cell", "m": 12, "values": [{"site": [0], "back": [1] * 12, "fwd": [1] * 12, "value": "1"}]}
+        ]
+    }
+    assert run("mixing-report", config, tmp_path / "o") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["exit"] == 2
+    assert "exceeds the cell budget" in err[0]
+
+
 # ---------------------------------------------------------------------------
 # artifacts
 
@@ -190,7 +203,8 @@ def test_artifacts_are_byte_identical_across_runs(tmp_path, capsys):
         "mixing_kinds": ["M5", "M2"],
     }
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    for command in ("simulate", "mixing-report", "nowak-test", "a1-check"):
+    commands = ("simulate", "mixing-report", "nowak-test", "a1-check", "correlate", "audit", "fourier-decay")
+    for command in commands:
         assert run(command, config, out_a) == 0
         assert run(command, config, out_b) == 0
     files_a = sorted(p.name for p in out_a.iterdir())
@@ -198,6 +212,14 @@ def test_artifacts_are_byte_identical_across_runs(tmp_path, capsys):
     assert files_a == files_b
     for name in files_a:
         assert filecmp.cmp(out_a / name, out_b / name, shallow=False), name
+    # every CSV: one "# key=value ..." metadata line, then the column row
+    csvs = {name for name in files_a if name.endswith(".csv")}
+    assert {"histogram.csv", "m5_0.csv", "m2_0_0.csv", "correlate_0_0.csv", "audit.csv", "decay.csv"} <= csvs
+    for name in csvs:
+        lines = (out_a / name).read_text().splitlines()
+        assert [l for l in lines if l.startswith("#")] == lines[:1], name
+        assert "config_hash=" in lines[0] and "seed=123" in lines[0], name
+        assert lines[1].split(",")[0] in ("n", "site_0"), name
 
 
 def test_seed_flag_overrides_config(tmp_path, capsys):

@@ -29,6 +29,7 @@ from bakerlattice import (
     observable_to_config,
     orthant_observable,
     periodic_observable,
+    preset,
     reduce_to_site,
     sign_observable,
 )
@@ -351,6 +352,8 @@ def test_observable_config_round_trip():
     specs = [
         {"kind": "periodic", "period": [2], "table": {"0": "1", "1": "-1"}},
         {"kind": "constantOutsideBox", "constant": "2", "center": [0], "radius": 1, "table": {"0": "5/2"}},
+        {"kind": "constantOutsideBox", "constant": "0", "box": {"lo": [-2], "hi": [2]}, "table": {"-2": "1"}},
+        {"kind": "orthant", "constants": {"-1": "0", "1": "2"}, "box": {"lo": [1], "hi": [4]}, "table": {"4": "1"}},
         {"kind": "sign1d"},
         {
             "kind": "cell",
@@ -367,6 +370,82 @@ def test_observable_config_round_trip():
         else:
             for site in ((-3,), (0,), (2,)):
                 assert regenerated.value(site) == obs.value(site)
+
+
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def boxes(draw, dim):
+    """Boxes anywhere near the origin, of odd or even width per axis."""
+    lo = draw(st.tuples(*[st.integers(-4, 4)] * dim))
+    widths = draw(st.tuples(*[st.integers(0, 3)] * dim))
+    return Box(lo, tuple(a + w for a, w in zip(lo, widths)))
+
+
+@st.composite
+def box_tables(draw, box):
+    sites = draw(st.lists(st.sampled_from(list(box.sites())), unique=True, max_size=box.size))
+    return {s: draw(RATIONALS) for s in sites}
+
+
+@st.composite
+def periodic_observables(draw, dim):
+    period = draw(st.tuples(*[st.integers(1, 3)] * dim))
+    cell = Box((0,) * dim, tuple(l - 1 for l in period)).sites()
+    return periodic_observable(period, {r: draw(RATIONALS) for r in cell})
+
+
+@st.composite
+def boxed_observables(draw, dim):
+    box = draw(boxes(dim))
+    return localized_observable(dim, draw(RATIONALS), box, draw(box_tables(box)))
+
+
+@st.composite
+def orthant_observables(draw, dim):
+    box = draw(boxes(dim))
+    signs = Box((-1,) * dim, (1,) * dim).sites()
+    constants = {s: draw(RATIONALS) for s in signs if 0 not in s}
+    return orthant_observable(dim, constants, box, draw(box_tables(box)))
+
+
+@st.composite
+def cell_observables(draw, dim, depth=1, digits=3):
+    word = st.tuples(*[st.integers(1, digits)] * (2 * depth))
+    site = st.tuples(*[st.integers(-2, 2)] * dim)
+    values = draw(st.dictionaries(st.tuples(site, word), RATIONALS, max_size=6))
+    return CellObservable(dim, depth, values, draw(RATIONALS))
+
+
+@st.composite
+def reduced_third_walk_observables(draw):
+    return reduce_to_site(draw(cell_observables(1)), preset("third-walk"))
+
+
+def config_observables(dim):
+    kinds = [
+        periodic_observables(dim),
+        boxed_observables(dim),
+        orthant_observables(dim),
+        cell_observables(dim),
+    ]
+    if dim == 1:
+        kinds += [st.just(sign_observable()), reduced_third_walk_observables()]
+    return st.one_of(*kinds)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_observable_config_round_trips_every_kind(dim, data):
+    obs = data.draw(config_observables(dim))
+    assert observable_from_config(dim, observable_to_config(obs)) == obs
+
+
+def test_observable_config_rejects_box_of_wrong_dimension():
+    with pytest.raises(ValueError, match="dimension"):
+        observable_from_config(2, {"kind": "constantOutsideBox", "constant": "0", "center": [0], "table": {"0,5": "1"}})
 
 
 def test_observable_config_rejects_unknown_kind():
