@@ -11,6 +11,7 @@ what every "exact below bandwidth" contract below refers to.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -97,17 +98,7 @@ def box_signal(dim: int, r: int) -> LatticeSignal:
     if r < 1:
         raise ValueError("box radius must be >= 1")
     weight = Fraction(1, (2 * r + 1) ** dim)
-    entries = {}
-
-    def fill(prefix):
-        if len(prefix) == dim:
-            entries[tuple(prefix)] = weight
-            return
-        for c in range(-r, r + 1):
-            fill(prefix + [c])
-
-    fill([])
-    return LatticeSignal(dim, entries)
+    return LatticeSignal(dim, dict.fromkeys(itertools.product(range(-r, r + 1), repeat=dim), weight))
 
 
 def _dirichlet_axis(r: int, theta: np.ndarray) -> np.ndarray:
@@ -176,15 +167,9 @@ def parseval_pairing(a: LatticeSignal, b: LatticeSignal, grid_size: int) -> Pair
         raise AliasingError(
             f"grid {M} too small for support radii {ra} + {rb}; aliasing would corrupt the quadrature"
         )
-    if a.is_exact and b.is_exact:
-        lattice = sum(
-            (a.entries[s] * b.entries[s] for s in set(a.entries) & set(b.entries)),
-            Fraction(0),
-        )
-    else:
-        lattice = sum(
-            _conj(a.entries[s]) * b.entries[s] for s in set(a.entries) & set(b.entries)
-        )
+    common = set(a.entries) & set(b.entries)
+    start = Fraction(0) if a.is_exact and b.is_exact else 0
+    lattice = sum((_conj(a.entries[s]) * b.entries[s] for s in common), start)
     ga = char_function(a, M).values
     gb = char_function(b, M).values
     grid = complex(np.mean(np.conj(ga) * gb))
@@ -339,6 +324,12 @@ def _derivative_weighted(sig: LatticeSignal, axis: int, order: int) -> LatticeSi
     return LatticeSignal(sig.dim, out)
 
 
+def _defect(p: WalkDistribution, n: int, r: int) -> LatticeSignal:
+    """g = p^(n) - q^(r) * p^(n), exactly."""
+    pn = convolution_power(p, n)
+    return pn - convolve(box_signal(p.dim, r), pn)
+
+
 def defect_signal(
     p: WalkDistribution,
     n: int,
@@ -355,8 +346,7 @@ def defect_signal(
     if n < 1:
         raise ValueError("n must be >= 1")
     r = config.radius(n)
-    pn = convolution_power(p, n)
-    g = pn - convolve(box_signal(p.dim, r), pn)
+    g = _defect(p, n, r)
     radius = max(g.support_radius()) if g.entries else 0
     M = int(grid_size) if grid_size else smallest_grid(radius)
     if M <= 2 * radius:
@@ -446,10 +436,11 @@ def periodic_pairing(
 ) -> PeriodicPairing:
     """Pair a periodic site function with the n-step law, both ways.
 
-    Space side: the exact lattice sum over the support of p^(n).  Spectral
-    side: the function is a finite combination of characters at frequencies
-    2 pi k / L, so the pairing is the sum over those frequencies of
-    conj(c_k) p~(-theta_k)^n with c_k from the FFT of the period cell.
+    Space side: the exact sum of the table against p^(n) folded modulo the
+    period.  Spectral side: the function is a finite combination of
+    characters at frequencies 2 pi k / L, so the pairing is the sum over
+    those frequencies of conj(c_k) p~(-theta_k)^n with c_k from the FFT of
+    the period cell.
     """
     period = tuple(int(l) for l in period)
     if grid_size:
@@ -463,22 +454,16 @@ def periodic_pairing(
     dim = p.dim
     if len(period) != dim:
         raise ValueError("period tuple does not match the walk dimension")
-    pn = convolution_power(p, n)
     exact = all(is_exact(v) for v in table.values())
-    space = Fraction(0) if exact else 0.0
-    for site, w in pn.entries.items():
-        residue = tuple(c % l for c, l in zip(site, period))
-        space = space + table[residue] * w
+    folded = convolution_power(p, n).fold(period)
+    space = sum((table[r] * w for r, w in folded.entries.items()), Fraction(0) if exact else 0.0)
 
-    tile = np.zeros((M,) * dim)
-    for idx in np.ndindex(*(M,) * dim):
-        residue = tuple(c % l for c, l in zip(idx, period))
-        tile[idx] = float(table[residue])
+    cell = np.zeros(period)
+    for residue in np.ndindex(*period):
+        cell[residue] = float(table[residue])
+    tile = np.tile(cell, tuple(M // l for l in period))
     coeffs = np.fft.fftn(tile) / (M**dim)
-    p_grid = char_function(p.signal(), M).values
-    flipped = p_grid
-    for axis in range(dim):
-        flipped = np.take(flipped, (-np.arange(M)) % M, axis=axis)
+    flipped = char_function(p.signal().reflect(), M).values  # p~(-theta)
     spectral = complex(np.sum(np.conj(coeffs) * flipped**n))
     return PeriodicPairing(space, spectral)
 
@@ -590,29 +575,18 @@ def local_bounds_report(
     in_ball = (radius > 0) & (radius <= quadratic_ball)
     c_hat = float(np.min((1.0 - modulus[in_ball]) / radius[in_ball] ** 2)) if in_ball.any() else 0.0
 
-    tail_rows = []
-    kappas = []
+    tail = []  # (n, ball radius, max |p~| outside the ball, -log of its n-th power)
     for n in n_list:
         rho = config.ball_radius(n)
         outside = radius > rho
-        if not outside.any():
-            continue
-        mmax = float(np.max(modulus[outside]))
-        neg_log = -n * np.log(mmax) if mmax > 0 else float("inf")
-        kappas.append(neg_log / float(n) ** float(config.eps))
-        tail_rows.append(TailRow(n, rho, mmax**n, neg_log, 0.0))
-    kappa_hat = min(kappas) if kappas else None
-    if kappa_hat is not None:
-        tail_rows = [
-            TailRow(
-                row.n,
-                row.ball_radius,
-                row.max_modulus_outside,
-                row.neg_log_power,
-                row.neg_log_power - kappa_hat * float(row.n) ** float(config.eps),
-            )
-            for row in tail_rows
-        ]
+        if outside.any():
+            mmax = float(np.max(modulus[outside]))
+            tail.append((n, rho, mmax, -n * np.log(mmax) if mmax > 0 else float("inf")))
+    kappa_hat = min((neg_log / float(n) ** float(config.eps) for n, _, _, neg_log in tail), default=None)
+    tail_rows = [
+        TailRow(n, rho, mmax**n, neg_log, neg_log - kappa_hat * float(n) ** float(config.eps))
+        for n, rho, mmax, neg_log in tail
+    ]
 
     xi_by_key = {}
     for n in n_list:
@@ -624,8 +598,7 @@ def local_bounds_report(
     deriv_rows = []
     for n in n_list:
         r = config.radius(n)
-        pn = convolution_power(p, n)
-        g = pn - convolve(box_signal(p.dim, r), pn)
+        g = _defect(p, n, r)
         rho = config.ball_radius(n)
         in_b = radius <= rho
         best = 0.0

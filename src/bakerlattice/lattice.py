@@ -92,6 +92,18 @@ class LatticeSignal:
             out[s] = complex(v) * phase
         return LatticeSignal(self.dim, out)
 
+    def reflect(self) -> "LatticeSignal":
+        """alpha -> a_{-alpha}: convolving with the reflection correlates."""
+        return LatticeSignal(self.dim, {tuple(-c for c in s): v for s, v in self.entries.items()})
+
+    def fold(self, period) -> "LatticeSignal":
+        """Sum of the entries per residue class, keyed by residues in [0, period)."""
+        out: dict = {}
+        for s, v in self.entries.items():
+            key = tuple(c % l for c, l in zip(s, period))
+            out[key] = out.get(key, 0) + v
+        return LatticeSignal.from_entries(self.dim, out)
+
     def scale(self, factor) -> "LatticeSignal":
         if factor == 0:
             return LatticeSignal(self.dim, {})
@@ -159,10 +171,6 @@ class WalkDistribution:
         return tuple(w for _, w in self.support)
 
     @property
-    def max_weight(self) -> Fraction:
-        return max(self.weights)
-
-    @property
     def max_step(self) -> int:
         """max |beta|_inf over the support."""
         return max(max(abs(c) for c in s) for s in self.sites)
@@ -198,7 +206,8 @@ def _integer_form(sig: LatticeSignal) -> tuple[dict, int]:
     return nums, den
 
 
-def _convolve_integer(a: dict, b: dict) -> dict:
+def _convolve_entries(a: dict, b: dict) -> dict:
+    """site -> sum over sa + sb = site of a[sa] * b[sb]; the one convolution loop."""
     out: dict = {}
     if len(a) > len(b):  # iterate the smaller outer dict
         a, b = b, a
@@ -213,18 +222,13 @@ def convolve(a: LatticeSignal, b: LatticeSignal) -> LatticeSignal:
     """(a * b)_alpha = sum_beta a_beta b_{alpha-beta}; exact on rational input."""
     if a.dim != b.dim:
         raise DimensionMismatchError("cannot convolve signals of different dimension")
-    if a.is_exact and b.is_exact:
-        na, da = _integer_form(a)
-        nb, db = _integer_form(b)
-        nums = _convolve_integer(na, nb)
-        den = da * db
-        return LatticeSignal.from_entries(a.dim, {s: Fraction(n, den) for s, n in nums.items()})
-    out: dict = {}
-    for sa, va in a.entries.items():
-        for sb, vb in b.entries.items():
-            key = tuple(x + y for x, y in zip(sa, sb))
-            out[key] = out.get(key, 0) + va * vb
-    return LatticeSignal.from_entries(a.dim, out)
+    if not (a.is_exact and b.is_exact):
+        return LatticeSignal.from_entries(a.dim, _convolve_entries(a.entries, b.entries))
+    na, da = _integer_form(a)
+    nb, db = _integer_form(b)
+    den = da * db
+    nums = _convolve_entries(na, nb)
+    return LatticeSignal.from_entries(a.dim, {s: Fraction(n, den) for s, n in nums.items()})
 
 
 def convolution_power(p: WalkDistribution, n: int) -> LatticeSignal:
@@ -237,11 +241,11 @@ def convolution_power(p: WalkDistribution, n: int) -> LatticeSignal:
     k = n
     while k:
         if k & 1:
-            acc_nums = _convolve_integer(acc_nums, base_nums)
+            acc_nums = _convolve_entries(acc_nums, base_nums)
             acc_den *= base_den
         k >>= 1
         if k:
-            base_nums = _convolve_integer(base_nums, base_nums)
+            base_nums = _convolve_entries(base_nums, base_nums)
             base_den *= base_den
     return LatticeSignal.from_entries(
         p.dim, {s: Fraction(v, acc_den) for s, v in acc_nums.items()}

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, log
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .phase import (
     cylinder_interval,
     push_strip,
 )
-from .rational import format_rational, to_jsonable, write_csv
+from .rational import format_rational, is_exact, to_jsonable, write_csv
 
 
 # the requested limit is outside the analytic tail models
@@ -96,7 +96,11 @@ def correlate_global_local(
     the strip's site and height, so the correlation is the weighted sum of
     the evolved values at the strip sites.
     """
-    ev = evolve_site(f, p, n)
+    return _pair(evolve_site(f, p, n), g)
+
+
+def _pair(ev: SiteObservable, g: LocalObservable):
+    """mu(ev g) for a stable site function ev and a strip combination g."""
     return sum((w * s.height * ev.value(s.site) for s, w in g.terms), Fraction(0))
 
 
@@ -287,10 +291,11 @@ def m4_report(
         family = BoxFamily.translation_invariant(f.dim)
     av = f.analytic_average(family)
     target = None if av is NON_CONVERGENT else av * g.mass()
-    series = {int(n): correlate_global_local(f, g, p, int(n)) for n in n_list}
+    evs = {int(n): evolve_site(f, p, int(n)) for n in n_list}
+    series = {n: _pair(ev, g) for n, ev in evs.items()}
     gaps = {}
     if av is not NON_CONVERGENT and av is not None:
-        gaps = {n: m5_gap(f, p, n, 0, family) * g.abs_mass() for n in series}
+        gaps = {n: ev.sup_deviation(av) * g.abs_mass() for n, ev in evs.items()}
     return CorrelationReport("M4", series, target, gap_series=gaps, metadata=metadata or {})
 
 
@@ -381,12 +386,22 @@ class RateFit:
     FLOOR = 1e-14
 
 
+def _log_deviation(v, target) -> float | None:
+    """log |v - target| (exact values: log num - log den), None at the floor."""
+    if is_exact(v) and is_exact(target):
+        d = abs(Fraction(v) - Fraction(target))
+        return log(d.numerator) - log(d.denominator) if d else None
+    d = abs(float(v) - float(target))
+    return log(d) if d > RateFit.FLOOR else None
+
+
 def rate_profile(series, target=Fraction(0)) -> RateFit:
     """Fit decay rates to a series n -> value against its target.
 
     Accepts a plain mapping or a CorrelationReport (whose own target is then
-    used).  Values within 1e-14 of the target are treated as numerical
-    floor; a series entirely at floor gets the floor flag instead of rates.
+    used).  Exact values equal to the target, and float values within 1e-14
+    of it, are treated as numerical floor; a series entirely at floor gets
+    the floor flag instead of rates.
     """
     if isinstance(series, CorrelationReport):
         if series.kind == "M2":
@@ -395,15 +410,14 @@ def rate_profile(series, target=Fraction(0)) -> RateFit:
         series = series.series
     if len(series) < 4:
         raise ValueError("rate fitting needs at least 4 points")
-    ns, devs = [], []
+    ns, logs = [], []
     for n, v in sorted(series.items()):
-        d = abs(float(v) - float(target))
-        if d > RateFit.FLOOR:
+        log_d = _log_deviation(v, target)
+        if log_d is not None:
             ns.append(float(n))
-            devs.append(d)
+            logs.append(log_d)
     if len(ns) < 2:
         return RateFit(None, None, True, len(ns))
-    logs = np.log(devs)
     exp_slope = np.polyfit(ns, logs, 1)[0]
     poly_slope = np.polyfit(np.log(ns), logs, 1)[0]
     return RateFit(-float(exp_slope), -float(poly_slope), False, len(ns))
@@ -508,10 +522,11 @@ def implication_audit(
         av_f = f.analytic_average(family)
         if av_f is None or av_f is NON_CONVERGENT:
             continue
-        gaps = {n: m5_gap(f, p, n, 0, family) for n in n_list}
+        evs = {n: evolve_site(f, p, n) for n in n_list}
+        gaps = {n: ev.sup_deviation(av_f) for n, ev in evs.items()}
         for gi, g in enumerate(locals_):
             for n in n_list:
-                dev = abs(correlate_global_local(f, g, p, n) - av_f * g.mass())
+                dev = abs(_pair(evs[n], g) - av_f * g.mass())
                 m4_rows.append(
                     M4AuditRow(fi, gi, n, dev, gaps[n] * g.abs_mass(), g.mass() == 0)
                 )
@@ -521,10 +536,9 @@ def implication_audit(
                 continue
             abs_G = SiteObservable(G.dim, G.tail.map(abs))
             for n in n_list:
-                ev = evolve_site(f, p, n)
                 for r in r_list:
                     box = Box.centered(origin(p.dim), r)
-                    entry = box_average_product(ev, G, box)
+                    entry = box_average_product(evs[n], G, box)
                     term1 = abs(av_f) * abs(box_average(G, box) - av_g)
                     term3 = gaps[n] * box_average(abs_G, box)
                     m2_rows.append(

@@ -20,9 +20,11 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .lattice import (
+    LatticeSignal,
     Site,
     WalkDistribution,
     convolution_power,
+    convolve,
     origin,
 )
 from .phase import DEFAULT_BUDGET, BudgetExceededError, PartitionTable, PhasePoint
@@ -164,17 +166,6 @@ class BoxFamily:
 # tail models and site observables
 
 
-def _correlate(value, pn, sites) -> dict:
-    """site -> sum_beta p^(n)_beta value(site + beta), for each of the sites."""
-    out = {}
-    for site in sites:
-        acc = 0
-        for beta, w in pn.entries.items():
-            acc += w * value(tuple(a + b for a, b in zip(site, beta)))
-        out[site] = acc
-    return out
-
-
 def _table_config(table: dict) -> dict:
     return {",".join(map(str, s)): format_rational(Fraction(v)) for s, v in sorted(table.items())}
 
@@ -187,8 +178,8 @@ class Tail:
       values()           the finite set of values taken (bound, sup deviation);
       average(family)    exact infinite-volume average, NON_CONVERGENT or None;
       map(fn)            the same model for fn applied pointwise;
-      evolve(pn, reach)  the model of alpha -> sum_beta pn_beta f(alpha + beta)
-                         for a law pn whose steps are at most reach long;
+      evolve(pn)         the model of alpha -> sum_beta pn_beta f(alpha + beta),
+                         a background plus convolve(deviation, pn.reflect());
       window_1d()        (lo, hi, c_neg, c_pos) when a 1d function is constant
                          on each side of [lo, hi], else None;
       to_config()        the config dict that observable_from_config reads.
@@ -232,8 +223,11 @@ class PeriodicTail(Tail):
     def map(self, fn):
         return PeriodicTail(self.period, {k: fn(v) for k, v in self.table.items()})
 
-    def evolve(self, pn, reach):
-        return PeriodicTail(self.period, _correlate(self.value, pn, self.table))
+    def evolve(self, pn):
+        cell = LatticeSignal.from_entries(len(self.period), self.table)
+        evolved = convolve(cell, pn.fold(self.period).reflect()).fold(self.period).entries
+        zero = 0 * next(iter(self.table.values()))  # typed like the table: Fraction or float
+        return PeriodicTail(self.period, {r: evolved.get(r, zero) for r in self.table})
 
     def to_config(self):
         return {"kind": "periodic", "period": list(self.period), "table": _table_config(self.table)}
@@ -262,9 +256,12 @@ class ConstantOutsideBoxTail(Tail):
     def map(self, fn):
         return ConstantOutsideBoxTail(fn(self.constant), self.box, {k: fn(v) for k, v in self.table.items()})
 
-    def evolve(self, pn, reach):
-        box = self.box.dilate(reach)
-        return ConstantOutsideBoxTail(self.constant, box, _correlate(self.value, pn, box.sites()))
+    def evolve(self, pn):
+        c = self.constant
+        deviation = LatticeSignal.from_entries(self.box.dim, {s: v - c for s, v in self.table.items()})
+        evolved = convolve(deviation, pn.reflect())
+        table = {s: c + v for s, v in evolved.entries.items()}
+        return ConstantOutsideBoxTail(c, self.box.dilate(max(pn.support_radius())), table)
 
     def window_1d(self):
         return self.box.lo[0], self.box.hi[0], self.constant, self.constant
@@ -317,14 +314,21 @@ class OrthantTail(Tail):
             {k: fn(v) for k, v in self.table.items()},
         )
 
-    def evolve(self, pn, reach):
+    def evolve(self, pn):
         if self.box.dim != 1:
             raise ValueError(
                 "evolution of orthant tails is exactly representable only in dimension 1"
             )
-        lo, hi, _, _ = self.window_1d()
+        lo, hi, c_neg, _ = self.window_1d()
+        reach = max(pn.support_radius())
+        # f - c_neg vanishes left of lo; sites right of hi + 2 reach are out of reach
+        deviation = LatticeSignal.from_entries(
+            1, {(a,): self.value((a,)) - c_neg for a in range(lo, hi + 2 * reach + 1)}
+        )
+        evolved = convolve(deviation, pn.reflect())
         box = Box((lo - reach,), (hi + reach,))
-        return OrthantTail(self.constants, box, _correlate(self.value, pn, box.sites()))
+        # every window site is stored: a missing key would read the sign constant
+        return OrthantTail(self.constants, box, {s: c_neg + evolved[s] for s in box.sites()})
 
     def window_1d(self):
         # widen so that everything right of the window is a nonnegative site
@@ -362,7 +366,7 @@ class CustomTail(Tail):
     def map(self, fn):
         raise ValueError("cannot map a raw evaluator through a function")
 
-    def evolve(self, pn, reach):
+    def evolve(self, pn):
         raise ValueError("evolution needs a tail model (periodic, boxed, or orthant)")
 
     def to_config(self):
@@ -683,7 +687,7 @@ def evolve_site(f: SiteObservable, p: WalkDistribution, n: int) -> SiteObservabl
         raise ValueError("evolution steps must be nonnegative")
     if f.dim != p.dim:
         raise ValueError("observable and walk dimensions differ")
-    return SiteObservable(f.dim, f.tail.evolve(convolution_power(p, n), n * p.max_step))
+    return SiteObservable(f.dim, f.tail.evolve(convolution_power(p, n)))
 
 
 def av_invariance_check(f: SiteObservable, p: WalkDistribution, n: int, family: BoxFamily | None = None):

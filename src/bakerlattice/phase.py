@@ -274,7 +274,10 @@ def simulate_walk(
     """Iterate the map on uniform random points of the origin square.
 
     Points use binary64 arithmetic (orbits only feed statistical checks; the
-    exact machinery lives in the strip algebra).  Samples are split across
+    exact machinery lives in the strip algebra).  Each step reads log2(1/w)
+    bits of y1, so every step adds a fresh uniform digit at 2^-53 (lazy bits,
+    after Knuth and Yao, 1976): the unread digits of a uniform point are
+    uniform, so the law holds at any n.  Samples are split across
     ``streams`` PCG64 child generators spawned from the seed and merged by
     summation, so the result is reproducible and order-independent.
     """
@@ -299,7 +302,7 @@ def simulate_walk(
             k = np.searchsorted(bounds, y1, side="right") - 1
             k = np.minimum(k, table.size - 1)
             pos += steps_arr[k]
-            y1 = (y1 - bounds[k]) / widths[k]
+            y1 = (y1 - bounds[k] + rng.random(m) * 2.0**-53) / widths[k]
             y1 = np.clip(y1, 0.0, np.nextafter(1.0, 0.0))
         sites, site_counts = np.unique(pos, axis=0, return_counts=True)
         for site, c in zip(sites, site_counts):

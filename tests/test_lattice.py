@@ -21,7 +21,7 @@ from bakerlattice import (
     span_check,
     preset,
 )
-from conftest import random_walk
+from conftest import random_signal, random_walk
 
 
 def naive_convolve(a: dict, b: dict, dim: int) -> dict:
@@ -54,6 +54,43 @@ def test_convolve_third_walk_hand_values(third):
     pp = convolve(third.signal(), third.signal())
     assert pp[(0,)] == Fraction(1, 3)
     assert pp[(2,)] == Fraction(1, 9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 2))
+def test_convolve_float_entries_match_exact(seed, dim):
+    rng = random.Random(seed)
+    a, b = random_signal(rng, dim), random_signal(rng, dim)
+    exact = convolve(a, b)
+    inexact = convolve(LatticeSignal(dim, {s: float(v) for s, v in a.entries.items()}), b)
+    for s in set(exact.entries) | set(inexact.entries):
+        assert float(inexact[s]) == pytest.approx(float(exact[s]), abs=1e-12)
+
+
+def test_reflect_and_fold_hand_values():
+    a = LatticeSignal.from_entries(
+        2,
+        {(1, -2): Fraction(1, 2), (-3, 0): Fraction(1, 3), (2, 2): Fraction(1, 6), (3, 1): Fraction(-1, 2)},
+    )
+    assert a.reflect().entries == {
+        (-1, 2): Fraction(1, 2),
+        (3, 0): Fraction(1, 3),
+        (-2, -2): Fraction(1, 6),
+        (-3, -1): Fraction(-1, 2),
+    }
+    # (1, -2) and (3, 1) share the residue (1, 1) and cancel exactly
+    assert a.fold((2, 3)).entries == {(1, 0): Fraction(1, 3), (0, 2): Fraction(1, 6)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 2))
+def test_fold_keeps_mass_and_commutes_with_convolution(seed, dim):
+    rng = random.Random(seed)
+    a, b = random_signal(rng, dim), random_signal(rng, dim)
+    period = tuple(rng.randint(1, 4) for _ in range(dim))
+    assert a.fold(period).mass() == a.mass()
+    assert a.reflect().reflect() == a
+    assert convolve(a, b).fold(period) == convolve(a.fold(period), b.fold(period)).fold(period)
 
 
 def test_convolve_dimension_mismatch(third, lazy2d):

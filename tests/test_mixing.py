@@ -15,6 +15,7 @@ from bakerlattice import (
     WalkDistribution,
     constant_observable,
     correlate_global_local,
+    evolve_site,
     implication_audit,
     itinerary_oracle,
     localized_observable,
@@ -30,6 +31,7 @@ from bakerlattice import (
     reduce_to_site,
     sign_observable,
 )
+from bakerlattice import mixing
 from conftest import random_site_observable, random_strip, random_walk
 
 TI = BoxFamily.translation_invariant
@@ -328,6 +330,24 @@ def test_rate_profile_polynomial():
     assert fit.polynomial_exponent == pytest.approx(1.0, abs=1e-2)
 
 
+def test_rate_profile_exact_gaps_below_binary64_floor():
+    # 3^-32 is about 5e-16: as floats every gap would sit at the 1e-14 floor
+    fit = rate_profile({n: Fraction(1, 3**n) for n in range(32, 57)})
+    assert not fit.floor and fit.points_used == 25
+    assert fit.exponential_rate == pytest.approx(1.0986122886681098, abs=1e-6)
+
+
+def test_rate_profile_keeps_every_exact_point():
+    fit = rate_profile({n: Fraction(1, 3**n) for n in range(8, 33)})
+    assert fit.points_used == 25
+    assert fit.exponential_rate == pytest.approx(1.0986122886681098, abs=1e-6)
+
+
+def test_rate_profile_float_floor():
+    series = {n: 1e-15 for n in range(1, 8)}
+    assert rate_profile(series).floor
+
+
 def test_rate_profile_floor_flag():
     series = {n: Fraction(0) for n in range(1, 8)}
     fit = rate_profile(series)
@@ -388,6 +408,23 @@ def test_audit_zero_mean_locals_flag_m3(third, parity):
     record = implication_audit(third, [parity], [g], [1, 2], [2], TI(1))
     assert all(row.zero_mean for row in record.m4_rows)
     assert record.ok
+
+
+def test_audit_and_m4_report_evolve_each_pair_once(monkeypatch, third, parity):
+    calls = []
+
+    def counting(f, p, n):
+        calls.append((id(f), n))
+        return evolve_site(f, p, n)
+
+    monkeypatch.setattr(mixing, "evolve_site", counting)
+    other = periodic_observable((3,), {(0,): 2, (1,): 0, (2,): 1})
+    g = LocalObservable.unit_square((0,))
+    implication_audit(third, [parity, other], [g, g], [1, 2, 4], [2, 8], TI(1))
+    assert sorted(calls) == sorted((id(f), n) for f in (parity, other) for n in (1, 2, 4))
+    calls.clear()
+    m4_report(parity, g, third, [0, 1, 2], TI(1))
+    assert sorted(calls) == [(id(parity), n) for n in (0, 1, 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from bakerlattice import (
     BoxFamily,
     CellObservable,
     LatticeSignal,
+    WalkDistribution,
     av_invariance_check,
     box_average,
     box_average_product,
@@ -33,6 +34,7 @@ from bakerlattice import (
     reduce_to_site,
     sign_observable,
 )
+from bakerlattice.observables import OrthantTail, PeriodicTail
 from conftest import random_periodic, random_site_observable, random_walk
 
 TI = BoxFamily.translation_invariant
@@ -467,3 +469,51 @@ def test_family_centers():
     assert BoxFamily.centered_only(1).centers() == [(0,)]
     centers = BoxFamily.translation_invariant(1).centers(extra_random=4, seed=1)
     assert (0,) in centers and (1000,) in centers and (-1000,) in centers
+
+
+# ---------------------------------------------------------------------------
+# site evolution against the direct sum
+
+
+@st.composite
+def walks(draw, dim, reach):
+    """Walks with up to four steps of length at most reach, drifted or not."""
+    step = st.tuples(*[st.integers(-reach, reach)] * dim)
+    sites = draw(st.lists(step, min_size=2, max_size=4, unique=True))
+    raw = [draw(st.integers(1, 9)) for _ in sites]
+    return WalkDistribution.from_weights(dim, {s: Fraction(w, sum(raw)) for s, w in zip(sites, raw)})
+
+
+def direct_evolution(f, pn, site):
+    """sum_beta p^(n)_beta f(site + beta), one term per step of the law."""
+    return sum(
+        (w * f.value(tuple(a + b for a, b in zip(site, beta))) for beta, w in pn.entries.items()),
+        Fraction(0),
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_evolve_site_matches_direct_sum(dim, data):
+    n = data.draw(st.integers(0, 6))
+    p = data.draw(walks(dim, 2 if dim == 1 or n <= 3 else 1))
+    kinds = [periodic_observables(dim), boxed_observables(dim)]
+    if dim == 1:
+        kinds.append(orthant_observables(1))
+    f = data.draw(st.one_of(*kinds))
+    ev = evolve_site(f, p, n)
+    reach = n * p.max_step
+    if isinstance(f.tail, PeriodicTail):
+        assert ev.tail.period == f.tail.period
+        window = Box((0,) * dim, tuple(l - 1 for l in f.tail.period)).dilate(reach)
+    elif isinstance(f.tail, OrthantTail):
+        lo, hi, _, _ = f.tail.window_1d()
+        window = Box((lo - reach,), (hi + reach,))
+        assert ev.tail.box == window
+    else:
+        window = f.tail.box.dilate(reach)
+        assert ev.tail.box == window
+    pn = convolution_power(p, n)
+    for site in window.dilate(2).sites():
+        assert ev.value(site) == direct_evolution(f, pn, site)

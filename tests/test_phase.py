@@ -12,6 +12,7 @@ from bakerlattice import (
     PartitionTable,
     PhasePoint,
     Strip,
+    WalkDistribution,
     convolution_power,
     inverse_step,
     push_strip,
@@ -177,6 +178,17 @@ def test_simulate_mean_matches_drift(drifted):
     var_step = float(sum(w * s[0] ** 2 for s, w in drifted.support) - Fraction(1, 9))
     se = (n * var_step / samples) ** 0.5
     assert abs(hist.empirical_mean()[0] - n / 3) < 4 * se
+
+
+def test_simulate_dyadic_walk_keeps_its_drift_past_binary64():
+    # weights 1/2, 1/4 consume 1-2 bits of y1 per step, so n = 120 reads far
+    # more than the 53 bits of one binary64 sample
+    p = WalkDistribution.from_weights(1, {-1: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)})
+    n, samples = 120, 20000
+    hist = simulate_walk(p, n, samples, seed=1)
+    var_step = sum(w * s[0] ** 2 for s, w in p.support) - Fraction(1, 16)
+    five_sigma = 5 * float(n * var_step / samples) ** 0.5
+    assert abs(hist.empirical_mean()[0] - n / 4) < five_sigma
 
 
 def test_simulate_2d_sites(lazy2d):
