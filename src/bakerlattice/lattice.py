@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, sqrt
 from typing import Iterable, Mapping
 
@@ -231,8 +232,18 @@ def convolve(a: LatticeSignal, b: LatticeSignal) -> LatticeSignal:
     return LatticeSignal.from_entries(a.dim, {s: Fraction(n, den) for s, n in nums.items()})
 
 
+# Laws kept by convolution_power: the reports ask for the same (walk, n) once
+# per report kind and per observable.
+LAW_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=LAW_CACHE_SIZE)
 def convolution_power(p: WalkDistribution, n: int) -> LatticeSignal:
-    """n-step law p^(n) (p^(0) = delta_0), by repeated squaring, exact."""
+    """n-step law p^(n) (p^(0) = delta_0), by repeated squaring, exact.
+
+    The LAW_CACHE_SIZE most recent laws are cached and shared between
+    callers, so callers must not mutate the returned ``entries``.
+    """
     if n < 0:
         raise ValueError("power must be nonnegative")
     nums, den = _integer_form(p.signal())

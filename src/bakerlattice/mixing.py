@@ -516,6 +516,7 @@ def implication_audit(
         family = BoxFamily.translation_invariant(p.dim)
     n_list = sorted(int(n) for n in n_list)
     r_list = sorted(int(r) for r in r_list)
+    boxes = {r: Box.centered(origin(p.dim), r) for r in r_list}
     m4_rows = []
     m2_rows = []
     for fi, f in enumerate(globals_):
@@ -535,12 +536,14 @@ def implication_audit(
             if av_g is None or av_g is NON_CONVERGENT:
                 continue
             abs_G = SiteObservable(G.dim, G.tail.map(abs))
+            # mu_V(G) and mu_V(|G|) do not depend on n
+            means = {r: (box_average(G, box), box_average(abs_G, box)) for r, box in boxes.items()}
             for n in n_list:
                 for r in r_list:
-                    box = Box.centered(origin(p.dim), r)
-                    entry = box_average_product(evs[n], G, box)
-                    term1 = abs(av_f) * abs(box_average(G, box) - av_g)
-                    term3 = gaps[n] * box_average(abs_G, box)
+                    entry = box_average_product(evs[n], G, boxes[r])
+                    mean_G, mean_abs_G = means[r]
+                    term1 = abs(av_f) * abs(mean_G - av_g)
+                    term3 = gaps[n] * mean_abs_G
                     m2_rows.append(
                         M2AuditRow(
                             fi,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Callable, Mapping
 
 import numpy as np
@@ -180,8 +180,11 @@ class Tail:
       map(fn)            the same model for fn applied pointwise;
       evolve(pn)         the model of alpha -> sum_beta pn_beta f(alpha + beta),
                          a background plus convolve(deviation, pn.reflect());
-      window_1d()        (lo, hi, c_neg, c_pos) when a 1d function is constant
-                         on each side of [lo, hi], else None;
+      background(signs)  the PeriodicTail the function equals on the orthant
+                         ``signs`` (coordinate 0 counts as positive) away from
+                         its deviation sites, or None for a raw evaluator;
+      deviation_sites()  the finite set of sites where the function may
+                         differ from its background;
       to_config()        the config dict that observable_from_config reads.
     """
 
@@ -190,9 +193,6 @@ class Tail:
 
     def sup_deviation(self, center):
         return max(abs(v - center) for v in self.values())
-
-    def window_1d(self):
-        return None
 
 
 @dataclass(frozen=True)
@@ -229,6 +229,12 @@ class PeriodicTail(Tail):
         zero = 0 * next(iter(self.table.values()))  # typed like the table: Fraction or float
         return PeriodicTail(self.period, {r: evolved.get(r, zero) for r in self.table})
 
+    def background(self, signs):
+        return self
+
+    def deviation_sites(self):
+        return ()
+
     def to_config(self):
         return {"kind": "periodic", "period": list(self.period), "table": _table_config(self.table)}
 
@@ -263,8 +269,11 @@ class ConstantOutsideBoxTail(Tail):
         table = {s: c + v for s, v in evolved.entries.items()}
         return ConstantOutsideBoxTail(c, self.box.dilate(max(pn.support_radius())), table)
 
-    def window_1d(self):
-        return self.box.lo[0], self.box.hi[0], self.constant, self.constant
+    def background(self, signs):
+        return _constant_tail(self.box.dim, self.constant)
+
+    def deviation_sites(self):
+        return self.table.keys()
 
     def to_config(self):
         return {
@@ -330,6 +339,12 @@ class OrthantTail(Tail):
         # every window site is stored: a missing key would read the sign constant
         return OrthantTail(self.constants, box, {s: c_neg + evolved[s] for s in box.sites()})
 
+    def background(self, signs):
+        return _constant_tail(self.box.dim, self.constants[signs])
+
+    def deviation_sites(self):
+        return self.table.keys()
+
     def window_1d(self):
         # widen so that everything right of the window is a nonnegative site
         lo, hi = min(self.box.lo[0], 0), max(self.box.hi[0], -1)
@@ -369,12 +384,19 @@ class CustomTail(Tail):
     def evolve(self, pn):
         raise ValueError("evolution needs a tail model (periodic, boxed, or orthant)")
 
+    def background(self, signs):
+        return None
+
     def to_config(self):
         raise ValueError("raw evaluators have no config form")
 
 
 def _signs(site: Site) -> tuple[int, ...]:
     return tuple(1 if c >= 0 else -1 for c in site)
+
+
+def _constant_tail(dim: int, value) -> PeriodicTail:
+    return PeriodicTail((1,) * dim, {origin(dim): value})
 
 
 @dataclass(frozen=True)
@@ -416,7 +438,7 @@ def periodic_observable(period, table: Mapping) -> SiteObservable:
 
 
 def constant_observable(dim: int, value) -> SiteObservable:
-    return SiteObservable(dim, PeriodicTail((1,) * dim, {origin(dim): _parse_value(value)}))
+    return SiteObservable(dim, _constant_tail(dim, _parse_value(value)))
 
 
 def localized_observable(dim: int, constant, box: Box, table: Mapping) -> SiteObservable:
@@ -445,58 +467,53 @@ def custom_observable(dim: int, evaluator: Callable, bound: float) -> SiteObserv
 # box sums and averages
 
 
-def _box_sum_1d_tail(forms, box: Box):
-    lo, hi = box.lo[0], box.hi[0]
-    wlo = min(f[0] for f in forms)
-    whi = max(f[1] for f in forms)
-    neg_count = max(0, min(hi, wlo - 1) - lo + 1)
-    pos_count = max(0, hi - max(lo, whi + 1) + 1)
-    c_neg = 1
-    c_pos = 1
-    for f in forms:
-        c_neg *= f[2]
-        c_pos *= f[3]
-    return c_neg * neg_count + c_pos * pos_count, max(wlo, lo), min(whi, hi)
-
-
-def _product_value(observables, site):
-    out = 1
-    for obs in observables:
-        out *= obs.value(site)
-    return out
-
-
 def _residue_count(rho: int, l: int, a: int, b: int) -> int:
     """Number of integers in [a, b] congruent to rho mod l."""
     return (b - rho) // l + (rho - a) // l + 1
 
 
-def _box_sum(observables, box: Box):
-    """Exact sum over the box of the pointwise product of the observables."""
-    if box.dim == 1:
-        forms = [o.tail.window_1d() for o in observables]
-        if all(f is not None for f in forms):
-            total, wlo, whi = _box_sum_1d_tail(forms, box)
-            for a in range(wlo, whi + 1):
-                total += _product_value(observables, (a,))
-            return total
-    if all(isinstance(o.tail, PeriodicTail) for o in observables):
-        joint = tuple(
-            lcm(*(o.tail.period[i] for o in observables)) for i in range(box.dim)
-        )
-        total = 0
-        for residue in itertools.product(*(range(l) for l in joint)):
-            count = 1
-            for rho, l, a, b in zip(residue, joint, box.lo, box.hi):
-                count *= _residue_count(rho, l, a, b)
-                if count == 0:
-                    break
-            if count:
-                total += _product_value(observables, residue) * count
-        return total
+def _orthant_parts(box: Box):
+    """(signs, sub-box) for the at most 2^d pieces of the box cut at 0 on each axis."""
+    axes = []
+    for a, b in zip(box.lo, box.hi):
+        sides = [(-1, a, min(b, -1))] if a < 0 else []
+        if b >= 0:
+            sides.append((1, max(a, 0), b))
+        axes.append(sides)
+    for sides in itertools.product(*axes):
+        yield tuple(s for s, _, _ in sides), Box(tuple(a for _, a, _ in sides), tuple(b for _, _, b in sides))
+
+
+def _periodic_box_sum(tails, box: Box):
+    """Sum over the box of a product of periodic tails, by residue counting."""
+    axes = []
+    for i, (a, b) in enumerate(zip(box.lo, box.hi)):
+        l = lcm(*(t.period[i] for t in tails))
+        axes.append([(rho, c) for rho in range(l) if (c := _residue_count(rho, l, a, b))])
     total = 0
-    for site in box.sites():
-        total += _product_value(observables, site)
+    for cell in itertools.product(*axes):
+        residue = tuple(rho for rho, _ in cell)
+        total += prod(t.value(residue) for t in tails) * prod(c for _, c in cell)
+    return total
+
+
+def _box_sum(observables, box: Box):
+    """Exact sum over the box of the pointwise product of the observables.
+
+    Each tail equals a periodic background on every orthant away from its
+    finitely many deviation sites, so the sum is a residue count per orthant
+    piece of the box plus a correction at the deviation sites inside it;
+    only a raw evaluator makes it visit the box site by site.
+    """
+    tails = [o.tail for o in observables]
+    parts = list(_orthant_parts(box))
+    backgrounds = {signs: [t.background(signs) for t in tails] for signs, _ in parts}
+    if any(bg is None for bgs in backgrounds.values() for bg in bgs):
+        return sum(prod(t.value(site) for t in tails) for site in box.sites())
+    total = sum(_periodic_box_sum(backgrounds[signs], part) for signs, part in parts)
+    deviations = {s for t in tails for s in t.deviation_sites() if box.contains(s)}
+    for site in sorted(deviations):
+        total += prod(t.value(site) for t in tails) - prod(bg.value(site) for bg in backgrounds[_signs(site)])
     return total
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bakerlattice import (
+    Box,
     DimensionMismatchError,
     LatticeSignal,
     WalkDistribution,
@@ -17,7 +18,11 @@ from bakerlattice import (
     convolution_power,
     convolve,
     drift,
+    evolve_site,
+    localized_observable,
     moment,
+    periodic_observable,
+    sign_observable,
     span_check,
     preset,
 )
@@ -347,3 +352,21 @@ def test_walk_json_round_trip(lazy2d):
     data = lazy2d.to_json_dict()
     assert data["support"][0]["p"] == "1/5"
     assert WalkDistribution.from_json_dict(data) == lazy2d
+
+
+def test_cached_law_is_shared_and_never_mutated(third):
+    law = convolution_power(third, 7)
+    before = dict(law.entries)
+    assert convolution_power(third, 7) is law
+    assert law == convolution_power.__wrapped__(third, 7)
+    for f in (
+        sign_observable(),
+        periodic_observable((2,), {(0,): 1, (1,): -1}),
+        localized_observable(1, 1, Box.centered((0,), 2), {(1,): Fraction(3)}),
+    ):
+        evolve_site(f, third, 7)
+    convolve(law, law)
+    law.reflect()
+    law.fold((3,))
+    assert law.entries == before
+    assert convolution_power(third, 7) is law

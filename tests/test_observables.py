@@ -517,3 +517,93 @@ def test_evolve_site_matches_direct_sum(dim, data):
     pn = convolution_power(p, n)
     for site in window.dilate(2).sites():
         assert ev.value(site) == direct_evolution(f, pn, site)
+
+
+# ---------------------------------------------------------------------------
+# closed-form box sums against the direct site sum
+
+
+@st.composite
+def orthant_straddling_boxes(draw, dim):
+    """Per axis: left of 0, right of 0 (0 included) or straddling 0."""
+    lo, hi = [], []
+    for _ in range(dim):
+        side = draw(st.sampled_from(("neg", "pos", "straddle")))
+        if side == "neg":
+            b = draw(st.integers(-9, -1))
+            a = draw(st.integers(b - 8, b))
+        elif side == "pos":
+            a = draw(st.integers(0, 9))
+            b = draw(st.integers(a, a + 8))
+        else:
+            a, b = draw(st.integers(-9, -1)), draw(st.integers(0, 9))
+        lo.append(a)
+        hi.append(b)
+    return Box(tuple(lo), tuple(hi))
+
+
+@st.composite
+def evolved_observables(draw, dim):
+    kinds = [periodic_observables(dim), boxed_observables(dim)]
+    if dim == 1:
+        kinds.append(orthant_observables(1))
+    f = draw(st.one_of(*kinds))
+    return evolve_site(f, draw(walks(dim, 1)), draw(st.integers(0, 3)))
+
+
+def summable_observables(dim):
+    kinds = [
+        periodic_observables(dim),
+        boxed_observables(dim),
+        orthant_observables(dim),
+        evolved_observables(dim),
+    ]
+    if dim == 1:
+        kinds.append(st.just(sign_observable()))
+    return st.one_of(*kinds)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_box_sums_match_direct_site_sum(dim, data):
+    f = data.draw(summable_observables(dim))
+    g = data.draw(summable_observables(dim))
+    box = data.draw(orthant_straddling_boxes(dim))
+    assert box_average(f, box) == brute_box_average(f, box)
+    assert box_average_product(f, g, box) == sum(
+        f.value(s) * g.value(s) for s in box.sites()
+    ) / Fraction(box.size)
+
+
+def test_box_sum_of_huge_2d_box_is_closed_form():
+    c = Fraction(2, 3)
+    table = {(0, 0): Fraction(5), (-1, 2): Fraction(-1, 2), (3, -4): c}
+    f = localized_observable(2, c, Box.centered((0, 0), 4), table)
+    box = Box.centered((0, 0), 10**6)
+    expected = c * box.size + sum(t - c for t in table.values())
+    assert box_average(f, box) == expected / Fraction(box.size)
+    # against a period-2 checkerboard: the constant part is c times the
+    # number of sites of even coordinate sum, (|B| + 1) / 2 on this box
+    checker = periodic_observable((2, 2), {(0, 0): 1, (1, 1): 1, (0, 1): 0, (1, 0): 0})
+    even = (box.size + 1) // 2
+    # of the table sites only (0, 0) is even and differs from c
+    expected = c * even + (Fraction(5) - c)
+    assert box_average_product(f, checker, box) == expected / Fraction(box.size)
+
+
+def test_raw_evaluator_box_sum_visits_every_site():
+    visited = []
+
+    def evaluator(site):
+        visited.append(site)
+        return Fraction(site[0] ** 2)
+
+    f = custom_observable(1, evaluator, bound=100.0)
+    parity = periodic_observable((2,), {(0,): 1, (1,): -1})
+    box = Box((-3,), (4,))
+    assert box_average(f, box) == Fraction(9 + 4 + 1 + 0 + 1 + 4 + 9 + 16, 8)
+    assert sorted(visited) == list(box.sites())
+    visited.clear()
+    assert box_average_product(f, parity, box) == Fraction(-9 + 4 - 1 + 0 - 1 + 4 - 9 + 16, 8)
+    assert sorted(visited) == list(box.sites())
