@@ -29,7 +29,6 @@ from .lattice import (
 from .observables import (
     BoxFamily,
     CellObservable,
-    PeriodicTail,
     estimate_average,
     observable_from_config,
     reduce_to_site,
@@ -140,11 +139,10 @@ def _locals_from_config(config: dict, walk: WalkDistribution):
     for spec in specs:
         terms = []
         for term in spec["terms"]:
-            strip = Strip(
-                tuple(int(c) for c in term.get("site", origin(walk.dim))),
-                parse_rational(term.get("lo", 0)),
-                parse_rational(term.get("hi", 1)),
-            )
+            site = tuple(int(c) for c in term.get("site", origin(walk.dim)))
+            if len(site) != walk.dim:
+                raise ConfigError(f"local site {list(site)} has dimension {len(site)}, the walk has dimension {walk.dim}")
+            strip = Strip(site, parse_rational(term.get("lo", 0)), parse_rational(term.get("hi", 1)))
             terms.append((strip, parse_rational(term.get("weight", 1))))
         out.append(mixing.LocalObservable(tuple(terms)))
     return out
@@ -270,11 +268,8 @@ def _cmd_mixing_report(config, walk, out_dir, args):
                     metadata={**meta, "observables": f"{i},{j}"},
                 )
                 _write_report(rep, out_dir, f"m2_{i}_{j}", written)
-            if "M1" in kinds and isinstance(f_obs.tail, PeriodicTail):
-                try:
-                    rep = mixing.m1_report(f_obs, g_obs, walk, sched["n_list"], metadata={**meta, "observables": f"{i},{j}"})
-                except ValueError:
-                    continue
+            if "M1" in kinds and mixing.m1_computable(f_obs, g_obs):
+                rep = mixing.m1_report(f_obs, g_obs, walk, sched["n_list"], metadata={**meta, "observables": f"{i},{j}"})
                 _write_report(rep, out_dir, f"m1_{i}_{j}", written)
     payload = {**meta, "kinds": kinds, "walk": walk.to_json_dict(), "averages": averages, "artifacts": written}
     write_json(out_dir / "mixing_report.json", payload)
@@ -292,6 +287,8 @@ def _cmd_fourier_decay(config, walk, out_dir, args):
     # schedule short above one dimension
     default_n = [4, 16, 64, 256] if walk.dim == 1 else [4, 16, 64]
     n_list = sorted(int(n) for n in sched.get("decay_n_list", default_n))
+    if not n_list:
+        raise ConfigError("schedules.decay_n_list is empty")
     n_max = n_list[-1]
     bandwidth = n_max * walk.max_step + fc.radius(n_max)
     grid = args.grid or sched.get("grid") or fourier.smallest_grid(bandwidth)

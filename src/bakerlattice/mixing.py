@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, log
+from math import log
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .observables import (
     box_average,
     box_average_product,
     evolve_site,
+    product_average,
 )
 from .phase import (
     DEFAULT_BUDGET,
@@ -139,28 +140,24 @@ def m2_entry(
     return box_average_product(evolve_site(f, p, n), g, box)
 
 
-def m1_limit(f: SiteObservable, g: SiteObservable, p: WalkDistribution, n: int):
-    """Av((F o T^n) G) for periodic F, when the product average factorizes.
+def m1_computable(f: SiteObservable, g: SiteObservable) -> bool:
+    """M1's rules: F is periodic and G has an exact translation-invariant average."""
+    av_g = g.analytic_average(BoxFamily.translation_invariant(g.dim))
+    return isinstance(f.tail, PeriodicTail) and av_g not in (None, NON_CONVERGENT)
 
-    Periodic F times periodic G: exact mean over the joint period cell of
-    (evolved f) * g.  G constant outside a box: the localized part washes
-    out, leaving constant * Av(evolved f).  Anything else is NOT_COMPUTABLE
-    (a statement about the tail models, not a mixing failure).
+
+def m1_limit(f: SiteObservable, g: SiteObservable, p: WalkDistribution, n: int):
+    """Av((F o T^n) G) for periodic F, from the backgrounds of both tails.
+
+    A G without an exact translation-invariant average is NOT_COMPUTABLE (a
+    statement about the tail models, not a mixing failure); it is detected
+    before anything is evolved.
     """
     if not isinstance(f.tail, PeriodicTail):
         raise ValueError("M1 limit needs a periodic first observable")
-    ev = evolve_site(f, p, n)
-    family = BoxFamily.translation_invariant(f.dim)
-    if isinstance(g.tail, PeriodicTail):
-        joint = Box(
-            origin(f.dim),
-            tuple(lcm(ev.tail.period[i], g.tail.period[i]) - 1 for i in range(f.dim)),
-        )
-        return box_average_product(ev, g, joint)
-    av_g = g.analytic_average(family)
-    if av_g is None or av_g is NON_CONVERGENT:
+    if not m1_computable(f, g):
         return NOT_COMPUTABLE
-    return av_g * ev.analytic_average(family)
+    return product_average([evolve_site(f, p, n), g], BoxFamily.translation_invariant(f.dim))
 
 
 def itinerary_oracle(

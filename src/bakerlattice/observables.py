@@ -176,7 +176,6 @@ class Tail:
     Each model implements
       value(site)        the function at one site;
       values()           the finite set of values taken (bound, sup deviation);
-      average(family)    exact infinite-volume average, NON_CONVERGENT or None;
       map(fn)            the same model for fn applied pointwise;
       evolve(pn)         the model of alpha -> sum_beta pn_beta f(alpha + beta),
                          a background plus convolve(deviation, pn.reflect());
@@ -214,12 +213,6 @@ class PeriodicTail(Tail):
     def values(self):
         return self.table.values()
 
-    def average(self, family):
-        cell = 1
-        for l in self.period:
-            cell *= l
-        return sum(self.table.values()) / Fraction(cell)
-
     def map(self, fn):
         return PeriodicTail(self.period, {k: fn(v) for k, v in self.table.items()})
 
@@ -255,9 +248,6 @@ class ConstantOutsideBoxTail(Tail):
 
     def values(self):
         return [self.constant, *self.table.values()]
-
-    def average(self, family):
-        return self.constant
 
     def map(self, fn):
         return ConstantOutsideBoxTail(fn(self.constant), self.box, {k: fn(v) for k, v in self.table.items()})
@@ -306,15 +296,6 @@ class OrthantTail(Tail):
 
     def values(self):
         return [*self.constants.values(), *self.table.values()]
-
-    def average(self, family):
-        values = set(self.constants.values())
-        if len(values) == 1:
-            return next(iter(values))
-        if family.translation_invariant_p:
-            return NON_CONVERGENT
-        # centered boxes weight every orthant equally in the limit
-        return sum(self.constants.values()) / Fraction(2**self.box.dim)
 
     def map(self, fn):
         return OrthantTail(
@@ -375,9 +356,6 @@ class CustomTail(Tail):
     def bound(self):
         return self.declared_bound
 
-    def average(self, family):
-        return None
-
     def map(self, fn):
         raise ValueError("cannot map a raw evaluator through a function")
 
@@ -412,7 +390,7 @@ class SiteObservable:
 
     def analytic_average(self, family: BoxFamily):
         """Exact infinite-volume average, NON_CONVERGENT, or None (no analytic path)."""
-        return self.tail.average(family)
+        return product_average([self], family)
 
     def sup_deviation(self, center):
         """Exact sup over all sites of |value - center|; needs a tail model."""
@@ -515,6 +493,29 @@ def _box_sum(observables, box: Box):
     for site in sorted(deviations):
         total += prod(t.value(site) for t in tails) - prod(bg.value(site) for bg in backgrounds[_signs(site)])
     return total
+
+
+def product_average(observables, family: BoxFamily):
+    """Exact infinite-volume average of the pointwise product, NON_CONVERGENT or None.
+
+    Box averages tend, on each orthant, to the mean of the product of the
+    backgrounds over one joint period cell.  Translation-invariant boxes can
+    sit inside one orthant, so differing orthant means leave no limit;
+    centered boxes weight every orthant equally.  None for a raw evaluator.
+    """
+    dim = observables[0].dim
+    means = []
+    for signs in itertools.product((-1, 1), repeat=dim):
+        backgrounds = [o.tail.background(signs) for o in observables]
+        if any(bg is None for bg in backgrounds):
+            return None
+        cell = Box(origin(dim), tuple(lcm(*(bg.period[i] for bg in backgrounds)) - 1 for i in range(dim)))
+        means.append(_periodic_box_sum(backgrounds, cell) / Fraction(cell.size))
+    if all(m == means[0] for m in means):
+        return means[0]
+    if family.translation_invariant_p:
+        return NON_CONVERGENT
+    return sum(means) / Fraction(len(means))
 
 
 def box_average(f: SiteObservable, box: Box):

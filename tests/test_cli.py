@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from bakerlattice import mixing
 from bakerlattice.cli import main, run
 
 
@@ -78,6 +79,47 @@ def test_cell_budget_overflow_exit_2(tmp_path, capsys):
     assert len(err) == 1
     assert json.loads(err[0])["error"]["exit"] == 2
     assert "exceeds the cell budget" in err[0]
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])["error"]
+    assert payload["exit"] == 2
+    return payload["message"]
+
+
+@pytest.mark.parametrize("site", [[1, 5], []])
+def test_local_site_of_wrong_dimension_exit_2(tmp_path, capsys, site):
+    config = {"locals": [{"terms": [{"site": site}]}], "schedules": {"n_list": [1, 2]}}
+    assert run("correlate", config, tmp_path / "o") == 2
+    message = one_error_line(capsys)
+    assert f"dimension {len(site)}" in message and "dimension 1" in message
+
+
+def test_empty_decay_schedule_exit_2(tmp_path, capsys):
+    assert run("fourier-decay", {"schedules": {"decay_n_list": []}}, tmp_path / "o") == 2
+    assert "decay_n_list" in one_error_line(capsys)
+
+
+def test_m1_pairs_without_an_exact_average_are_skipped(tmp_path, capsys):
+    config = {
+        "observables": [{"kind": "periodic", "period": [2], "table": {"0": "1", "1": "-1"}}, {"kind": "sign1d"}],
+        "schedules": {"n_list": [1, 2], "r_list": [1], "radii": [4]},
+        "mixing_kinds": ["M1"],
+    }
+    assert run("mixing-report", config, tmp_path / "o") == 0
+    assert read_json(tmp_path / "o" / "mixing_report.json")["artifacts"] == ["m1_0_0.csv", "m1_0_0.json"]
+
+
+def test_m1_report_errors_are_not_swallowed(tmp_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise ValueError("m1 report failed")
+
+    monkeypatch.setattr(mixing, "m1_report", failing)
+    config = {"schedules": {"n_list": [1, 2], "r_list": [1], "radii": [4]}, "mixing_kinds": ["M1"]}
+    assert run("mixing-report", config, tmp_path / "o") == 2
+    assert "m1 report failed" in one_error_line(capsys)
 
 
 # ---------------------------------------------------------------------------

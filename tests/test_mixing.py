@@ -234,6 +234,20 @@ def test_m1_not_computable_for_sign(third, parity):
         m1_limit(sign_observable(), parity, third, 1)
 
 
+def test_m1_not_computable_is_decided_before_evolving(monkeypatch, third, parity):
+    calls = []
+
+    def counting(f, p, n):
+        calls.append(n)
+        return evolve_site(f, p, n)
+
+    monkeypatch.setattr(mixing, "evolve_site", counting)
+    assert m1_limit(parity, sign_observable(), third, 3) is NOT_COMPUTABLE
+    assert calls == []
+    assert m1_limit(parity, parity, third, 3) == Fraction(-1, 27)
+    assert calls == [3]
+
+
 # ---------------------------------------------------------------------------
 # the itinerary oracle
 

@@ -1,8 +1,10 @@
 """Tail-modeled observables: box averages, infinite-volume averages,
 cell reduction, and site evolution."""
 
+import itertools
 import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from bakerlattice import (
     orthant_observable,
     periodic_observable,
     preset,
+    product_average,
     reduce_to_site,
     sign_observable,
 )
@@ -574,6 +577,44 @@ def test_box_sums_match_direct_site_sum(dim, data):
     assert box_average_product(f, g, box) == sum(
         f.value(s) * g.value(s) for s in box.sites()
     ) / Fraction(box.size)
+
+
+def far_cell_means(observables, dim):
+    """Direct mean of the product over one joint period cell in each orthant,
+    placed beyond every deviation site."""
+    tails = [o.tail for o in observables]
+    period = [lcm(*(t.period[i] for t in tails if isinstance(t, PeriodicTail))) for i in range(dim)]
+    far = 1 + max((abs(c) for t in tails if not isinstance(t, PeriodicTail) for c in t.box.lo + t.box.hi), default=0)
+    means = []
+    for signs in itertools.product((-1, 1), repeat=dim):
+        cell = Box(
+            tuple(far if s > 0 else -far - l + 1 for s, l in zip(signs, period)),
+            tuple(far + l - 1 if s > 0 else -far for s, l in zip(signs, period)),
+        )
+        means.append(sum(prod(o.value(site) for o in observables) for site in cell.sites()) / Fraction(cell.size))
+    return means
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_product_average_matches_far_cell_sums(dim, data):
+    observables = data.draw(st.lists(summable_observables(dim), min_size=1, max_size=2))
+    means = far_cell_means(observables, dim)
+    ti, centered = product_average(observables, TI(dim)), product_average(observables, CENTERED(dim))
+    if len(set(means)) == 1:
+        assert ti == centered == means[0]
+    else:
+        assert ti is NON_CONVERGENT
+        assert centered == sum(means) / Fraction(len(means))
+    if len(observables) == 1:
+        assert observables[0].analytic_average(TI(dim)) == ti
+
+
+def test_product_average_of_raw_evaluator_is_none(parity):
+    f = custom_observable(1, lambda site: Fraction(1), bound=1.0)
+    assert product_average([f], TI(1)) is None
+    assert product_average([parity, f], CENTERED(1)) is None
 
 
 def test_box_sum_of_huge_2d_box_is_closed_form():
