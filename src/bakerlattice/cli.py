@@ -10,7 +10,9 @@ embed the config hash and seed so identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -30,6 +32,7 @@ from .observables import (
     BoxFamily,
     CellObservable,
     estimate_average,
+    evolve_site,
     observable_from_config,
     reduce_to_site,
 )
@@ -199,18 +202,13 @@ def _cmd_correlate(config, walk, out_dir, args):
     family = _family_from_config(config, walk.dim)
     observables = _observables_from_config(config, walk, args.budget)
     locals_ = _locals_from_config(config, walk)
-    n_list = config["schedules"]["n_list"]
+    n_list = [int(n) for n in config["schedules"]["n_list"]]
     written = []
     for i, (obs, offset) in enumerate(observables):
+        evs = {n: evolve_site(obs, walk, n) for n in n_list}
         for j, g in enumerate(locals_):
-            report = mixing.m4_report(
-                obs,
-                g,
-                walk,
-                n_list,
-                family,
-                metadata={**_meta(config, "correlate"), "observable": i, "local": j, "m_offset": offset},
-            )
+            meta = {**_meta(config, "correlate"), "observable": i, "local": j, "m_offset": offset}
+            report = mixing.m4_report(obs, g, evs, family, metadata=meta)
             _write_report(report, out_dir, f"correlate_{i}_{j}", written)
     payload = {**_meta(config, "correlate"), "walk": walk.to_json_dict(), "artifacts": written}
     write_json(out_dir / "correlate.json", payload)
@@ -222,8 +220,18 @@ def _cmd_mixing_report(config, walk, out_dir, args):
     observables = _observables_from_config(config, walk, args.budget)
     locals_ = _locals_from_config(config, walk)
     sched = config["schedules"]
+    n_list = [int(n) for n in sched["n_list"]]
     kinds = [k.upper() for k in config.get("mixing_kinds", ["M5"])]
     meta = _meta(config, "mixing-report")
+    below = [(n, 2 * m) for _, m in observables for n in n_list if n < 2 * m]
+    if "M5" in kinds and below:
+        raise ConfigError("time {} is below the depth offset 2m = {}".format(*below[0]))
+    # every report reads the same evolutions: each (observable, time) is evolved once
+    evolved = functools.cache(lambda i, n: evolve_site(observables[i][0], walk, n))
+
+    def evs(i, shift=0):
+        return {n: evolved(i, n - shift) for n in n_list}
+
     written = []
     averages = []
     for i, (obs, offset) in enumerate(observables):
@@ -238,7 +246,7 @@ def _cmd_mixing_report(config, walk, out_dir, args):
         if est.non_convergent:
             continue
         if "M5" in kinds:
-            rep = mixing.m5_report(obs, walk, sched["n_list"], family, offset, metadata={**meta, "observable": i})
+            rep = mixing.m5_report(obs, evs(i, 2 * offset), family, offset, metadata={**meta, "observable": i})
             _write_report(rep, out_dir, f"m5_{i}", written)
             if args.plot:
                 xs = sorted(rep.series)
@@ -251,25 +259,19 @@ def _cmd_mixing_report(config, walk, out_dir, args):
                 written.append(f"m5_{i}.svg")
         if "M4" in kinds:
             for j, g in enumerate(locals_):
-                rep = mixing.m4_report(obs, g, walk, sched["n_list"], family, metadata={**meta, "observable": i, "local": j})
+                rep = mixing.m4_report(obs, g, evs(i), family, metadata={**meta, "observable": i, "local": j})
                 _write_report(rep, out_dir, f"m4_{i}_{j}", written)
     if "M2" in kinds or "M1" in kinds:
-        pairs = [
-            (i, j)
-            for i in range(len(observables))
-            for j in range(len(observables))
-            if i <= j
-        ]
-        for i, j in pairs:
+        for i, j in itertools.combinations_with_replacement(range(len(observables)), 2):
             f_obs, g_obs = observables[i][0], observables[j][0]
             if "M2" in kinds:
                 rep = mixing.m2_table(
-                    f_obs, g_obs, walk, sched["n_list"], sched["r_list"], family,
+                    f_obs, g_obs, evs(i), sched["r_list"], family,
                     metadata={**meta, "observables": f"{i},{j}"},
                 )
                 _write_report(rep, out_dir, f"m2_{i}_{j}", written)
             if "M1" in kinds and mixing.m1_computable(f_obs, g_obs):
-                rep = mixing.m1_report(f_obs, g_obs, walk, sched["n_list"], metadata={**meta, "observables": f"{i},{j}"})
+                rep = mixing.m1_report(f_obs, g_obs, evs(i), metadata={**meta, "observables": f"{i},{j}"})
                 _write_report(rep, out_dir, f"m1_{i}_{j}", written)
     payload = {**meta, "kinds": kinds, "walk": walk.to_json_dict(), "averages": averages, "artifacts": written}
     write_json(out_dir / "mixing_report.json", payload)

@@ -18,6 +18,7 @@ Notions measured (t the time, V a box of the exhaustive family):
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log
@@ -121,16 +122,11 @@ def m5_gap(
     gap at n - 2m (m forward steps absorb the contracting digits of F, m
     backward steps those of g).
     """
-    if family is None:
-        family = BoxFamily.translation_invariant(f.dim)
     if m_offset < 0:
         raise ValueError("depth offset must be nonnegative")
     if n < 2 * m_offset:
         raise ValueError(f"time {n} is below the depth offset 2m = {2 * m_offset}")
-    av = f.analytic_average(family)
-    if av is None or av is NON_CONVERGENT:
-        raise ValueError("M5 gap needs an observable with an analytic average")
-    return evolve_site(f, p, n - 2 * m_offset).sup_deviation(av)
+    return m5_report(f, {n: evolve_site(f, p, n - 2 * m_offset)}, family, m_offset).series[n]
 
 
 def m2_entry(
@@ -157,7 +153,7 @@ def m1_limit(f: SiteObservable, g: SiteObservable, p: WalkDistribution, n: int):
         raise ValueError("M1 limit needs a periodic first observable")
     if not m1_computable(f, g):
         return NOT_COMPUTABLE
-    return product_average([evolve_site(f, p, n), g], BoxFamily.translation_invariant(f.dim))
+    return m1_report(f, g, {n: evolve_site(f, p, n)}).series[n]
 
 
 def itinerary_oracle(
@@ -260,13 +256,18 @@ def _cell(value):
 
 def m5_report(
     f: SiteObservable,
-    p: WalkDistribution,
-    n_list,
+    evs: Mapping[int, SiteObservable],
     family: BoxFamily | None = None,
     m_offset: int = 0,
     metadata: dict | None = None,
 ) -> CorrelationReport:
-    series = {int(n): m5_gap(f, p, int(n), m_offset, family) for n in n_list}
+    """M5 gaps of f over its evolutions ``evs``: time n -> f evolved n - 2m steps."""
+    if family is None:
+        family = BoxFamily.translation_invariant(f.dim)
+    av = f.analytic_average(family)
+    if av is None or av is NON_CONVERGENT:
+        raise ValueError("M5 gap needs an observable with an analytic average")
+    series = {n: ev.sup_deviation(av) for n, ev in evs.items()}
     return CorrelationReport(
         "M5",
         series,
@@ -279,16 +280,15 @@ def m5_report(
 def m4_report(
     f: SiteObservable,
     g: LocalObservable,
-    p: WalkDistribution,
-    n_list,
+    evs: Mapping[int, SiteObservable],
     family: BoxFamily | None = None,
     metadata: dict | None = None,
 ) -> CorrelationReport:
+    """mu((F o T^n) g) over the evolutions ``evs`` (n -> f evolved n steps)."""
     if family is None:
         family = BoxFamily.translation_invariant(f.dim)
     av = f.analytic_average(family)
     target = None if av is NON_CONVERGENT else av * g.mass()
-    evs = {int(n): evolve_site(f, p, int(n)) for n in n_list}
     series = {n: _pair(ev, g) for n, ev in evs.items()}
     gaps = {}
     if av is not NON_CONVERGENT and av is not None:
@@ -299,8 +299,7 @@ def m4_report(
 def m2_table(
     f: SiteObservable,
     g: SiteObservable,
-    p: WalkDistribution,
-    n_list,
+    evs: Mapping[int, SiteObservable],
     r_list,
     family: BoxFamily | None = None,
     eps_schedule=(Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)),
@@ -308,25 +307,23 @@ def m2_table(
 ) -> CorrelationReport:
     """Matrix of box averages mu_V((F o T^n) G) plus the eps-M certificate scan.
 
-    For each eps of the schedule, the scan looks for the smallest threshold M
-    such that every computed entry with n >= M and box volume >= M deviates
-    from Av(F) Av(G) by less than eps; ``None`` records that no threshold
-    within the scanned grid certifies the joint limit (which is how the
-    centered-family sign counterexample shows up).
+    ``evs`` maps each time n to f evolved n steps.  For each eps of the
+    schedule, the scan looks for the smallest threshold M such that every
+    computed entry with n >= M and box volume >= M deviates from Av(F) Av(G)
+    by less than eps; ``None`` records that no threshold within the scanned
+    grid certifies the joint limit (which is how the centered-family sign
+    counterexample shows up).
     """
     if family is None:
         family = BoxFamily.translation_invariant(f.dim)
     av_f = f.analytic_average(family)
     av_g = g.analytic_average(family)
-    have_target = not (
-        av_f is None or av_g is None or av_f is NON_CONVERGENT or av_g is NON_CONVERGENT
-    )
+    have_target = all(av not in (None, NON_CONVERGENT) for av in (av_f, av_g))
     target = av_f * av_g if have_target else NON_CONVERGENT
     series = {}
-    for n in sorted(int(n) for n in n_list):
-        ev = evolve_site(f, p, n)
+    for n in sorted(evs):
         for r in sorted(int(r) for r in r_list):
-            series[(n, r)] = box_average_product(ev, g, Box.centered(origin(f.dim), r))
+            series[(n, r)] = box_average_product(evs[n], g, Box.centered(origin(f.dim), r))
     scan = {}
     if have_target:
         volumes = {(2 * r + 1) ** f.dim for _, r in series}
@@ -343,27 +340,21 @@ def m2_table(
                     found = M
                     break
             scan[format_rational(Fraction(eps))] = found
-    return CorrelationReport(
-        "M2", series, target, metadata=metadata or {}, eps_scan=scan
-    )
+    return CorrelationReport("M2", series, target, metadata=metadata or {}, eps_scan=scan)
 
 
 def m1_report(
     f: SiteObservable,
     g: SiteObservable,
-    p: WalkDistribution,
-    n_list,
+    evs: Mapping[int, SiteObservable],
     metadata: dict | None = None,
 ) -> CorrelationReport:
-    family = BoxFamily.translation_invariant(f.dim)
-    av_f = f.analytic_average(family)
-    av_g = g.analytic_average(family)
-    target = None
-    if av_f not in (None, NON_CONVERGENT) and av_g not in (None, NON_CONVERGENT):
-        target = av_f * av_g
-    series = {int(n): m1_limit(f, g, p, int(n)) for n in n_list}
-    if any(v is NOT_COMPUTABLE for v in series.values()):
+    """Av((F o T^n) G) over the evolutions ``evs`` (n -> f evolved n steps)."""
+    if not m1_computable(f, g):
         raise ValueError("M1 series not computable for these tail models")
+    family = BoxFamily.translation_invariant(f.dim)
+    target = f.analytic_average(family) * g.analytic_average(family)
+    series = {n: product_average([ev, g], family) for n, ev in evs.items()}
     return CorrelationReport("M1", series, target, metadata=metadata or {})
 
 

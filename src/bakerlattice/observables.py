@@ -411,6 +411,8 @@ def periodic_observable(period, table: Mapping) -> SiteObservable:
     clean = {}
     for residue, v in table.items():
         key = (residue,) if isinstance(residue, int) else tuple(int(c) for c in residue)
+        if len(key) != len(period):
+            raise ValueError(f"table key {list(key)} has dimension {len(key)}, the period has dimension {len(period)}")
         clean[tuple(c % l for c, l in zip(key, period))] = _parse_value(v)
     return SiteObservable(len(period), PeriodicTail(period, clean))
 
@@ -742,6 +744,8 @@ def _box_from_config(dim: int, cfg: Mapping) -> Box:
 def observable_from_config(dim: int, cfg: Mapping):
     kind = cfg.get("kind")
     if kind == "periodic":
+        if len(cfg["period"]) != dim:
+            raise ValueError(f"period {cfg['period']} has dimension {len(cfg['period'])}, the walk has dimension {dim}")
         return periodic_observable(cfg["period"], _parse_table(cfg["table"]))
     if kind == "constantOutsideBox":
         return localized_observable(dim, cfg["constant"], _box_from_config(dim, cfg), _parse_table(cfg.get("table", {})))

@@ -2,11 +2,12 @@
 
 import filecmp
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from bakerlattice import mixing
+from bakerlattice import cli, evolve_site, mixing
 from bakerlattice.cli import main, run
 
 
@@ -100,6 +101,62 @@ def test_local_site_of_wrong_dimension_exit_2(tmp_path, capsys, site):
 def test_empty_decay_schedule_exit_2(tmp_path, capsys):
     assert run("fourier-decay", {"schedules": {"decay_n_list": []}}, tmp_path / "o") == 2
     assert "decay_n_list" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["mixing-report", "correlate", "audit"])
+def test_2d_walk_with_the_default_1d_observable_exit_2(tmp_path, capsys, command):
+    assert run(command, {"walk": {"preset": "lazy-2d"}}, tmp_path / "o") == 2
+    message = one_error_line(capsys)
+    assert message.startswith("invalid observable")
+    assert "period [2] has dimension 1, the walk has dimension 2" in message
+
+
+def test_periodic_table_key_of_wrong_dimension_exit_2(tmp_path, capsys):
+    config = {"observables": [{"kind": "periodic", "period": [2], "table": {"0,5": "1", "1,7": "-1"}}]}
+    assert run("correlate", config, tmp_path / "o") == 2
+    assert "dimension 2, the period has dimension 1" in one_error_line(capsys)
+
+
+DEPTH_2_CELL = {"kind": "cell", "m": 2, "values": [{"site": [0], "back": [1, 2], "fwd": [3, 1], "value": "1"}]}
+
+
+def test_m5_time_below_the_depth_offset_exit_2(tmp_path, capsys):
+    config = {"observables": [DEPTH_2_CELL], "schedules": {"n_list": [3, 8], "radii": [4]}}
+    assert run("mixing-report", config, tmp_path / "o") == 2
+    assert "time 3 is below the depth offset 2m = 4" in one_error_line(capsys)
+
+
+def test_each_observable_and_time_is_evolved_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(f, p, n):
+        calls.append((id(f), n))
+        return evolve_site(f, p, n)
+
+    monkeypatch.setattr(cli, "evolve_site", counting, raising=False)
+    monkeypatch.setattr(mixing, "evolve_site", counting)
+    config = {
+        "observables": [
+            {"kind": "periodic", "period": [2], "table": {"0": "1", "1": "-1"}},
+            {"kind": "constantOutsideBox", "constant": "1/2", "radius": 1, "table": {"0": "2", "1": "-1"}},
+            DEPTH_2_CELL,
+        ],
+        "locals": [
+            {"terms": [{"site": [0]}]},
+            {"terms": [{"site": [1], "lo": "1/4", "hi": "3/4", "weight": "-2"}, {"site": [-1]}]},
+        ],
+        "schedules": {"n_list": [4, 6, 8], "r_list": [2, 8], "radii": [8]},
+        "mixing_kinds": ["M5", "M4", "M2", "M1"],
+    }
+    assert run("mixing-report", config, tmp_path / "report") == 0
+    artifacts = set(read_json(tmp_path / "report" / "mixing_report.json")["artifacts"])
+    assert {"m5_2.csv", "m4_2_1.csv", "m2_1_2.csv", "m1_0_2.csv"} <= artifacts
+    # the depth-2 cell is also evolved at the M5 times n - 4 = 0, 2, 4
+    assert len(set(calls)) == len(calls)
+    assert sorted(Counter(i for i, _ in calls).values()) == [3, 3, 5]
+    calls.clear()
+    assert run("correlate", config, tmp_path / "correlate") == 0
+    assert len(set(calls)) == len(calls) == 3 * 3
 
 
 def test_m1_pairs_without_an_exact_average_are_skipped(tmp_path, capsys):

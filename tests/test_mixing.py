@@ -32,7 +32,7 @@ from bakerlattice import (
     sign_observable,
 )
 from bakerlattice import mixing
-from conftest import random_site_observable, random_strip, random_walk
+from conftest import random_periodic, random_site_observable, random_strip, random_walk
 
 TI = BoxFamily.translation_invariant
 CENTERED = BoxFamily.centered_only
@@ -160,7 +160,7 @@ def test_m5_strip_value_independent_of_interval(third, parity):
 def test_m2_constants_factor(third):
     f = constant_observable(1, Fraction(2))
     g = constant_observable(1, Fraction(5, 2))
-    rep = m2_table(f, g, third, [0, 1, 2], [1, 2], TI(1))
+    rep = m2_table(f, g, {n: evolve_site(f, third, n) for n in (0, 1, 2)}, [1, 2], TI(1))
     assert all(v == Fraction(5) for v in rep.series.values())
     assert rep.target == Fraction(5)
 
@@ -175,7 +175,7 @@ def test_m2_sign_counterexample_lower_bound(third, n):
 
 def test_m2_sign_scan_finds_no_certificate(third):
     sign = sign_observable()
-    rep = m2_table(sign, sign, third, [1, 2, 3], [2, 8, 32], CENTERED(1))
+    rep = m2_table(sign, sign, {n: evolve_site(sign, third, n) for n in (1, 2, 3)}, [2, 8, 32], CENTERED(1))
     assert rep.target == 0
     assert rep.eps_scan["1/1000"] is None
 
@@ -185,8 +185,7 @@ def test_m2_periodic_pair_certificate(third, parity):
     rep = m2_table(
         parity,
         other,
-        third,
-        list(range(1, 16)),
+        {n: evolve_site(parity, third, n) for n in range(1, 16)},
         [2, 8, 32, 128, 512],
         TI(1),
         eps_schedule=(Fraction(1, 10), Fraction(1, 1000)),
@@ -374,7 +373,7 @@ def test_rate_profile_needs_points():
 
 
 def test_rate_profile_accepts_report(third, parity):
-    rep = m5_report(parity, third, range(1, 10))
+    rep = m5_report(parity, {n: evolve_site(parity, third, n) for n in range(1, 10)})
     fit = rate_profile(rep)
     assert fit.exponential_rate == pytest.approx(1.0986122886681098, abs=1e-6)
 
@@ -436,9 +435,29 @@ def test_audit_and_m4_report_evolve_each_pair_once(monkeypatch, third, parity):
     g = LocalObservable.unit_square((0,))
     implication_audit(third, [parity, other], [g, g], [1, 2, 4], [2, 8], TI(1))
     assert sorted(calls) == sorted((id(f), n) for f in (parity, other) for n in (1, 2, 4))
-    calls.clear()
-    m4_report(parity, g, third, [0, 1, 2], TI(1))
-    assert sorted(calls) == [(id(parity), n) for n in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_reports_match_their_single_point_functions(dim, seed):
+    rng = random.Random(seed)
+    p = random_walk(rng, dim, reach=1)
+    f, g, periodic = random_site_observable(rng, dim), random_site_observable(rng, dim), random_periodic(rng, dim)
+    local = LocalObservable(((random_strip(rng, dim), Fraction(2)), (random_strip(rng, dim), Fraction(-1, 3))))
+    times = range(4)
+    evs = {n: evolve_site(f, p, n) for n in times}
+    m5 = m5_report(f, evs)
+    shifted = m5_report(f, {n: evolve_site(f, p, n - 2) for n in range(2, 6)}, m_offset=1)
+    m4 = m4_report(f, local, evs)
+    m2 = m2_table(f, g, evs, [1, 3])
+    m1 = m1_report(periodic, g, {n: evolve_site(periodic, p, n) for n in times})
+    for n in times:
+        assert m5.series[n] == m5_gap(f, p, n)
+        assert shifted.series[n + 2] == m5_gap(f, p, n + 2, m_offset=1)
+        assert m4.series[n] == correlate_global_local(f, local, p, n)
+        for r in (1, 3):
+            assert m2.series[(n, r)] == m2_entry(f, g, p, n, Box.centered((0,) * dim, r))
+        assert m1.series[n] == m1_limit(periodic, g, p, n)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +465,7 @@ def test_audit_and_m4_report_evolve_each_pair_once(monkeypatch, third, parity):
 
 
 def test_m5_report_csv(tmp_path, third, parity):
-    rep = m5_report(parity, third, range(1, 6), metadata={"seed": 0})
+    rep = m5_report(parity, {n: evolve_site(parity, third, n) for n in range(1, 6)}, metadata={"seed": 0})
     path = tmp_path / "m5.csv"
     rep.write_csv(path)
     rows = [l for l in path.read_text().splitlines() if not l.startswith("#")]
@@ -456,7 +475,7 @@ def test_m5_report_csv(tmp_path, third, parity):
 
 
 def test_m2_report_csv_and_json(tmp_path, third, parity):
-    rep = m2_table(parity, parity, third, [1, 2], [1, 2], TI(1))
+    rep = m2_table(parity, parity, {n: evolve_site(parity, third, n) for n in (1, 2)}, [1, 2], TI(1))
     path = tmp_path / "m2.csv"
     rep.write_csv(path)
     header = [l for l in path.read_text().splitlines() if not l.startswith("#")][0]
@@ -468,7 +487,7 @@ def test_m2_report_csv_and_json(tmp_path, third, parity):
 
 def test_m4_report_series(tmp_path, third, parity):
     g = LocalObservable.unit_square((0,))
-    rep = m4_report(parity, g, third, [0, 1, 2], TI(1))
+    rep = m4_report(parity, g, {n: evolve_site(parity, third, n) for n in (0, 1, 2)}, TI(1))
     assert rep.series[1] == Fraction(-1, 3)
     assert rep.target == 0
     path = tmp_path / "m4.csv"
@@ -478,7 +497,7 @@ def test_m4_report_series(tmp_path, third, parity):
 
 
 def test_m1_report(third, parity):
-    rep = m1_report(parity, parity, third, [1, 2, 3])
+    rep = m1_report(parity, parity, {n: evolve_site(parity, third, n) for n in (1, 2, 3)})
     assert rep.kind == "M1"
     assert rep.series[2] == Fraction(1, 9)
     assert rep.target == 0

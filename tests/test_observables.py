@@ -453,6 +453,18 @@ def test_observable_config_rejects_box_of_wrong_dimension():
         observable_from_config(2, {"kind": "constantOutsideBox", "constant": "0", "center": [0], "table": {"0,5": "1"}})
 
 
+def test_observable_config_rejects_period_of_wrong_dimension():
+    with pytest.raises(ValueError, match="dimension 1, the walk has dimension 2"):
+        observable_from_config(2, {"kind": "periodic", "period": [2], "table": {"0": "1", "1": "-1"}})
+
+
+def test_periodic_table_key_of_wrong_dimension_is_rejected():
+    with pytest.raises(ValueError, match="dimension 2, the period has dimension 1"):
+        periodic_observable([2], {(0, 5): 1, (1, 7): -1})
+    with pytest.raises(ValueError, match="dimension 1, the period has dimension 2"):
+        periodic_observable([2, 2], {0: 1, 1: -1})
+
+
 def test_observable_config_rejects_unknown_kind():
     with pytest.raises(ValueError):
         observable_from_config(1, {"kind": "mystery"})
