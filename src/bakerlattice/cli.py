@@ -52,6 +52,8 @@ COMMANDS = (
     "audit",
 )
 
+MIXING_KINDS = ("M5", "M4", "M2", "M1")
+
 _DEFAULT_CONFIG = {
     "walk": {"preset": "third-walk"},
     "observables": [
@@ -221,7 +223,10 @@ def _cmd_mixing_report(config, walk, out_dir, args):
     locals_ = _locals_from_config(config, walk)
     sched = config["schedules"]
     n_list = [int(n) for n in sched["n_list"]]
-    kinds = [k.upper() for k in config.get("mixing_kinds", ["M5"])]
+    kinds = config.get("mixing_kinds", ["M5"])
+    if not isinstance(kinds, list) or not all(isinstance(k, str) and k.upper() in MIXING_KINDS for k in kinds):
+        raise ConfigError(f"mixing_kinds must be a list of kinds among {list(MIXING_KINDS)}, got {kinds!r}")
+    kinds = [k.upper() for k in kinds]
     meta = _meta(config, "mixing-report")
     below = [(n, 2 * m) for _, m in observables for n in n_list if n < 2 * m]
     if "M5" in kinds and below:

@@ -325,9 +325,8 @@ def _derivative_weighted(sig: LatticeSignal, axis: int, order: int) -> LatticeSi
 
 
 def _defect(p: WalkDistribution, n: int, r: int) -> LatticeSignal:
-    """g = p^(n) - q^(r) * p^(n), exactly."""
-    pn = convolution_power(p, n)
-    return pn - convolve(box_signal(p.dim, r), pn)
+    """g = p^(n) - q^(r) * p^(n) = (delta_0 - q^(r)) * p^(n), exactly."""
+    return convolve(LatticeSignal.delta(p.dim) - box_signal(p.dim, r), convolution_power(p, n))
 
 
 def defect_signal(

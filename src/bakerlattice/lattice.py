@@ -9,10 +9,11 @@ instead of tolerances.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, sqrt
+from math import comb, lcm, prod, sqrt
 from typing import Iterable, Mapping
 
 from .rational import format_rational, is_exact, parse_rational
@@ -196,19 +197,23 @@ class WalkDistribution:
 
 # ---------------------------------------------------------------------------
 # convolution
+#
+# Exact signals are multiplied in integer form: integer numerators over one
+# common denominator, with Fractions built once, for the result.
 
 
 def _integer_form(sig: LatticeSignal) -> tuple[dict, int]:
     """Common-denominator form (integer numerators, positive denominator)."""
-    den = 1
-    for v in sig.entries.values():
-        den = lcm(den, Fraction(v).denominator)
-    nums = {s: int(v * den) for s, v in sig.entries.items()}
-    return nums, den
+    den = lcm(*{int(v.denominator) for v in sig.entries.values()})
+    return {s: int(v.numerator) * (den // int(v.denominator)) for s, v in sig.entries.items()}, den
+
+
+def _from_integer_form(dim: int, nums: dict, den: int) -> LatticeSignal:
+    return LatticeSignal(dim, {s: Fraction(v, den) for s, v in nums.items() if v})
 
 
 def _convolve_entries(a: dict, b: dict) -> dict:
-    """site -> sum over sa + sb = site of a[sa] * b[sb]; the one convolution loop."""
+    """site -> sum over sa + sb = site of a[sa] * b[sb], as a double loop."""
     out: dict = {}
     if len(a) > len(b):  # iterate the smaller outer dict
         a, b = b, a
@@ -219,17 +224,66 @@ def _convolve_entries(a: dict, b: dict) -> dict:
     return out
 
 
+def _kronecker(a: dict, b: dict, n: int = 1) -> dict:
+    """Integer numerators of a^(*n) * b for nonempty integer-valued a and b.
+
+    Kronecker substitution (Harvey, J. Symb. Comput. 2009): each operand
+    becomes one int with a byte-aligned slot of k bytes per site of the
+    result's bounding box (row-major, last axis fastest), so the product is
+    one multiply and the power one ``**``.  k bytes hold twice the bound
+    (sum|a|)^n sum|b| on every |coefficient|, so no slot carries over.
+    Negative entries are packed as a positive part minus a negative part;
+    adding half a slot to every slot makes each result digit nonnegative
+    before the bytes are read back.  The result is keyed lexicographically.
+
+    Sparse operands, whose box has more slots than the double loop forms
+    products (len(a) len(b) for n = 1, at most len(a) len(b) C(n+|a|-1, |a|)
+    in n passes), go through _convolve_entries instead; n = 0 always does.
+    """
+    dim = len(next(iter(a)))
+    lo = [n * min(s[i] for s in a) + min(s[i] for s in b) for i in range(dim)]
+    hi = [n * max(s[i] for s in a) + max(s[i] for s in b) for i in range(dim)]
+    widths = [h - l + 1 for l, h in zip(lo, hi)]
+    slots = prod(widths)
+    if slots > len(a) * len(b) * comb(n + len(a) - 1, len(a)):
+        for _ in range(n):
+            b = _convolve_entries(b, a)
+        return b
+    strides = [prod(widths[i + 1 :]) for i in range(dim)]
+    k = (sum(map(abs, a.values())) ** n * sum(map(abs, b.values()))).bit_length() // 8 + 1
+
+    def pack(x: dict) -> int:
+        corner = [min(s[i] for s in x) for i in range(dim)]
+        size = k * (1 + sum((max(s[i] for s in x) - corner[i]) * strides[i] for i in range(dim)))
+        pos, neg = bytearray(size), bytearray(size)
+        for s, v in x.items():
+            o = k * sum((c - m) * w for c, m, w in zip(s, corner, strides))
+            (pos if v > 0 else neg)[o : o + k] = abs(v).to_bytes(k, "little")
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    bias = 1 << (8 * k - 1)
+    zero = bias.to_bytes(k, "little")
+    data = (pack(a) ** n * pack(b) + int.from_bytes(zero * slots, "little")).to_bytes(k * slots, "little")
+    out = {}
+    sites = itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+    for site, o in zip(sites, range(0, k * slots, k)):
+        digit = data[o : o + k]
+        if digit != zero:
+            out[site] = int.from_bytes(digit, "little") - bias
+    return out
+
+
 def convolve(a: LatticeSignal, b: LatticeSignal) -> LatticeSignal:
     """(a * b)_alpha = sum_beta a_beta b_{alpha-beta}; exact on rational input."""
     if a.dim != b.dim:
         raise DimensionMismatchError("cannot convolve signals of different dimension")
     if not (a.is_exact and b.is_exact):
         return LatticeSignal.from_entries(a.dim, _convolve_entries(a.entries, b.entries))
+    if not (a.entries and b.entries):
+        return LatticeSignal(a.dim, {})
     na, da = _integer_form(a)
     nb, db = _integer_form(b)
-    den = da * db
-    nums = _convolve_entries(na, nb)
-    return LatticeSignal.from_entries(a.dim, {s: Fraction(n, den) for s, n in nums.items()})
+    return _from_integer_form(a.dim, _kronecker(na, nb), da * db)
 
 
 # Laws kept by convolution_power: the reports ask for the same (walk, n) once
@@ -239,7 +293,7 @@ LAW_CACHE_SIZE = 64
 
 @lru_cache(maxsize=LAW_CACHE_SIZE)
 def convolution_power(p: WalkDistribution, n: int) -> LatticeSignal:
-    """n-step law p^(n) (p^(0) = delta_0), by repeated squaring, exact.
+    """n-step law p^(n) (p^(0) = delta_0), exact: one packed power.
 
     The LAW_CACHE_SIZE most recent laws are cached and shared between
     callers, so callers must not mutate the returned ``entries``.
@@ -247,20 +301,7 @@ def convolution_power(p: WalkDistribution, n: int) -> LatticeSignal:
     if n < 0:
         raise ValueError("power must be nonnegative")
     nums, den = _integer_form(p.signal())
-    acc_nums, acc_den = {origin(p.dim): 1}, 1
-    base_nums, base_den = nums, den
-    k = n
-    while k:
-        if k & 1:
-            acc_nums = _convolve_entries(acc_nums, base_nums)
-            acc_den *= base_den
-        k >>= 1
-        if k:
-            base_nums = _convolve_entries(base_nums, base_nums)
-            base_den *= base_den
-    return LatticeSignal.from_entries(
-        p.dim, {s: Fraction(v, acc_den) for s, v in acc_nums.items()}
-    )
+    return _from_integer_form(p.dim, _kronecker(nums, {origin(p.dim): 1}, n), den**n)
 
 
 # ---------------------------------------------------------------------------

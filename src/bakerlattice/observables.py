@@ -402,8 +402,14 @@ def _parse_value(v):
     return v if isinstance(v, float) else parse_rational(v)
 
 
-def _site_table(table: Mapping) -> dict:
-    return {tuple(int(c) for c in s): _parse_value(v) for s, v in table.items()}
+def _site_table(dim: int, table: Mapping, name: str) -> dict:
+    out = {}
+    for s, v in table.items():
+        site = tuple(int(c) for c in s)
+        if len(site) != dim:
+            raise ValueError(f"{name} key {list(site)} has dimension {len(site)}, the walk has dimension {dim}")
+        out[site] = _parse_value(v)
+    return out
 
 
 def periodic_observable(period, table: Mapping) -> SiteObservable:
@@ -422,11 +428,13 @@ def constant_observable(dim: int, value) -> SiteObservable:
 
 
 def localized_observable(dim: int, constant, box: Box, table: Mapping) -> SiteObservable:
-    return SiteObservable(dim, ConstantOutsideBoxTail(_parse_value(constant), box, _site_table(table)))
+    table = _site_table(dim, table, "constantOutsideBox table")
+    return SiteObservable(dim, ConstantOutsideBoxTail(_parse_value(constant), box, table))
 
 
 def orthant_observable(dim: int, constants: Mapping, box: Box, table: Mapping) -> SiteObservable:
-    return SiteObservable(dim, OrthantTail(_site_table(constants), box, _site_table(table)))
+    constants = _site_table(dim, constants, "orthant constants")
+    return SiteObservable(dim, OrthantTail(constants, box, _site_table(dim, table, "orthant table")))
 
 
 def sign_observable() -> SiteObservable:
@@ -611,6 +619,8 @@ class CellObservable:
 
     def __post_init__(self):
         for (site, word), _ in self.values.items():
+            if len(site) != self.dim:
+                raise ValueError(f"cell site {list(site)} has dimension {len(site)}, the walk has dimension {self.dim}")
             if len(word) != 2 * self.depth:
                 raise ValueError(
                     f"word {word} has length {len(word)}, expected {2 * self.depth}"

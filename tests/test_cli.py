@@ -117,6 +117,29 @@ def test_periodic_table_key_of_wrong_dimension_exit_2(tmp_path, capsys):
     assert "dimension 2, the period has dimension 1" in one_error_line(capsys)
 
 
+@pytest.mark.parametrize("command", ["mixing-report", "correlate"])
+def test_cell_site_of_wrong_dimension_exit_2(tmp_path, capsys, command):
+    cell = {"kind": "cell", "m": 1, "values": [{"site": [0, 1], "back": [1], "fwd": [1], "value": "1"}]}
+    assert run(command, {"observables": [cell]}, tmp_path / "o") == 2
+    assert "cell site [0, 1] has dimension 2, the walk has dimension 1" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("kinds", ["M5", ["M5", "M3"], [5]])
+def test_invalid_mixing_kinds_exit_2(tmp_path, capsys, kinds):
+    assert run("mixing-report", {"mixing_kinds": kinds}, tmp_path / "o") == 2
+    assert "mixing_kinds" in one_error_line(capsys)
+    assert not (tmp_path / "o" / "mixing_report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["mixing-report", "correlate", "audit"])
+def test_localized_table_key_of_wrong_dimension_exit_2(tmp_path, capsys, command):
+    spec = {"kind": "constantOutsideBox", "constant": "0", "radius": 1, "table": {"0,1": "2"}}
+    assert run(command, {"observables": [spec]}, tmp_path / "o") == 2
+    message = one_error_line(capsys)
+    assert message.startswith("invalid observable")
+    assert "constantOutsideBox table key [0, 1] has dimension 2, the walk has dimension 1" in message
+
+
 DEPTH_2_CELL = {"kind": "cell", "m": 2, "values": [{"site": [0], "back": [1, 2], "fwd": [3, 1], "value": "1"}]}
 
 

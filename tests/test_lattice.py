@@ -1,8 +1,9 @@
 """Exact-arithmetic core: convolution, moments, span, boundary defect."""
 
 import random
+import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,8 @@ from bakerlattice import (
     span_check,
     preset,
 )
+from bakerlattice import lattice
+from bakerlattice.lattice import _convolve_entries
 from conftest import random_signal, random_walk
 
 
@@ -124,11 +127,69 @@ def test_convolution_power_two_steps(third):
     assert p2[(2,)] == p2[(-2,)] == Fraction(1, 9)
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10**6), st.integers(1, 2), st.integers(0, 6))
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 2), st.integers(0, 8))
 def test_convolution_power_matches_naive_oracle(seed, dim, n):
-    p = random_walk(random.Random(seed), dim)
+    p = random_walk(random.Random(seed), dim, max_support=5, reach=3)
     assert convolution_power(p, n).entries == naive_power(p, n)
+
+
+SIGNED = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(-2, 3), Fraction(5, 7)])
+
+
+@st.composite
+def signed_signals(draw, dim):
+    """Empty, scattered, or filling a whole box (which always packs: w_a + w_b - 1 <= w_a w_b)."""
+    shape = draw(st.sampled_from(["empty", "scattered", "box"]))
+    if shape == "empty":
+        return LatticeSignal(dim, {})
+    if shape == "scattered":
+        sites = st.tuples(*[st.integers(-3, 3)] * dim)
+        return LatticeSignal(dim, draw(st.dictionaries(sites, SIGNED, min_size=1, max_size=8)))
+    corner = draw(st.tuples(*[st.integers(-3, 3)] * dim))
+    widths = draw(st.tuples(*[st.integers(1, 4)] * dim))
+    box = product(*(range(c, c + w) for c, w in zip(corner, widths)))
+    return LatticeSignal(dim, {s: draw(SIGNED) for s in box})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_packed_convolve_equals_the_loop(data):
+    dim = data.draw(st.integers(1, 2))
+    a, b = data.draw(signed_signals(dim)), data.draw(signed_signals(dim))
+    loop = {s: v for s, v in _convolve_entries(a.entries, b.entries).items() if v != 0}
+    assert convolve(a, b).entries == loop
+
+
+def test_packed_product_cancels_exactly():
+    a = LatticeSignal(1, {(0,): Fraction(1), (1,): Fraction(-1)})
+    b = LatticeSignal(1, {(0,): Fraction(1), (1,): Fraction(1)})
+    assert convolve(a, b).entries == {(0,): 1, (2,): -1}  # (1 - x)(1 + x) = 1 - x^2
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sparse_operands_convolve_without_packing(dim):
+    far = 10**9
+    a = LatticeSignal(dim, {(-far,) * dim: Fraction(1, 2), (far,) + (3,) * (dim - 1): Fraction(-1, 3)})
+    start = time.perf_counter()
+    aa = convolve(a, a)
+    assert time.perf_counter() - start < 1.0  # a packed box would hold about 10^9 slots or more
+    assert aa.entries == {
+        (-2 * far,) * dim: Fraction(1, 4),
+        (0,) + (3 - far,) * (dim - 1): Fraction(-1, 3),
+        (2 * far,) + (6,) * (dim - 1): Fraction(1, 9),
+    }
+
+
+def test_large_2d_law_is_one_packed_power(lazy2d, monkeypatch):
+    def loop(a, b):
+        raise AssertionError("the dense law went through the loop")
+
+    monkeypatch.setattr(lattice, "_convolve_entries", loop)
+    law = convolution_power.__wrapped__(lazy2d, 64)
+    assert law.mass() == 1
+    assert law[(64, 0)] == Fraction(1, 5**64)
+    assert law.entries == {(-y, x): v for (x, y), v in law.entries.items()}
 
 
 @pytest.mark.parametrize("n", range(11))

@@ -465,6 +465,19 @@ def test_periodic_table_key_of_wrong_dimension_is_rejected():
         periodic_observable([2, 2], {0: 1, 1: -1})
 
 
+@pytest.mark.parametrize(
+    "cfg, name",
+    [
+        ({"kind": "orthant", "constants": {"1": "1", "-1": "-1", "0,1": "2"}}, "orthant constants"),
+        ({"kind": "orthant", "constants": {"1": "1", "-1": "-1"}, "radius": 1, "table": {"0,1": "2"}}, "orthant table"),
+        ({"kind": "cell", "m": 1, "values": [{"site": [], "back": [1], "fwd": [1], "value": "1"}]}, "cell site"),
+    ],
+)
+def test_observable_config_rejects_sites_of_wrong_dimension(cfg, name):
+    with pytest.raises(ValueError, match=f"{name} .* has dimension ., the walk has dimension 1"):
+        observable_from_config(1, cfg)
+
+
 def test_observable_config_rejects_unknown_kind():
     with pytest.raises(ValueError):
         observable_from_config(1, {"kind": "mystery"})
