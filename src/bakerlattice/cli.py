@@ -18,10 +18,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from . import fourier, mixing
+from . import mixing
 from .lattice import (
+    LatticeSignal,
     WalkDistribution,
     a1_boundary_constant,
     a1_defect,
@@ -153,6 +152,13 @@ def _locals_from_config(config: dict, walk: WalkDistribution):
     return out
 
 
+def _schedule(config: dict, name: str, default=None) -> list[int]:
+    values = [int(v) for v in config["schedules"].get(name, default)]
+    if not values:
+        raise ConfigError(f"schedules.{name} is empty")
+    return values
+
+
 def _meta(config: dict, command: str) -> dict:
     return {
         "command": command,
@@ -204,7 +210,7 @@ def _cmd_correlate(config, walk, out_dir, args):
     family = _family_from_config(config, walk.dim)
     observables = _observables_from_config(config, walk, args.budget)
     locals_ = _locals_from_config(config, walk)
-    n_list = [int(n) for n in config["schedules"]["n_list"]]
+    n_list = _schedule(config, "n_list")
     written = []
     for i, (obs, offset) in enumerate(observables):
         evs = {n: evolve_site(obs, walk, n) for n in n_list}
@@ -222,11 +228,12 @@ def _cmd_mixing_report(config, walk, out_dir, args):
     observables = _observables_from_config(config, walk, args.budget)
     locals_ = _locals_from_config(config, walk)
     sched = config["schedules"]
-    n_list = [int(n) for n in sched["n_list"]]
+    n_list = _schedule(config, "n_list")
     kinds = config.get("mixing_kinds", ["M5"])
-    if not isinstance(kinds, list) or not all(isinstance(k, str) and k.upper() in MIXING_KINDS for k in kinds):
-        raise ConfigError(f"mixing_kinds must be a list of kinds among {list(MIXING_KINDS)}, got {kinds!r}")
+    if not isinstance(kinds, list) or not kinds or not all(isinstance(k, str) and k.upper() in MIXING_KINDS for k in kinds):
+        raise ConfigError(f"mixing_kinds must be a nonempty list of kinds among {list(MIXING_KINDS)}, got {kinds!r}")
     kinds = [k.upper() for k in kinds]
+    r_list = _schedule(config, "r_list") if "M2" in kinds else []
     meta = _meta(config, "mixing-report")
     below = [(n, 2 * m) for _, m in observables for n in n_list if n < 2 * m]
     if "M5" in kinds and below:
@@ -271,7 +278,7 @@ def _cmd_mixing_report(config, walk, out_dir, args):
             f_obs, g_obs = observables[i][0], observables[j][0]
             if "M2" in kinds:
                 rep = mixing.m2_table(
-                    f_obs, g_obs, evs(i), sched["r_list"], family,
+                    f_obs, g_obs, evs(i), r_list, family,
                     metadata={**meta, "observables": f"{i},{j}"},
                 )
                 _write_report(rep, out_dir, f"m2_{i}_{j}", written)
@@ -284,6 +291,8 @@ def _cmd_mixing_report(config, walk, out_dir, args):
 
 
 def _cmd_fourier_decay(config, walk, out_dir, args):
+    from . import fourier
+
     sched = config["schedules"]
     eps = parse_rational(sched.get("eps", "1/10"))
     try:
@@ -293,9 +302,7 @@ def _cmd_fourier_decay(config, walk, out_dir, args):
     # exact d-dimensional convolution powers grow fast; keep the default
     # schedule short above one dimension
     default_n = [4, 16, 64, 256] if walk.dim == 1 else [4, 16, 64]
-    n_list = sorted(int(n) for n in sched.get("decay_n_list", default_n))
-    if not n_list:
-        raise ConfigError("schedules.decay_n_list is empty")
+    n_list = sorted(_schedule(config, "decay_n_list", default_n))
     n_max = n_list[-1]
     bandwidth = n_max * walk.max_step + fc.radius(n_max)
     grid = args.grid or sched.get("grid") or fourier.smallest_grid(bandwidth)
@@ -345,6 +352,12 @@ def _cmd_nowak_test(config, walk, out_dir, args):
     count = int(config.get("nowak_count", 200))
     radius = int(config.get("nowak_radius", 6))
     seed = int(config.get("seed", 0))
+    if count < 1 or not dims:
+        raise ConfigError(f"nowak-test needs nowak_count >= 1 and some nowak_dims, got {count} and {dims}")
+    import numpy as np
+
+    from . import fourier
+
     rng = np.random.default_rng(seed)
     failures = []
     for d in dims:
@@ -366,8 +379,6 @@ def _cmd_nowak_test(config, walk, out_dir, args):
 
 
 def _random_signal(rng, dim, radius):
-    from .lattice import LatticeSignal
-
     size = int(rng.integers(1, 7))
     entries = {}
     for _ in range(size):
@@ -377,7 +388,7 @@ def _random_signal(rng, dim, radius):
 
 
 def _cmd_a1_check(config, walk, out_dir, args):
-    r_list = [int(r) for r in config["schedules"].get("a1_r_list", [10, 100, 1000])]
+    r_list = _schedule(config, "a1_r_list", [10, 100, 1000])
     constant = a1_boundary_constant(walk)
     rows = []
     ok = True
@@ -407,13 +418,12 @@ def _cmd_audit(config, walk, out_dir, args):
     family = _family_from_config(config, walk.dim)
     observables = [obs for obs, _ in _observables_from_config(config, walk, args.budget)]
     locals_ = _locals_from_config(config, walk)
-    sched = config["schedules"]
     record = mixing.implication_audit(
         walk,
         observables,
         locals_,
-        sched["n_list"],
-        sched["r_list"],
+        _schedule(config, "n_list"),
+        _schedule(config, "r_list"),
         family,
         metadata=_meta(config, "audit"),
     )

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log
 
-import numpy as np
-
 from .lattice import WalkDistribution, origin
 from .observables import (
     NON_CONVERGENT,
@@ -406,6 +404,8 @@ def rate_profile(series, target=Fraction(0)) -> RateFit:
             logs.append(log_d)
     if len(ns) < 2:
         return RateFit(None, None, True, len(ns))
+    import numpy as np
+
     exp_slope = np.polyfit(ns, logs, 1)[0]
     poly_slope = np.polyfit(np.log(ns), logs, 1)[0]
     return RateFit(-float(exp_slope), -float(poly_slope), False, len(ns))

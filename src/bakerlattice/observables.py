@@ -17,8 +17,6 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Callable, Mapping
 
-import numpy as np
-
 from .lattice import (
     LatticeSignal,
     Site,
@@ -149,6 +147,8 @@ class BoxFamily:
         """
         if self.kind == CENTERED_ONLY:
             return [origin(self.dim)]
+        import numpy as np
+
         centers = {origin(self.dim)}
         for axis in range(self.dim):
             for mag in (1, 10, 100, 1000):

@@ -14,8 +14,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .lattice import (
     LatticeSignal,
     Site,
@@ -283,6 +281,8 @@ def simulate_walk(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    import numpy as np
+
     table = PartitionTable.from_walk(p)
     bounds = np.array([float(q) for q in table.cumulative])
     widths = np.array([float(table.cell_weight(k)) for k in range(table.size)])

@@ -103,6 +103,31 @@ def test_empty_decay_schedule_exit_2(tmp_path, capsys):
     assert "decay_n_list" in one_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("correlate", "n_list"),
+        ("mixing-report", "n_list"),
+        ("mixing-report", "r_list"),
+        ("audit", "n_list"),
+        ("audit", "r_list"),
+        ("a1-check", "a1_r_list"),
+    ],
+)
+def test_empty_schedule_exit_2(tmp_path, capsys, command, name):
+    # an empty schedule checks nothing, so it is a config error, not a pass
+    config = {"schedules": {name: []}, "mixing_kinds": ["M5", "M2"]}
+    assert run(command, config, tmp_path / "o") == 2
+    assert not any((tmp_path / "o").iterdir())
+    assert one_error_line(capsys) == f"schedules.{name} is empty"
+
+
+@pytest.mark.parametrize("config", [{"nowak_count": -3}, {"nowak_count": 0}, {"nowak_dims": []}])
+def test_nowak_test_without_signals_exit_2(tmp_path, capsys, config):
+    assert run("nowak-test", config, tmp_path / "o") == 2
+    assert "nowak-test needs nowak_count >= 1 and some nowak_dims" in one_error_line(capsys)
+
+
 @pytest.mark.parametrize("command", ["mixing-report", "correlate", "audit"])
 def test_2d_walk_with_the_default_1d_observable_exit_2(tmp_path, capsys, command):
     assert run(command, {"walk": {"preset": "lazy-2d"}}, tmp_path / "o") == 2
@@ -124,7 +149,7 @@ def test_cell_site_of_wrong_dimension_exit_2(tmp_path, capsys, command):
     assert "cell site [0, 1] has dimension 2, the walk has dimension 1" in one_error_line(capsys)
 
 
-@pytest.mark.parametrize("kinds", ["M5", ["M5", "M3"], [5]])
+@pytest.mark.parametrize("kinds", ["M5", ["M5", "M3"], [5], []])
 def test_invalid_mixing_kinds_exit_2(tmp_path, capsys, kinds):
     assert run("mixing-report", {"mixing_kinds": kinds}, tmp_path / "o") == 2
     assert "mixing_kinds" in one_error_line(capsys)
