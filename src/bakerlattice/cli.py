@@ -305,8 +305,8 @@ def _cmd_fourier_decay(config, walk, out_dir, args):
     n_list = sorted(_schedule(config, "decay_n_list", default_n))
     n_max = n_list[-1]
     bandwidth = n_max * walk.max_step + fc.radius(n_max)
-    grid = args.grid or sched.get("grid") or fourier.smallest_grid(bandwidth)
-    grid = int(grid)
+    grid = args.grid if args.grid is not None else sched.get("grid")
+    grid = fourier.smallest_grid(bandwidth) if grid is None else int(grid)
     if grid <= 2 * bandwidth:
         raise ConfigError(
             f"grid {grid} is below the bandwidth {2 * bandwidth + 1} required for n_max={n_max}"
@@ -447,7 +447,7 @@ _BODIES = {
 
 def run(command: str, config: dict, out_dir, seed=None, grid=None, budget=None, plot=False) -> int:
     """Validate the config, execute one command, write artifacts, return the exit code."""
-    args = argparse.Namespace(grid=grid, budget=budget or DEFAULT_BUDGET, plot=plot)
+    args = argparse.Namespace(grid=grid, budget=DEFAULT_BUDGET if budget is None else budget, plot=plot)
     try:
         if command not in _BODIES:
             raise ConfigError(f"unknown command {command!r}")

@@ -1,12 +1,13 @@
 """Global and local observables with exactly computable infinite-volume data.
 
 A global observable here is a bounded site function carrying a *tail model*
-that pins down its behavior outside a finite window: periodic, constant
-outside a box, or constant per orthant outside a box.  The tail model is
-what makes suprema, box averages and infinite-volume averages exact instead
-of sampled.  Cell observables refine site functions by a finite amount of
-expanding/contracting coordinate structure; they reduce exactly to site
-functions after composing with enough forward steps.
+that pins down its behavior outside a finite window: periodic, or constant
+per orthant outside a box (constant outside a box when the orthant
+constants agree).  The tail model is what makes suprema, box averages and
+infinite-volume averages exact instead of sampled.  Cell observables refine
+site functions by a finite amount of expanding/contracting coordinate
+structure; they reduce exactly to site functions after composing with
+enough forward steps.
 """
 
 from __future__ import annotations
@@ -178,7 +179,8 @@ class Tail:
       values()           the finite set of values taken (bound, sup deviation);
       map(fn)            the same model for fn applied pointwise;
       evolve(pn)         the model of alpha -> sum_beta pn_beta f(alpha + beta),
-                         a background plus convolve(deviation, pn.reflect());
+                         a background plus convolve(deviation, pn.reflect()),
+                         plus the jump times the law's CDF for a 1-d step;
       background(signs)  the PeriodicTail the function equals on the orthant
                          ``signs`` (coordinate 0 counts as positive) away from
                          its deviation sites, or None for a raw evaluator;
@@ -233,50 +235,12 @@ class PeriodicTail(Tail):
 
 
 @dataclass(frozen=True)
-class ConstantOutsideBoxTail(Tail):
-    constant: object
-    box: Box
-    table: dict  # site -> value, keys inside box
-
-    def __post_init__(self):
-        for s in self.table:
-            if not self.box.contains(s):
-                raise ValueError(f"table site {s} outside the declared box")
-
-    def value(self, site):
-        return self.table.get(site, self.constant)
-
-    def values(self):
-        return [self.constant, *self.table.values()]
-
-    def map(self, fn):
-        return ConstantOutsideBoxTail(fn(self.constant), self.box, {k: fn(v) for k, v in self.table.items()})
-
-    def evolve(self, pn):
-        c = self.constant
-        deviation = LatticeSignal.from_entries(self.box.dim, {s: v - c for s, v in self.table.items()})
-        evolved = convolve(deviation, pn.reflect())
-        table = {s: c + v for s, v in evolved.entries.items()}
-        return ConstantOutsideBoxTail(c, self.box.dilate(max(pn.support_radius())), table)
-
-    def background(self, signs):
-        return _constant_tail(self.box.dim, self.constant)
-
-    def deviation_sites(self):
-        return self.table.keys()
-
-    def to_config(self):
-        return {
-            "kind": "constantOutsideBox",
-            "constant": format_rational(Fraction(self.constant)),
-            "box": {"lo": list(self.box.lo), "hi": list(self.box.hi)},
-            "table": _table_config(self.table),
-        }
-
-
-@dataclass(frozen=True)
 class OrthantTail(Tail):
-    """Constant on each orthant outside the box; coordinate 0 counts as positive."""
+    """Constant on each orthant outside the box; coordinate 0 counts as positive.
+
+    Equal constants make the boxed tail, constant outside the box, which
+    evolves in every dimension; differing constants evolve only in d = 1.
+    """
 
     constants: dict  # sign tuple in {-1,+1}^d -> value
     box: Box
@@ -305,20 +269,26 @@ class OrthantTail(Tail):
         )
 
     def evolve(self, pn):
-        if self.box.dim != 1:
+        dim, reach = self.box.dim, max(pn.support_radius())
+        c_neg, c_pos = self.constants[(-1,) * dim], self.constants[(1,) * dim]
+        law = pn.reflect()
+        deviation = LatticeSignal.from_entries(dim, {s: v - self.constants[_signs(s)] for s, v in self.table.items()})
+        evolved = convolve(deviation, law).entries if deviation.entries else {}
+        if len(set(self.constants.values())) == 1:
+            return OrthantTail(self.constants, self.box.dilate(reach), {s: c_neg + v for s, v in evolved.items()})
+        if dim != 1:
             raise ValueError(
                 "evolution of orthant tails is exactly representable only in dimension 1"
             )
-        lo, hi, c_neg, _ = self.window_1d()
-        reach = max(pn.support_radius())
-        # f - c_neg vanishes left of lo; sites right of hi + 2 reach are out of reach
-        deviation = LatticeSignal.from_entries(
-            1, {(a,): self.value((a,)) - c_neg for a in range(lo, hi + 2 * reach + 1)}
-        )
-        evolved = convolve(deviation, pn.reflect())
-        box = Box((lo - reach,), (hi + reach,))
-        # every window site is stored: a missing key would read the sign constant
-        return OrthantTail(self.constants, box, {s: c_neg + evolved[s] for s in box.sites()})
+        # the step c_neg + (c_pos - c_neg) [alpha >= 0] evolves to the jump times
+        # P(alpha + X >= 0), the CDF of the law of -X at alpha; the box starts
+        # left of -reach, so a running sum over its sites is that CDF
+        box = Box((min(self.box.lo[0], 0),), (max(self.box.hi[0], -1),)).dilate(reach)
+        table, mass = {}, 0
+        for s in box.sites():
+            mass += law.entries.get(s, 0)
+            table[s] = c_neg + (c_pos - c_neg) * mass + evolved.get(s, 0)
+        return OrthantTail(self.constants, box, table)
 
     def background(self, signs):
         return _constant_tail(self.box.dim, self.constants[signs])
@@ -326,18 +296,13 @@ class OrthantTail(Tail):
     def deviation_sites(self):
         return self.table.keys()
 
-    def window_1d(self):
-        # widen so that everything right of the window is a nonnegative site
-        lo, hi = min(self.box.lo[0], 0), max(self.box.hi[0], -1)
-        return lo, hi, self.constants[(-1,)], self.constants[(1,)]
-
     def to_config(self):
-        return {
-            "kind": "orthant",
-            "constants": _table_config(self.constants),
-            "box": {"lo": list(self.box.lo), "hi": list(self.box.hi)},
-            "table": _table_config(self.table),
-        }
+        constants = set(self.constants.values())
+        if len(constants) == 1:
+            head = {"kind": "constantOutsideBox", "constant": format_rational(Fraction(*constants))}
+        else:
+            head = {"kind": "orthant", "constants": _table_config(self.constants)}
+        return {**head, "box": {"lo": list(self.box.lo), "hi": list(self.box.hi)}, "table": _table_config(self.table)}
 
 
 @dataclass(frozen=True)
@@ -360,7 +325,7 @@ class CustomTail(Tail):
         raise ValueError("cannot map a raw evaluator through a function")
 
     def evolve(self, pn):
-        raise ValueError("evolution needs a tail model (periodic, boxed, or orthant)")
+        raise ValueError("evolution needs a tail model (periodic or orthant)")
 
     def background(self, signs):
         return None
@@ -414,6 +379,8 @@ def _site_table(dim: int, table: Mapping, name: str) -> dict:
 
 def periodic_observable(period, table: Mapping) -> SiteObservable:
     period = tuple(int(l) for l in period)
+    if any(l < 1 for l in period):
+        raise ValueError(f"periods must be positive, got {list(period)}")
     clean = {}
     for residue, v in table.items():
         key = (residue,) if isinstance(residue, int) else tuple(int(c) for c in residue)
@@ -428,8 +395,9 @@ def constant_observable(dim: int, value) -> SiteObservable:
 
 
 def localized_observable(dim: int, constant, box: Box, table: Mapping) -> SiteObservable:
-    table = _site_table(dim, table, "constantOutsideBox table")
-    return SiteObservable(dim, ConstantOutsideBoxTail(_parse_value(constant), box, table))
+    """Constant outside the box: an orthant tail whose 2^d constants agree."""
+    constants = dict.fromkeys(itertools.product((-1, 1), repeat=dim), _parse_value(constant))
+    return SiteObservable(dim, OrthantTail(constants, box, _site_table(dim, table, "constantOutsideBox table")))
 
 
 def orthant_observable(dim: int, constants: Mapping, box: Box, table: Mapping) -> SiteObservable:
@@ -618,6 +586,8 @@ class CellObservable:
     default: Fraction = Fraction(0)
 
     def __post_init__(self):
+        if self.depth < 0:
+            raise ValueError(f"cell depth m must be nonnegative, got {self.depth}")
         for (site, word), _ in self.values.items():
             if len(site) != self.dim:
                 raise ValueError(f"cell site {list(site)} has dimension {len(site)}, the walk has dimension {self.dim}")
@@ -697,8 +667,7 @@ def reduce_to_site(F: CellObservable, p: WalkDistribution, budget: int = DEFAULT
         key = tuple(alpha)
         contrib[key] = contrib.get(key, Fraction(0)) + measure * (val - F.default)
     table = {s: F.default + v for s, v in contrib.items() if v != 0}
-    box = Box.spanning(table.keys(), F.dim)
-    return SiteObservable(F.dim, ConstantOutsideBoxTail(F.default, box, table))
+    return localized_observable(F.dim, F.default, Box.spanning(table.keys(), F.dim), table)
 
 
 # ---------------------------------------------------------------------------
@@ -709,9 +678,9 @@ def evolve_site(f: SiteObservable, p: WalkDistribution, n: int) -> SiteObservabl
     """Site function alpha -> sum_beta p^(n)_beta f(alpha + beta), exactly.
 
     The tail model transforms along: periodic stays periodic with the same
-    period; constant-outside-box keeps its constant with the box dilated by
-    n * max|beta|; the orthant model likewise (dimension 1 only, where the
-    evolved function is again constant per side beyond a finite window).
+    period; an orthant tail keeps its constants with the box dilated by the
+    reach n * max|beta| (first widened to the cut at 0 when the constants
+    differ, which needs dimension 1).
     """
     if n < 0:
         raise ValueError("evolution steps must be nonnegative")

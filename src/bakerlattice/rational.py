@@ -21,6 +21,7 @@ def parse_rational(value) -> Fraction:
 
     Floats are accepted for convenience and go through their shortest decimal
     representation, so 0.1 parses as 1/10 rather than the binary expansion.
+    A zero denominator raises ValueError, as a malformed string does.
     """
     if isinstance(value, bool):
         raise TypeError("booleans are not rationals")
@@ -29,7 +30,10 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(repr(value))
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 

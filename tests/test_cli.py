@@ -64,9 +64,11 @@ def test_bad_eps_exit_2(tmp_path, capsys):
     assert run("fourier-decay", config, tmp_path / "o") == 2
 
 
-def test_undersized_grid_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("grid", [64, 0])
+def test_undersized_grid_exit_2(tmp_path, capsys, grid):
+    # an explicit 0 is a grid, not a request for the automatic one
     config = {"schedules": {"decay_n_list": [64]}}
-    assert run("fourier-decay", config, tmp_path / "o", grid=64) == 2
+    assert run("fourier-decay", config, tmp_path / "o", grid=grid) == 2
 
 
 def test_cell_budget_overflow_exit_2(tmp_path, capsys):
@@ -163,6 +165,36 @@ def test_localized_table_key_of_wrong_dimension_exit_2(tmp_path, capsys, command
     message = one_error_line(capsys)
     assert message.startswith("invalid observable")
     assert "constantOutsideBox table key [0, 1] has dimension 2, the walk has dimension 1" in message
+
+
+ZERO_DENOMINATOR_WALK = {"dim": 1, "support": [{"beta": [0], "p": "1/0"}, {"beta": [1], "p": "1/2"}]}
+ZERO_PERIOD = {"kind": "periodic", "period": [0], "table": {"0": "1"}}
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("span-check", {"walk": ZERO_DENOMINATOR_WALK}, "zero denominator in '1/0'"),
+        ("correlate", {"observables": [{"kind": "periodic", "period": [2], "table": {"0": "1/0", "1": "1"}}]},
+         "zero denominator in '1/0'"),
+        ("fourier-decay", {"schedules": {"eps": "1/0"}}, "zero denominator in '1/0'"),
+        ("correlate", {"observables": [ZERO_PERIOD]}, "periods must be positive, got [0]"),
+        ("mixing-report", {"observables": [ZERO_PERIOD]}, "periods must be positive, got [0]"),
+        ("mixing-report", {"observables": [{"kind": "cell", "m": -1, "values": [], "default": "1/2"}]},
+         "cell depth m must be nonnegative, got -1"),
+    ],
+)
+def test_degenerate_numbers_in_the_config_exit_2(tmp_path, capsys, command, config, message):
+    # each of these once escaped as ZeroDivisionError, or ran with a negative depth
+    assert run(command, config, tmp_path / "o") == 2
+    assert message in one_error_line(capsys)
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+def test_zero_budget_is_not_the_default_exit_2(tmp_path, capsys):
+    cell = {"kind": "cell", "m": 1, "values": [{"site": [0], "back": [1], "fwd": [1], "value": "1"}]}
+    assert run("mixing-report", {"observables": [cell]}, tmp_path / "o", budget=0) == 2
+    assert "exceeds the cell budget 0" in one_error_line(capsys)
 
 
 DEPTH_2_CELL = {"kind": "cell", "m": 2, "values": [{"site": [0], "back": [1, 2], "fwd": [3, 1], "value": "1"}]}

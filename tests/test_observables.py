@@ -37,7 +37,8 @@ from bakerlattice import (
     reduce_to_site,
     sign_observable,
 )
-from bakerlattice.observables import OrthantTail, PeriodicTail
+from bakerlattice import observables
+from bakerlattice.observables import PeriodicTail
 from conftest import random_periodic, random_site_observable, random_walk
 
 TI = BoxFamily.translation_invariant
@@ -301,14 +302,28 @@ def test_evolve_localized_brute_force_check(third):
 
 
 def test_evolve_orthant_with_2d_walk_raises(lazy2d):
-    f = orthant_observable(
-        2,
-        {s: Fraction(1) for s in ((1, 1), (1, -1), (-1, 1), (-1, -1))},
-        Box.centered((0, 0), 0),
-        {},
-    )
+    signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    box = Box.centered((0, 0), 0)
+    f = orthant_observable(2, {s: Fraction(s[0]) for s in signs}, box, {})
     with pytest.raises(ValueError, match="dimension 1"):
         evolve_site(f, lazy2d, 1)
+    # equal constants are the boxed tail, which evolves in every dimension
+    g = orthant_observable(2, {s: Fraction(1) for s in signs}, box, {(0, 0): Fraction(3)})
+    assert evolve_site(g, lazy2d, 2) == evolve_site(localized_observable(2, 1, box, {(0, 0): 3}), lazy2d, 2)
+
+
+def test_sign_evolution_runs_no_convolution(third, monkeypatch):
+    # the sign function is its step background: the law's CDF alone evolves it
+    def refuse(*args):
+        raise AssertionError("sign1d evolution convolved")
+
+    monkeypatch.setattr(observables, "convolve", refuse)
+    sign, n = sign_observable(), 1024
+    ev = evolve_site(sign, third, n)
+    pn = convolution_power(third, n)
+    assert ev.tail.box == Box((-n,), (n,))
+    for site in (-n - 2, -n - 1, -n, -n + 1, -700, -1, 0, 1, 333, n - 1, n, n + 1):
+        assert ev.value((site,)) == direct_evolution(sign, pn, (site,))
 
 
 def test_evolve_sign_tail_is_exact(third):
@@ -375,6 +390,18 @@ def test_observable_config_round_trip():
         else:
             for site in ((-3,), (0,), (2,)):
                 assert regenerated.value(site) == obs.value(site)
+
+
+def test_equal_orthant_constants_write_the_constant_outside_box_form():
+    spec = {"kind": "constantOutsideBox", "constant": "1/2", "box": {"lo": [-1], "hi": [2]}, "table": {"0": "3"}}
+    assert observable_to_config(observable_from_config(1, spec)) == spec
+    box, table = Box((-1,), (2,)), {(0,): Fraction(3)}
+    same = orthant_observable(1, {(-1,): Fraction(1, 2), (1,): Fraction(1, 2)}, box, table)
+    assert observable_to_config(same) == spec
+    differ = orthant_observable(1, {(-1,): Fraction(0), (1,): Fraction(1, 2)}, box, table)
+    assert observable_to_config(differ) == {
+        "kind": "orthant", "constants": {"-1": "0", "1": "1/2"}, "box": spec["box"], "table": spec["table"]
+    }
 
 
 RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=7)
@@ -535,13 +562,12 @@ def test_evolve_site_matches_direct_sum(dim, data):
     if isinstance(f.tail, PeriodicTail):
         assert ev.tail.period == f.tail.period
         window = Box((0,) * dim, tuple(l - 1 for l in f.tail.period)).dilate(reach)
-    elif isinstance(f.tail, OrthantTail):
-        lo, hi, _, _ = f.tail.window_1d()
-        window = Box((lo - reach,), (hi + reach,))
-        assert ev.tail.box == window
     else:
-        window = f.tail.box.dilate(reach)
-        assert ev.tail.box == window
+        box = f.tail.box
+        if len(set(f.tail.constants.values())) > 1:  # widened to the cut at 0
+            box = Box((min(box.lo[0], 0),), (max(box.hi[0], -1),))
+        assert ev.tail.box == box.dilate(reach)
+        window = box.hull(Box.centered((0,) * dim, 0)).dilate(reach)
     pn = convolution_power(p, n)
     for site in window.dilate(2).sites():
         assert ev.value(site) == direct_evolution(f, pn, site)
