@@ -37,7 +37,7 @@ from .observables import (
 )
 from .phase import DEFAULT_BUDGET, BudgetExceededError, Strip, simulate_walk
 from .presets import PRESETS, preset
-from .rational import format_rational, parse_rational, write_csv, write_json
+from .rational import format_rational, parse_integer, parse_rational, write_csv, write_json
 from .svgplot import write_loglog_svg
 
 COMMANDS = (
@@ -143,7 +143,7 @@ def _locals_from_config(config: dict, walk: WalkDistribution):
     for spec in specs:
         terms = []
         for term in spec["terms"]:
-            site = tuple(int(c) for c in term.get("site", origin(walk.dim)))
+            site = tuple(parse_integer(c) for c in term.get("site", origin(walk.dim)))
             if len(site) != walk.dim:
                 raise ConfigError(f"local site {list(site)} has dimension {len(site)}, the walk has dimension {walk.dim}")
             strip = Strip(site, parse_rational(term.get("lo", 0)), parse_rational(term.get("hi", 1)))
@@ -153,7 +153,10 @@ def _locals_from_config(config: dict, walk: WalkDistribution):
 
 
 def _schedule(config: dict, name: str, default=None) -> list[int]:
-    values = [int(v) for v in config["schedules"].get(name, default)]
+    try:
+        values = [parse_integer(v) for v in config["schedules"].get(name, default)]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"schedules.{name}: {exc}") from exc
     if not values:
         raise ConfigError(f"schedules.{name} is empty")
     return values
@@ -184,9 +187,9 @@ def _cmd_span_check(config, walk, out_dir, args):
 
 
 def _cmd_simulate(config, walk, out_dir, args):
-    steps = int(config.get("steps", 4))
-    samples = int(config.get("samples", 100000))
-    seed = int(config.get("seed", 0))
+    steps = parse_integer(config.get("steps", 4))
+    samples = parse_integer(config.get("samples", 100000))
+    seed = parse_integer(config.get("seed", 0))
     hist = simulate_walk(walk, steps, samples, seed)
     hist.write_csv(out_dir / "histogram.csv", {"config_hash": _config_hash(config)})
     payload = {
@@ -227,13 +230,13 @@ def _cmd_mixing_report(config, walk, out_dir, args):
     family = _family_from_config(config, walk.dim)
     observables = _observables_from_config(config, walk, args.budget)
     locals_ = _locals_from_config(config, walk)
-    sched = config["schedules"]
     n_list = _schedule(config, "n_list")
     kinds = config.get("mixing_kinds", ["M5"])
     if not isinstance(kinds, list) or not kinds or not all(isinstance(k, str) and k.upper() in MIXING_KINDS for k in kinds):
         raise ConfigError(f"mixing_kinds must be a nonempty list of kinds among {list(MIXING_KINDS)}, got {kinds!r}")
     kinds = [k.upper() for k in kinds]
     r_list = _schedule(config, "r_list") if "M2" in kinds else []
+    radii, seed = _schedule(config, "radii"), parse_integer(config.get("seed", 0))
     meta = _meta(config, "mixing-report")
     below = [(n, 2 * m) for _, m in observables for n in n_list if n < 2 * m]
     if "M5" in kinds and below:
@@ -247,7 +250,7 @@ def _cmd_mixing_report(config, walk, out_dir, args):
     written = []
     averages = []
     for i, (obs, offset) in enumerate(observables):
-        est = estimate_average(obs, family, sched["radii"], seed=int(config.get("seed", 0)))
+        est = estimate_average(obs, family, radii, seed=seed)
         averages.append(
             {
                 "observable": i,
@@ -306,7 +309,7 @@ def _cmd_fourier_decay(config, walk, out_dir, args):
     n_max = n_list[-1]
     bandwidth = n_max * walk.max_step + fc.radius(n_max)
     grid = args.grid if args.grid is not None else sched.get("grid")
-    grid = fourier.smallest_grid(bandwidth) if grid is None else int(grid)
+    grid = fourier.smallest_grid(bandwidth) if grid is None else parse_integer(grid)
     if grid <= 2 * bandwidth:
         raise ConfigError(
             f"grid {grid} is below the bandwidth {2 * bandwidth + 1} required for n_max={n_max}"
@@ -348,10 +351,10 @@ def _cmd_fourier_decay(config, walk, out_dir, args):
 
 
 def _cmd_nowak_test(config, walk, out_dir, args):
-    dims = [int(d) for d in config.get("nowak_dims", [1, 2, 3])]
-    count = int(config.get("nowak_count", 200))
-    radius = int(config.get("nowak_radius", 6))
-    seed = int(config.get("seed", 0))
+    dims = [parse_integer(d) for d in config.get("nowak_dims", [1, 2, 3])]
+    count = parse_integer(config.get("nowak_count", 200))
+    radius = parse_integer(config.get("nowak_radius", 6))
+    seed = parse_integer(config.get("seed", 0))
     if count < 1 or not dims:
         raise ConfigError(f"nowak-test needs nowak_count >= 1 and some nowak_dims, got {count} and {dims}")
     import numpy as np

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb, lcm, prod, sqrt
 from typing import Iterable, Mapping
 
-from .rational import format_rational, is_exact, parse_rational
+from .rational import format_rational, is_exact, parse_integer, parse_rational
 
 Site = tuple[int, ...]
 
@@ -190,7 +190,7 @@ class WalkDistribution:
 
     @classmethod
     def from_json_dict(cls, data: Mapping, allow_trivial: bool = False) -> "WalkDistribution":
-        dim = int(data["dim"])
+        dim = parse_integer(data["dim"])
         weights = {tuple(entry["beta"]): parse_rational(entry["p"]) for entry in data["support"]}
         return cls.from_weights(dim, weights, allow_trivial=allow_trivial)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 from typing import Callable, Mapping
 
@@ -27,7 +28,7 @@ from .lattice import (
     origin,
 )
 from .phase import DEFAULT_BUDGET, BudgetExceededError, PartitionTable, PhasePoint
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_integer, parse_rational
 
 
 class Sentinel:
@@ -187,13 +188,24 @@ class Tail:
       deviation_sites()  the finite set of sites where the function may
                          differ from its background;
       to_config()        the config dict that observable_from_config reads.
+
+    Exact sums run on ``integer_form``, built once per tail through ``map``.
     """
 
     def bound(self):
         return max(abs(v) for v in self.values())
 
+    @cached_property
+    def integer_form(self):
+        """(tail, den): this model with every value v as the integer v * den,
+        den the least common denominator of the values."""
+        den = lcm(*(Fraction(v).denominator for v in self.values()))
+        return self.map(lambda v: _scaled(v, den)), den
+
     def sup_deviation(self, center):
-        return max(abs(v - center) for v in self.values())
+        tail, den = self.integer_form
+        c = Fraction(center)
+        return Fraction(max(abs(v * c.denominator - c.numerator * den) for v in tail.values()), den * c.denominator)
 
 
 @dataclass(frozen=True)
@@ -256,7 +268,8 @@ class OrthantTail(Tail):
                 raise ValueError(f"table site {s} outside the declared box")
 
     def value(self, site):
-        return self.table.get(site, self.constants[_signs(site)])
+        v = self.table.get(site)
+        return self.constants[_signs(site)] if v is None else v
 
     def values(self):
         return [*self.constants.values(), *self.table.values()]
@@ -290,8 +303,12 @@ class OrthantTail(Tail):
             table[s] = c_neg + (c_pos - c_neg) * mass + evolved.get(s, 0)
         return OrthantTail(self.constants, box, table)
 
+    @cached_property
+    def _backgrounds(self):
+        return {signs: _constant_tail(self.box.dim, c) for signs, c in self.constants.items()}
+
     def background(self, signs):
-        return _constant_tail(self.box.dim, self.constants[signs])
+        return self._backgrounds[signs]
 
     def deviation_sites(self):
         return self.table.keys()
@@ -334,6 +351,11 @@ class CustomTail(Tail):
         raise ValueError("raw evaluators have no config form")
 
 
+def _scaled(v, den: int) -> int:
+    q = Fraction(v)
+    return q.numerator * (den // q.denominator)
+
+
 def _signs(site: Site) -> tuple[int, ...]:
     return tuple(1 if c >= 0 else -1 for c in site)
 
@@ -362,41 +384,36 @@ class SiteObservable:
         return self.tail.sup_deviation(center)
 
 
-def _parse_value(v):
-    """Floats stay floats; everything else parses as an exact rational."""
-    return v if isinstance(v, float) else parse_rational(v)
-
-
 def _site_table(dim: int, table: Mapping, name: str) -> dict:
     out = {}
     for s, v in table.items():
-        site = tuple(int(c) for c in s)
+        site = tuple(parse_integer(c) for c in s)
         if len(site) != dim:
             raise ValueError(f"{name} key {list(site)} has dimension {len(site)}, the walk has dimension {dim}")
-        out[site] = _parse_value(v)
+        out[site] = parse_rational(v)
     return out
 
 
 def periodic_observable(period, table: Mapping) -> SiteObservable:
-    period = tuple(int(l) for l in period)
+    period = tuple(parse_integer(l) for l in period)
     if any(l < 1 for l in period):
         raise ValueError(f"periods must be positive, got {list(period)}")
     clean = {}
     for residue, v in table.items():
-        key = (residue,) if isinstance(residue, int) else tuple(int(c) for c in residue)
+        key = (residue,) if isinstance(residue, int) else tuple(parse_integer(c) for c in residue)
         if len(key) != len(period):
             raise ValueError(f"table key {list(key)} has dimension {len(key)}, the period has dimension {len(period)}")
-        clean[tuple(c % l for c, l in zip(key, period))] = _parse_value(v)
+        clean[tuple(c % l for c, l in zip(key, period))] = parse_rational(v)
     return SiteObservable(len(period), PeriodicTail(period, clean))
 
 
 def constant_observable(dim: int, value) -> SiteObservable:
-    return SiteObservable(dim, _constant_tail(dim, _parse_value(value)))
+    return SiteObservable(dim, _constant_tail(dim, parse_rational(value)))
 
 
 def localized_observable(dim: int, constant, box: Box, table: Mapping) -> SiteObservable:
     """Constant outside the box: an orthant tail whose 2^d constants agree."""
-    constants = dict.fromkeys(itertools.product((-1, 1), repeat=dim), _parse_value(constant))
+    constants = dict.fromkeys(itertools.product((-1, 1), repeat=dim), parse_rational(constant))
     return SiteObservable(dim, OrthantTail(constants, box, _site_table(dim, table, "constantOutsideBox table")))
 
 
@@ -458,19 +475,20 @@ def _box_sum(observables, box: Box):
 
     Each tail equals a periodic background on every orthant away from its
     finitely many deviation sites, so the sum is a residue count per orthant
-    piece of the box plus a correction at the deviation sites inside it;
+    piece of the box plus a correction at the deviation sites inside it.
+    The sum runs on the tails' integer forms and divides once at the end;
     only a raw evaluator makes it visit the box site by site.
     """
     tails = [o.tail for o in observables]
     parts = list(_orthant_parts(box))
-    backgrounds = {signs: [t.background(signs) for t in tails] for signs, _ in parts}
-    if any(bg is None for bgs in backgrounds.values() for bg in bgs):
+    if any(t.background(signs) is None for t in tails for signs, _ in parts):
         return sum(prod(t.value(site) for t in tails) for site in box.sites())
+    forms, dens = zip(*(t.integer_form for t in tails))
+    backgrounds = {signs: [t.background(signs) for t in forms] for signs, _ in parts}
     total = sum(_periodic_box_sum(backgrounds[signs], part) for signs, part in parts)
-    deviations = {s for t in tails for s in t.deviation_sites() if box.contains(s)}
-    for site in sorted(deviations):
-        total += prod(t.value(site) for t in tails) - prod(bg.value(site) for bg in backgrounds[_signs(site)])
-    return total
+    for site in {s for t in forms for s in t.deviation_sites() if box.contains(s)}:
+        total += prod(t.value(site) for t in forms) - prod(bg.value(site) for bg in backgrounds[_signs(site)])
+    return Fraction(total, prod(dens))
 
 
 def product_average(observables, family: BoxFamily):
@@ -482,13 +500,15 @@ def product_average(observables, family: BoxFamily):
     centered boxes weight every orthant equally.  None for a raw evaluator.
     """
     dim = observables[0].dim
+    tails = [o.tail for o in observables]
+    if any(t.background((1,) * dim) is None for t in tails):
+        return None
+    forms, dens = zip(*(t.integer_form for t in tails))
     means = []
     for signs in itertools.product((-1, 1), repeat=dim):
-        backgrounds = [o.tail.background(signs) for o in observables]
-        if any(bg is None for bg in backgrounds):
-            return None
+        backgrounds = [t.background(signs) for t in forms]
         cell = Box(origin(dim), tuple(lcm(*(bg.period[i] for bg in backgrounds)) - 1 for i in range(dim)))
-        means.append(_periodic_box_sum(backgrounds, cell) / Fraction(cell.size))
+        means.append(Fraction(_periodic_box_sum(backgrounds, cell), prod(dens) * cell.size))
     if all(m == means[0] for m in means):
         return means[0]
     if family.translation_invariant_p:
@@ -706,15 +726,16 @@ def av_invariance_check(f: SiteObservable, p: WalkDistribution, n: int, family: 
 
 def _parse_table(table: Mapping) -> dict:
     """Config table with "i,j" site keys."""
-    return {tuple(int(c) for c in str(key).split(",")): _parse_value(v) for key, v in table.items()}
+    return {tuple(parse_integer(c) for c in str(key).split(",")): parse_rational(v) for key, v in table.items()}
 
 
 def _box_from_config(dim: int, cfg: Mapping) -> Box:
     """``box: {lo, hi}`` as written by observable_to_config, else ``center``/``radius``."""
     if "box" in cfg:
-        box = Box(tuple(int(c) for c in cfg["box"]["lo"]), tuple(int(c) for c in cfg["box"]["hi"]))
+        box = Box(tuple(parse_integer(c) for c in cfg["box"]["lo"]), tuple(parse_integer(c) for c in cfg["box"]["hi"]))
     else:
-        box = Box.centered(cfg.get("center", origin(dim)), int(cfg.get("radius", 0)))
+        center = tuple(parse_integer(c) for c in cfg.get("center", origin(dim)))
+        box = Box.centered(center, parse_integer(cfg.get("radius", 0)))
     if box.dim != dim:
         raise ValueError(f"box of dimension {box.dim} for a {dim}-dimensional walk")
     return box
@@ -737,13 +758,13 @@ def observable_from_config(dim: int, cfg: Mapping):
             raise ValueError("sign1d needs a one-dimensional walk")
         return sign_observable()
     if kind == "cell":
-        depth = int(cfg["m"])
+        depth = parse_integer(cfg["m"])
         values = {}
         for rec in cfg["values"]:
-            site = tuple(int(c) for c in rec["site"])
-            word = tuple(int(d) for d in rec.get("back", ())) + tuple(int(d) for d in rec.get("fwd", ()))
-            values[(site, word)] = _parse_value(rec["value"])
-        return CellObservable(dim, depth, values, _parse_value(cfg.get("default", 0)))
+            site = tuple(parse_integer(c) for c in rec["site"])
+            word = tuple(parse_integer(d) for d in (*rec.get("back", ()), *rec.get("fwd", ())))
+            values[(site, word)] = parse_rational(rec["value"])
+        return CellObservable(dim, depth, values, parse_rational(cfg.get("default", 0)))
     raise ValueError(f"unknown observable kind {kind!r}")
 
 

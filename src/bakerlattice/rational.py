@@ -37,6 +37,17 @@ def parse_rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
+def parse_integer(value) -> int:
+    """Parse an integer field: an int, an integral float, or a string such as "2".
+
+    A non-integral number raises ValueError instead of being truncated.
+    """
+    q = parse_rational(value)
+    if q.denominator != 1:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return q.numerator
+
+
 def format_rational(q: Fraction) -> str:
     q = Fraction(q)
     if q.denominator == 1:

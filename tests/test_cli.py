@@ -191,6 +191,47 @@ def test_degenerate_numbers_in_the_config_exit_2(tmp_path, capsys, command, conf
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
 
 
+FRACTIONAL_PERIOD = {"observables": [{"kind": "periodic", "period": [2.7], "table": {"0": "1", "1": "-1"}}]}
+FRACTIONAL_N_LIST = {"schedules": {"n_list": [1.5, 2]}}
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("correlate", FRACTIONAL_PERIOD, "expected an integer, got 2.7"),
+        ("mixing-report", FRACTIONAL_PERIOD, "expected an integer, got 2.7"),
+        ("correlate", FRACTIONAL_N_LIST, "schedules.n_list: expected an integer, got 1.5"),
+        ("audit", FRACTIONAL_N_LIST, "schedules.n_list: expected an integer, got 1.5"),
+    ],
+)
+def test_fractional_integer_fields_exit_2(tmp_path, capsys, command, config, message):
+    # int() once truncated these to period 2 and n = 1
+    assert run(command, config, tmp_path / "o") == 2
+    assert message in one_error_line(capsys)
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+def test_integer_fields_read_ints_integral_floats_and_strings(tmp_path, capsys):
+    spec = {"kind": "periodic", "table": {"0": "1", "1": "-1"}}
+    plain = {"observables": [{**spec, "period": [2]}], "schedules": {"n_list": [1, 2]}}
+    spelled = {"observables": [{**spec, "period": ["2"]}], "schedules": {"n_list": ["1", 2.0]}}
+    for name, config in (("plain", plain), ("spelled", spelled)):
+        assert run("correlate", config, tmp_path / name) == 0
+    rows = [(tmp_path / name / "correlate_0_0.csv").read_text().splitlines()[1:] for name in ("plain", "spelled")]
+    assert rows[0] == rows[1]
+
+
+def test_json_float_table_values_parse_exactly(tmp_path, capsys):
+    # a JSON number reads as its decimal value, as walk weights do, not as binary64
+    config = {
+        "observables": [{"kind": "periodic", "period": [2], "table": {"0": 0.1, "1": -0.1}}],
+        "schedules": {"n_list": [1, 2]},
+    }
+    assert run("mixing-report", config, tmp_path / "o") == 0
+    rows = (tmp_path / "o" / "m5_0.csv").read_text().splitlines()[2:]
+    assert rows == ["1,1/30,0", "2,1/90,0"]
+
+
 def test_zero_budget_is_not_the_default_exit_2(tmp_path, capsys):
     cell = {"kind": "cell", "m": 1, "values": [{"site": [0], "back": [1], "fwd": [1], "value": "1"}]}
     assert run("mixing-report", {"observables": [cell]}, tmp_path / "o", budget=0) == 2

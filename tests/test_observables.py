@@ -416,30 +416,30 @@ def boxes(draw, dim):
 
 
 @st.composite
-def box_tables(draw, box):
+def box_tables(draw, box, values=RATIONALS):
     sites = draw(st.lists(st.sampled_from(list(box.sites())), unique=True, max_size=box.size))
-    return {s: draw(RATIONALS) for s in sites}
+    return {s: draw(values) for s in sites}
 
 
 @st.composite
-def periodic_observables(draw, dim):
+def periodic_observables(draw, dim, values=RATIONALS):
     period = draw(st.tuples(*[st.integers(1, 3)] * dim))
     cell = Box((0,) * dim, tuple(l - 1 for l in period)).sites()
-    return periodic_observable(period, {r: draw(RATIONALS) for r in cell})
+    return periodic_observable(period, {r: draw(values) for r in cell})
 
 
 @st.composite
-def boxed_observables(draw, dim):
+def boxed_observables(draw, dim, values=RATIONALS):
     box = draw(boxes(dim))
-    return localized_observable(dim, draw(RATIONALS), box, draw(box_tables(box)))
+    return localized_observable(dim, draw(values), box, draw(box_tables(box, values)))
 
 
 @st.composite
-def orthant_observables(draw, dim):
+def orthant_observables(draw, dim, values=RATIONALS):
     box = draw(boxes(dim))
     signs = Box((-1,) * dim, (1,) * dim).sites()
-    constants = {s: draw(RATIONALS) for s in signs if 0 not in s}
-    return orthant_observable(dim, constants, box, draw(box_tables(box)))
+    constants = {s: draw(values) for s in signs if 0 not in s}
+    return orthant_observable(dim, constants, box, draw(box_tables(box, values)))
 
 
 @st.composite
@@ -699,3 +699,90 @@ def test_raw_evaluator_box_sum_visits_every_site():
     visited.clear()
     assert box_average_product(f, parity, box) == Fraction(-9 + 4 - 1 + 0 - 1 + 4 - 9 + 16, 8)
     assert sorted(visited) == list(box.sites())
+
+
+# ---------------------------------------------------------------------------
+# integer forms: exact sums on integer numerators
+
+# coprime and growing denominators next to integers far past one machine word,
+# so the integer forms' common denominators and numerators both get large
+MIXED_DENOMINATORS = st.one_of(
+    st.sampled_from([Fraction(1, 3), Fraction(2, 5), Fraction(-7, 12)]),
+    st.integers(0, 30).map(lambda k: Fraction(1, 5**k)),
+    st.integers(-(10**40), 10**40).map(Fraction),
+)
+
+
+def mixed_denominator_observables(dim):
+    return st.one_of(
+        periodic_observables(dim, MIXED_DENOMINATORS),
+        boxed_observables(dim, MIXED_DENOMINATORS),
+        orthant_observables(dim, MIXED_DENOMINATORS),
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_integer_form_sums_equal_fraction_sums(dim, data):
+    f = data.draw(mixed_denominator_observables(dim))
+    g = data.draw(mixed_denominator_observables(dim))
+    box = data.draw(orthant_straddling_boxes(dim))
+    assert box_average(f, box) == brute_box_average(f, box)
+    assert box_average_product(f, g, box) == sum(
+        f.value(s) * g.value(s) for s in box.sites()
+    ) / Fraction(box.size)
+    means = far_cell_means([f, g], dim)
+    ti, centered = product_average([f, g], TI(dim)), product_average([f, g], CENTERED(dim))
+    if len(set(means)) == 1:
+        assert ti == centered == means[0]
+    else:
+        assert ti is NON_CONVERGENT
+        assert centered == sum(means) / Fraction(len(means))
+    center = data.draw(MIXED_DENOMINATORS)
+    assert f.sup_deviation(center) == max(abs(v - center) for v in f.tail.values())
+
+
+ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+
+def test_box_sum_fraction_operations_do_not_grow_with_deviation_sites(monkeypatch):
+    periodic = periodic_observable((2, 3), {r: Fraction(r[0] - r[1], 7) for r in Box((0, 0), (1, 2)).sites()})
+
+    def fraction_operations(width):
+        box = Box((0, 0), (width - 1, 9))
+        f = localized_observable(2, Fraction(1, 2), box, {s: Fraction(s[0] + 1, s[1] + 2) for s in box.sites()})
+        f.tail.integer_form, periodic.tail.integer_form  # built once per tail, before the sum
+        count = 0
+
+        def counted(method):
+            def op(*args):
+                nonlocal count
+                count += 1
+                return method(*args)
+
+            return op
+
+        with monkeypatch.context() as m:
+            for name in ARITHMETIC:
+                m.setattr(Fraction, name, counted(getattr(Fraction, name)))
+            average = box_average_product(f, periodic, box.dilate(2))
+        sites = box.dilate(2).sites()
+        assert average == sum(f.value(s) * periodic.value(s) for s in sites) / Fraction(box.dilate(2).size)
+        return count
+
+    assert fraction_operations(1) == fraction_operations(100)  # 10 and 1,000 deviation sites
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_background_is_built_once_per_orthant(dim):
+    signs = list(itertools.product((-1, 1), repeat=dim))
+    box = Box.centered((0,) * dim, 1)
+    tails = [
+        orthant_observable(dim, {s: Fraction(k) for k, s in enumerate(signs)}, box, {(0,) * dim: 9}).tail,
+        localized_observable(dim, Fraction(1, 2), box, {}).tail,
+        periodic_observable((2,) * dim, {r: 1 for r in Box((0,) * dim, (1,) * dim).sites()}).tail,
+    ]
+    for t in tails:
+        for s in signs:
+            assert t.background(s) is t.background(s)
