@@ -14,6 +14,7 @@ import functools
 import hashlib
 import itertools
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -351,29 +352,36 @@ def _cmd_fourier_decay(config, walk, out_dir, args):
 
 
 def _cmd_nowak_test(config, walk, out_dir, args):
-    dims = [parse_integer(d) for d in config.get("nowak_dims", [1, 2, 3])]
-    count = parse_integer(config.get("nowak_count", 200))
-    radius = parse_integer(config.get("nowak_radius", 6))
-    seed = parse_integer(config.get("seed", 0))
+    dims = config.get("nowak_dims", [1, 2, 3])
+    if not isinstance(dims, list):
+        raise ConfigError(f"nowak_dims must be a list of dimensions, got {dims!r}")
+    dims = [_config_integer(d, "nowak_dims") for d in dims]
+    count = _config_integer(config.get("nowak_count", 200), "nowak_count")
+    radius = _config_integer(config.get("nowak_radius", 6), "nowak_radius")
+    seed = _config_integer(config.get("seed", 0), "seed")
     if count < 1 or not dims:
         raise ConfigError(f"nowak-test needs nowak_count >= 1 and some nowak_dims, got {count} and {dims}")
-    import numpy as np
+    if not all(1 <= d <= 4 for d in dims):
+        raise ConfigError(f"nowak_dims must lie in 1..4 (the tabulated C_d), got {dims}")
+    if radius < 0:
+        raise ConfigError(f"nowak_radius must be >= 0, got {radius}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    from . import embedding
 
-    from . import fourier
-
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     failures = []
     for d in dims:
         for k in range(count):
             sig = _random_signal(rng, d, radius)
-            if not fourier.nowak_check(sig):
+            if not embedding.nowak_check(sig):
                 failures.append({"dim": d, "index": k})
     payload = {
         **_meta(config, "nowak-test"),
         "dims": dims,
         "count": count,
         "radius": radius,
-        "constants": {str(d): fourier.nowak_constant(d) for d in dims},
+        "constants": {str(d): embedding.nowak_constant(d) for d in dims},
         "failures": failures,
     }
     write_json(out_dir / "nowak_test.json", payload)
@@ -381,12 +389,19 @@ def _cmd_nowak_test(config, walk, out_dir, args):
     return code, f"nowak-test: {len(failures)} violations in {count * len(dims)} signals", payload
 
 
-def _random_signal(rng, dim, radius):
-    size = int(rng.integers(1, 7))
+def _config_integer(value, name: str) -> int:
+    try:
+        return parse_integer(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _random_signal(rng: random.Random, dim: int, radius: int) -> LatticeSignal:
+    """Up to 6 sites in [-radius, radius]^dim, values n/m with |n| <= 9, 1 <= m <= 9."""
     entries = {}
-    for _ in range(size):
-        site = tuple(int(c) for c in rng.integers(-radius, radius + 1, size=dim))
-        entries[site] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+    for _ in range(rng.randint(1, 6)):
+        site = tuple(rng.randint(-radius, radius) for _ in range(dim))
+        entries[site] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
     return LatticeSignal.from_entries(dim, entries)
 
 

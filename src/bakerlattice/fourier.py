@@ -14,18 +14,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, lcm, sqrt
 
 import numpy as np
 
+# the coefficient inequality is numpy-free; it lives in .embedding and is re-exported
+from .embedding import a_norm, h_norm, nowak_check, nowak_constant
 from .lattice import (
     LatticeSignal,
     WalkDistribution,
     convolution_power,
     convolve,
     drift,
-    origin,
     span_check,
 )
 from .rational import is_exact, nearest_integer, parse_rational
@@ -174,70 +174,6 @@ def parseval_pairing(a: LatticeSignal, b: LatticeSignal, grid_size: int) -> Pair
     gb = char_function(b, M).values
     grid = complex(np.mean(np.conj(ga) * gb))
     return PairingResult(lattice, grid)
-
-
-def a_norm(a: LatticeSignal):
-    """l^1 norm of the coefficients (the absolutely-convergent-series norm).
-
-    Exact (a Fraction) when the signal is exact, float otherwise.
-    """
-    if a.is_exact:
-        return sum((abs(v) for v in a.entries.values()), Fraction(0))
-    return float(sum(abs(v) for v in a.entries.values()))
-
-
-def h_norm(a: LatticeSignal, nu_bar: int) -> float:
-    """|a_0| + sum_i (sum_alpha |alpha_i^nu_bar a_alpha|^2)^(1/2)."""
-    if nu_bar < 1:
-        raise ValueError("derivative order must be >= 1")
-    zero = abs(complex(a[origin(a.dim)]))
-    total = zero
-    for i in range(a.dim):
-        sq = sum(abs(complex(v)) ** 2 * s[i] ** (2 * nu_bar) for s, v in a.entries.items())
-        total += sqrt(sq)
-    return float(total)
-
-
-@lru_cache(maxsize=None)
-def _nested_tail_constant(d: int) -> float:
-    """Upper bound for the nested sum over 0 < |b_1| <= ... <= |b_d| of b_d^(-2 nu_bar).
-
-    Collapsing the ordered tuples gives 2^d sum_l C(l+d-2, d-1) l^(-2 nu_bar);
-    the sum is truncated at l = 10^6 and the tail is dominated by the
-    comparison integral, keeping the result an upper bound.
-    """
-    nu_bar = d // 2 + 1
-    limit = 10**6
-    ls = np.arange(1, limit + 1, dtype=float)
-    comb = np.ones_like(ls)
-    for i in range(1, d):
-        comb *= (ls + i - 1) / i
-    partial = (2.0**d) * float(np.sum(comb * ls ** (-2.0 * nu_bar)))
-    # integral comparison: C(x+d-2, d-1) <= (x+d-2)^(d-1) / (d-1)!
-    decay = 2 * nu_bar - (d - 1)
-    tail = (
-        (2.0**d)
-        / factorial(d - 1)
-        * ((limit + d - 2) / limit) ** (d - 1)
-        * limit ** (1 - decay)
-        / (decay - 1)
-    )
-    return partial + tail
-
-
-def nowak_constant(d: int) -> float:
-    """Constant C_d with ||a||_l1 <= C_d ||a~||_{H^nu_bar} on Z^d (d <= 4)."""
-    if not 1 <= d <= 4:
-        raise ValueError("constant table is precomputed for d <= 4 only")
-    return max(1.0, factorial(d - 1) * sqrt(_nested_tail_constant(d)))
-
-
-def nowak_check(a: LatticeSignal) -> bool:
-    """Verify the l^1 versus Sobolev coefficient inequality for one signal."""
-    nu_bar = a.dim // 2 + 1
-    lhs = float(a_norm(a))
-    rhs = nowak_constant(a.dim) * h_norm(a, nu_bar)
-    return lhs <= rhs * (1 + 1e-12) + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -505,12 +505,18 @@ def implication_audit(
     n_list = sorted(int(n) for n in n_list)
     r_list = sorted(int(r) for r in r_list)
     boxes = {r: Box.centered(origin(p.dim), r) for r in r_list}
+    averages = [G.analytic_average(family) for G in globals_]
+    convergent = [i for i, av in enumerate(averages) if av is not None and av is not NON_CONVERGENT]
+    # mu_V(G) and mu_V(|G|) depend on neither F nor n
+    means = {}
+    for gi in convergent:
+        G = globals_[gi]
+        abs_G = SiteObservable(G.dim, G.tail.map(abs))
+        means[gi] = {r: (box_average(G, box), box_average(abs_G, box)) for r, box in boxes.items()}
     m4_rows = []
     m2_rows = []
-    for fi, f in enumerate(globals_):
-        av_f = f.analytic_average(family)
-        if av_f is None or av_f is NON_CONVERGENT:
-            continue
+    for fi in convergent:
+        f, av_f = globals_[fi], averages[fi]
         evs = {n: evolve_site(f, p, n) for n in n_list}
         gaps = {n: ev.sup_deviation(av_f) for n, ev in evs.items()}
         for gi, g in enumerate(locals_):
@@ -519,17 +525,12 @@ def implication_audit(
                 m4_rows.append(
                     M4AuditRow(fi, gi, n, dev, gaps[n] * g.abs_mass(), g.mass() == 0)
                 )
-        for gi, G in enumerate(globals_):
-            av_g = G.analytic_average(family)
-            if av_g is None or av_g is NON_CONVERGENT:
-                continue
-            abs_G = SiteObservable(G.dim, G.tail.map(abs))
-            # mu_V(G) and mu_V(|G|) do not depend on n
-            means = {r: (box_average(G, box), box_average(abs_G, box)) for r, box in boxes.items()}
+        for gi in convergent:
+            G, av_g = globals_[gi], averages[gi]
             for n in n_list:
                 for r in r_list:
                     entry = box_average_product(evs[n], G, boxes[r])
-                    mean_G, mean_abs_G = means[r]
+                    mean_G, mean_abs_G = means[gi][r]
                     term1 = abs(av_f) * abs(mean_G - av_g)
                     term3 = gaps[n] * mean_abs_G
                     m2_rows.append(

@@ -304,8 +304,20 @@ def simulate_walk(
             pos += steps_arr[k]
             y1 = (y1 - bounds[k] + rng.random(m) * 2.0**-53) / widths[k]
             y1 = np.clip(y1, 0.0, np.nextafter(1.0, 0.0))
-        sites, site_counts = np.unique(pos, axis=0, return_counts=True)
-        for site, c in zip(sites, site_counts):
-            key = tuple(int(v) for v in site)
-            counts[key] = counts.get(key, 0) + int(c)
+        for site, c in zip(*_site_counts(pos)):
+            key = tuple(site)
+            counts[key] = counts.get(key, 0) + c
     return SiteHistogram(p, n, samples, seed, counts)
+
+
+def _site_counts(pos) -> tuple[list, list]:
+    """Distinct rows of an (m, d) integer array in lexicographic order, with counts.
+
+    One lexsort (column 0 primary) and a run-length pass over the sorted
+    rows; the same rows and order as ``np.unique(pos, axis=0)``.
+    """
+    import numpy as np
+
+    rows = pos[np.lexsort(pos.T[::-1])]
+    starts = np.flatnonzero(np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1))))
+    return rows[starts].tolist(), np.diff(starts, append=len(rows)).tolist()

@@ -9,6 +9,7 @@ import pytest
 
 from bakerlattice import cli, evolve_site, mixing
 from bakerlattice.cli import main, run
+from bakerlattice.embedding import nowak_constant
 
 
 def read_json(path):
@@ -128,6 +129,29 @@ def test_empty_schedule_exit_2(tmp_path, capsys, command, name):
 def test_nowak_test_without_signals_exit_2(tmp_path, capsys, config):
     assert run("nowak-test", config, tmp_path / "o") == 2
     assert "nowak-test needs nowak_count >= 1 and some nowak_dims" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"nowak_dims": "12"}, "nowak_dims"),
+        ({"nowak_dims": 2}, "nowak_dims"),
+        ({"nowak_dims": [5]}, "nowak_dims"),
+        ({"nowak_dims": [0, 1]}, "nowak_dims"),
+        ({"nowak_dims": [1.5]}, "nowak_dims"),
+        ({"nowak_radius": -1}, "nowak_radius"),
+        ({"nowak_count": "2.5"}, "nowak_count"),
+        ({"seed": -1}, "seed"),
+    ],
+)
+def test_nowak_test_invalid_fields_exit_2(tmp_path, capsys, monkeypatch, config, field):
+    def no_draw(*args):
+        raise AssertionError("a signal was drawn from an invalid config")
+
+    monkeypatch.setattr(cli, "_random_signal", no_draw)
+    assert run("nowak-test", config, tmp_path / "o") == 2
+    assert not any((tmp_path / "o").iterdir())
+    assert field in one_error_line(capsys)
 
 
 @pytest.mark.parametrize("command", ["mixing-report", "correlate", "audit"])
@@ -370,6 +394,7 @@ def test_nowak_command(tmp_path, capsys):
     payload = read_json(out / "nowak_test.json")
     assert payload["failures"] == []
     assert float(payload["constants"]["1"]) == pytest.approx(1.8138, abs=1e-3)
+    assert payload["constants"] == {"1": nowak_constant(1), "2": nowak_constant(2)}
 
 
 def test_a1_command(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import pi, sqrt
+from math import factorial, pi, sqrt
 
 import numpy as np
 import pytest
@@ -32,6 +32,7 @@ from bakerlattice import (
     smallest_grid,
     taylor_coefficient,
 )
+from bakerlattice.embedding import NESTED_TAIL_CONSTANTS
 from bakerlattice.fourier import _derivative_weighted
 from conftest import random_signal, random_walk
 
@@ -179,6 +180,29 @@ def test_embedding_constant_values():
     assert nowak_constant(3) == pytest.approx(2 * sqrt(4 * (pi**2 / 6 + APERY)), rel=1e-5)
     with pytest.raises(ValueError):
         nowak_constant(5)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_nested_tail_table_is_its_derivation(d):
+    """The C_d table equals 2^d sum_{l <= 10^6} C(l+d-2, d-1) l^(-2 nu_bar) plus its integral tail."""
+    nu_bar = d // 2 + 1
+    limit = 10**6
+    ls = np.arange(1, limit + 1, dtype=float)
+    comb = np.ones_like(ls)
+    for i in range(1, d):
+        comb *= (ls + i - 1) / i
+    partial = (2.0**d) * float(np.sum(comb * ls ** (-2.0 * nu_bar)))
+    # integral comparison: C(x+d-2, d-1) <= (x+d-2)^(d-1) / (d-1)!
+    decay = 2 * nu_bar - (d - 1)
+    tail = (2.0**d) / factorial(d - 1) * ((limit + d - 2) / limit) ** (d - 1) * limit ** (1 - decay) / (decay - 1)
+    assert NESTED_TAIL_CONSTANTS[d] == partial + tail
+
+
+def test_embedding_names_are_the_fourier_names():
+    from bakerlattice import embedding, fourier
+
+    for name in ("a_norm", "h_norm", "nowak_constant", "nowak_check"):
+        assert getattr(fourier, name) is getattr(embedding, name)
 
 
 def test_embedding_check_random_signals():

@@ -54,13 +54,14 @@ def test_import_leaves_numpy_unloaded(tmp_path, statement):
         ("span-check", None),
         ("a1-check", None),
         ("mixing-report", {"family": "centeredOnly"}),
+        ("nowak-test", None),
     ],
 )
 def test_exact_commands_run_without_numpy(tmp_path, command, config):
     assert run_command(tmp_path, command, config) == [0, False]
 
 
-@pytest.mark.parametrize("command", ["fourier-decay", "simulate", "nowak-test"])
+@pytest.mark.parametrize("command", ["fourier-decay", "simulate"])
 def test_float_commands_import_numpy_themselves(tmp_path, command):
     assert run_command(tmp_path, command) == [0, True]
 

@@ -13,6 +13,7 @@ from bakerlattice import (
     LocalObservable,
     Strip,
     WalkDistribution,
+    box_average,
     constant_observable,
     correlate_global_local,
     evolve_site,
@@ -435,6 +436,22 @@ def test_audit_and_m4_report_evolve_each_pair_once(monkeypatch, third, parity):
     g = LocalObservable.unit_square((0,))
     implication_audit(third, [parity, other], [g, g], [1, 2, 4], [2, 8], TI(1))
     assert sorted(calls) == sorted((id(f), n) for f in (parity, other) for n in (1, 2, 4))
+
+
+def test_audit_takes_each_global_box_mean_once(monkeypatch, third, parity):
+    calls = []
+
+    def counting(f, box):
+        calls.append(box.size)
+        return box_average(f, box)
+
+    monkeypatch.setattr(mixing, "box_average", counting)
+    other = periodic_observable((3,), {(0,): 2, (1,): 0, (2,): 1})
+    g = LocalObservable.unit_square((0,))
+    record = implication_audit(third, [parity, other], [g], [1, 2, 4], [2, 8], TI(1))
+    # mu_V(G) and mu_V(|G|) for 2 globals and 2 radii, not once more per F
+    assert len(calls) == 2 * 2 * 2
+    assert len(record.m2_rows) == 2 * 2 * 3 * 2
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -19,7 +19,7 @@ from bakerlattice import (
     simulate_walk,
     step,
 )
-from bakerlattice.phase import cylinder_interval
+from bakerlattice.phase import _site_counts, cylinder_interval
 from conftest import random_strip, random_walk
 
 
@@ -195,6 +195,19 @@ def test_simulate_2d_sites(lazy2d):
     hist = simulate_walk(lazy2d, 2, 5000, seed=5)
     assert all(len(site) == 2 for site in hist.counts)
     assert sum(hist.counts.values()) == 5000
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_site_counts_equal_unique_rows(dim):
+    import numpy as np
+
+    rng = np.random.default_rng(dim)
+    near = [rng.integers(-4, 5, size=(m, dim)) for m in (1, 2, 7, 5000)]
+    # coordinates across the whole int64 range, each row repeated
+    far = np.repeat(rng.integers(-(2**63), 2**63 - 1, size=(50, dim)), 3, axis=0)
+    for pos in [*near, far]:
+        sites, counts = np.unique(pos, axis=0, return_counts=True)
+        assert _site_counts(pos) == (sites.tolist(), counts.tolist())
 
 
 def test_histogram_csv(tmp_path, third):
