@@ -153,13 +153,15 @@ def _locals_from_config(config: dict, walk: WalkDistribution):
     return out
 
 
-def _schedule(config: dict, name: str, default=None) -> list[int]:
+def _schedule(config: dict, name: str, default=None, minimum: int = 0) -> list[int]:
     try:
         values = [parse_integer(v) for v in config["schedules"].get(name, default)]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"schedules.{name}: {exc}") from exc
     if not values:
         raise ConfigError(f"schedules.{name} is empty")
+    if min(values) < minimum:
+        raise ConfigError(f"schedules.{name} entries must be >= {minimum}, got {values}")
     return values
 
 
@@ -188,9 +190,12 @@ def _cmd_span_check(config, walk, out_dir, args):
 
 
 def _cmd_simulate(config, walk, out_dir, args):
-    steps = parse_integer(config.get("steps", 4))
-    samples = parse_integer(config.get("samples", 100000))
-    seed = parse_integer(config.get("seed", 0))
+    steps = _config_integer(config.get("steps", 4), "steps")
+    samples = _config_integer(config.get("samples", 100000), "samples")
+    seed = _config_integer(config.get("seed", 0), "seed")
+    for name, value, low in (("steps", steps, 0), ("samples", samples, 1), ("seed", seed, 0)):
+        if value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
     hist = simulate_walk(walk, steps, samples, seed)
     hist.write_csv(out_dir / "histogram.csv", {"config_hash": _config_hash(config)})
     payload = {
@@ -237,7 +242,7 @@ def _cmd_mixing_report(config, walk, out_dir, args):
         raise ConfigError(f"mixing_kinds must be a nonempty list of kinds among {list(MIXING_KINDS)}, got {kinds!r}")
     kinds = [k.upper() for k in kinds]
     r_list = _schedule(config, "r_list") if "M2" in kinds else []
-    radii, seed = _schedule(config, "radii"), parse_integer(config.get("seed", 0))
+    radii = _schedule(config, "radii")
     meta = _meta(config, "mixing-report")
     below = [(n, 2 * m) for _, m in observables for n in n_list if n < 2 * m]
     if "M5" in kinds and below:
@@ -251,7 +256,7 @@ def _cmd_mixing_report(config, walk, out_dir, args):
     written = []
     averages = []
     for i, (obs, offset) in enumerate(observables):
-        est = estimate_average(obs, family, radii, seed=seed)
+        est = estimate_average(obs, family, radii)
         averages.append(
             {
                 "observable": i,
@@ -306,7 +311,7 @@ def _cmd_fourier_decay(config, walk, out_dir, args):
     # exact d-dimensional convolution powers grow fast; keep the default
     # schedule short above one dimension
     default_n = [4, 16, 64, 256] if walk.dim == 1 else [4, 16, 64]
-    n_list = sorted(_schedule(config, "decay_n_list", default_n))
+    n_list = sorted(_schedule(config, "decay_n_list", default_n, minimum=1))
     n_max = n_list[-1]
     bandwidth = n_max * walk.max_step + fc.radius(n_max)
     grid = args.grid if args.grid is not None else sched.get("grid")
@@ -406,7 +411,7 @@ def _random_signal(rng: random.Random, dim: int, radius: int) -> LatticeSignal:
 
 
 def _cmd_a1_check(config, walk, out_dir, args):
-    r_list = _schedule(config, "a1_r_list", [10, 100, 1000])
+    r_list = _schedule(config, "a1_r_list", [10, 100, 1000], minimum=1)
     constant = a1_boundary_constant(walk)
     rows = []
     ok = True

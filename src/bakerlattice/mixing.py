@@ -137,7 +137,7 @@ def m2_entry(
 def m1_computable(f: SiteObservable, g: SiteObservable) -> bool:
     """M1's rules: F is periodic and G has an exact translation-invariant average."""
     av_g = g.analytic_average(BoxFamily.translation_invariant(g.dim))
-    return isinstance(f.tail, PeriodicTail) and av_g not in (None, NON_CONVERGENT)
+    return isinstance(f.tail, PeriodicTail) and av_g is not NON_CONVERGENT
 
 
 def m1_limit(f: SiteObservable, g: SiteObservable, p: WalkDistribution, n: int):
@@ -263,7 +263,7 @@ def m5_report(
     if family is None:
         family = BoxFamily.translation_invariant(f.dim)
     av = f.analytic_average(family)
-    if av is None or av is NON_CONVERGENT:
+    if av is NON_CONVERGENT:
         raise ValueError("M5 gap needs an observable with an analytic average")
     series = {n: ev.sup_deviation(av) for n, ev in evs.items()}
     return CorrelationReport(
@@ -289,7 +289,7 @@ def m4_report(
     target = None if av is NON_CONVERGENT else av * g.mass()
     series = {n: _pair(ev, g) for n, ev in evs.items()}
     gaps = {}
-    if av is not NON_CONVERGENT and av is not None:
+    if av is not NON_CONVERGENT:
         gaps = {n: ev.sup_deviation(av) * g.abs_mass() for n, ev in evs.items()}
     return CorrelationReport("M4", series, target, gap_series=gaps, metadata=metadata or {})
 
@@ -316,7 +316,7 @@ def m2_table(
         family = BoxFamily.translation_invariant(f.dim)
     av_f = f.analytic_average(family)
     av_g = g.analytic_average(family)
-    have_target = all(av not in (None, NON_CONVERGENT) for av in (av_f, av_g))
+    have_target = av_f is not NON_CONVERGENT and av_g is not NON_CONVERGENT
     target = av_f * av_g if have_target else NON_CONVERGENT
     series = {}
     for n in sorted(evs):
@@ -506,7 +506,7 @@ def implication_audit(
     r_list = sorted(int(r) for r in r_list)
     boxes = {r: Box.centered(origin(p.dim), r) for r in r_list}
     averages = [G.analytic_average(family) for G in globals_]
-    convergent = [i for i, av in enumerate(averages) if av is not None and av is not NON_CONVERGENT]
+    convergent = [i for i, av in enumerate(averages) if av is not NON_CONVERGENT]
     # mu_V(G) and mu_V(|G|) depend on neither F nor n
     means = {}
     for gi in convergent:

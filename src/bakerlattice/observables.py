@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .lattice import (
     LatticeSignal,
@@ -140,29 +140,6 @@ class BoxFamily:
     def translation_invariant_p(self) -> bool:
         return self.kind == TRANSLATION_INVARIANT
 
-    def centers(self, extra_random: int = 8, seed: int = 0) -> list[Site]:
-        """Sample centers for uniformity diagnostics.
-
-        Centered-only: just the origin.  Translation-invariant: the origin,
-        axis points at geometric distances up to 10^3, and a few seeded
-        random centers in the same range.
-        """
-        if self.kind == CENTERED_ONLY:
-            return [origin(self.dim)]
-        import numpy as np
-
-        centers = {origin(self.dim)}
-        for axis in range(self.dim):
-            for mag in (1, 10, 100, 1000):
-                for sign in (1, -1):
-                    c = [0] * self.dim
-                    c[axis] = sign * mag
-                    centers.add(tuple(c))
-        rng = np.random.default_rng(seed)
-        for _ in range(extra_random):
-            centers.add(tuple(int(v) for v in rng.integers(-1000, 1001, size=self.dim)))
-        return sorted(centers)
-
 
 # ---------------------------------------------------------------------------
 # tail models and site observables
@@ -184,7 +161,7 @@ class Tail:
                          plus the jump times the law's CDF for a 1-d step;
       background(signs)  the PeriodicTail the function equals on the orthant
                          ``signs`` (coordinate 0 counts as positive) away from
-                         its deviation sites, or None for a raw evaluator;
+                         its deviation sites;
       deviation_sites()  the finite set of sites where the function may
                          differ from its background;
       to_config()        the config dict that observable_from_config reads.
@@ -322,35 +299,6 @@ class OrthantTail(Tail):
         return {**head, "box": {"lo": list(self.box.lo), "hi": list(self.box.hi)}, "table": _table_config(self.table)}
 
 
-@dataclass(frozen=True)
-class CustomTail(Tail):
-    """Raw evaluator with a declared bound; averages are only estimated."""
-
-    evaluator: Callable
-    declared_bound: float
-
-    def value(self, site):
-        return self.evaluator(site)
-
-    def values(self):
-        raise ValueError("sup deviation needs a tail model, not a raw evaluator")
-
-    def bound(self):
-        return self.declared_bound
-
-    def map(self, fn):
-        raise ValueError("cannot map a raw evaluator through a function")
-
-    def evolve(self, pn):
-        raise ValueError("evolution needs a tail model (periodic or orthant)")
-
-    def background(self, signs):
-        return None
-
-    def to_config(self):
-        raise ValueError("raw evaluators have no config form")
-
-
 def _scaled(v, den: int) -> int:
     q = Fraction(v)
     return q.numerator * (den // q.denominator)
@@ -376,7 +324,8 @@ class SiteObservable:
         return self.tail.bound()
 
     def analytic_average(self, family: BoxFamily):
-        """Exact infinite-volume average, NON_CONVERGENT, or None (no analytic path)."""
+        """Exact infinite-volume average, or NON_CONVERGENT when the family's
+        box averages have no common limit."""
         return product_average([self], family)
 
     def sup_deviation(self, center):
@@ -432,10 +381,6 @@ def sign_observable() -> SiteObservable:
     )
 
 
-def custom_observable(dim: int, evaluator: Callable, bound: float) -> SiteObservable:
-    return SiteObservable(dim, CustomTail(evaluator, bound))
-
-
 # ---------------------------------------------------------------------------
 # box sums and averages
 
@@ -476,14 +421,10 @@ def _box_sum(observables, box: Box):
     Each tail equals a periodic background on every orthant away from its
     finitely many deviation sites, so the sum is a residue count per orthant
     piece of the box plus a correction at the deviation sites inside it.
-    The sum runs on the tails' integer forms and divides once at the end;
-    only a raw evaluator makes it visit the box site by site.
+    The sum runs on the tails' integer forms and divides once at the end.
     """
-    tails = [o.tail for o in observables]
     parts = list(_orthant_parts(box))
-    if any(t.background(signs) is None for t in tails for signs, _ in parts):
-        return sum(prod(t.value(site) for t in tails) for site in box.sites())
-    forms, dens = zip(*(t.integer_form for t in tails))
+    forms, dens = zip(*(o.tail.integer_form for o in observables))
     backgrounds = {signs: [t.background(signs) for t in forms] for signs, _ in parts}
     total = sum(_periodic_box_sum(backgrounds[signs], part) for signs, part in parts)
     for site in {s for t in forms for s in t.deviation_sites() if box.contains(s)}:
@@ -492,18 +433,15 @@ def _box_sum(observables, box: Box):
 
 
 def product_average(observables, family: BoxFamily):
-    """Exact infinite-volume average of the pointwise product, NON_CONVERGENT or None.
+    """Exact infinite-volume average of the pointwise product, or NON_CONVERGENT.
 
     Box averages tend, on each orthant, to the mean of the product of the
     backgrounds over one joint period cell.  Translation-invariant boxes can
     sit inside one orthant, so differing orthant means leave no limit;
-    centered boxes weight every orthant equally.  None for a raw evaluator.
+    centered boxes weight every orthant equally.
     """
     dim = observables[0].dim
-    tails = [o.tail for o in observables]
-    if any(t.background((1,) * dim) is None for t in tails):
-        return None
-    forms, dens = zip(*(t.integer_form for t in tails))
+    forms, dens = zip(*(o.tail.integer_form for o in observables))
     means = []
     for signs in itertools.product((-1, 1), repeat=dim):
         backgrounds = [t.background(signs) for t in forms]
@@ -527,18 +465,19 @@ def box_average_product(f: SiteObservable, g: SiteObservable, box: Box):
 
 
 # ---------------------------------------------------------------------------
-# infinite-volume average estimation
+# infinite-volume averages and their uniformity
 
 
 @dataclass(frozen=True)
 class AverageEstimate:
     """Result of an infinite-volume average computation.
 
-    ``value`` is exact whenever the tail model admits an analytic limit for
-    the chosen family.  ``uniformity_defect`` is the measured max deviation
-    of box averages from the value over the sampled centers at the largest
-    radius; when the limit does not exist it records the spread (max minus
-    min) across centers instead, which is the witness of nonconvergence.
+    ``value`` is the exact limit for the chosen family, or NON_CONVERGENT.
+    ``uniformity_defect`` is exact too: at the largest radius, the sup over
+    every center of the family (the origin alone for the centered family)
+    of |box average - value|; when the limit does not exist it is the
+    spread (sup minus inf) of the box averages instead, which is the
+    witness of nonconvergence.
     """
 
     value: object
@@ -547,43 +486,38 @@ class AverageEstimate:
     non_convergent: bool = False
 
 
-def estimate_average(
-    f: SiteObservable,
-    family: BoxFamily,
-    radii,
-    extra_random_centers: int = 8,
-    seed: int = 0,
-) -> AverageEstimate:
+def _extreme_centers(f: SiteObservable, r: int):
+    """Finite set of centers holding the max and the min of the radius-r box sum.
+
+    Moving the center along axis i adds the slice that enters the box and
+    drops the one that leaves.  Away from the breakpoints (0 and the
+    deviation sites' coordinates) both slices are background, periodic with
+    the joint period L_i, so there the sum is linear plus L_i-periodic and
+    takes its extremes within L_i + 1 of a box face crossing a breakpoint.
+    The sum is bounded, so an unbounded stretch has no linear part.  Taking
+    each axis in turn leaves the product of the per-axis candidates.
+    """
+    backgrounds = [f.tail.background(signs) for signs in itertools.product((-1, 1), repeat=f.dim)]
+    axes = []
+    for i in range(f.dim):
+        l = lcm(*(bg.period[i] for bg in backgrounds))
+        breakpoints = {0, *(s[i] for s in f.tail.deviation_sites())}
+        axes.append(sorted({t + side * r + k for t in breakpoints for side in (-1, 1) for k in range(-l - 1, l + 2)}))
+    return itertools.product(*axes)
+
+
+def estimate_average(f: SiteObservable, family: BoxFamily, radii) -> AverageEstimate:
+    """Exact average of f for the family and its uniformity defect at max(radii)."""
     radii = tuple(sorted(int(r) for r in radii))
     if not radii:
         raise ValueError("need a nonempty radii schedule")
     r_max = radii[-1]
-    centers = family.centers(extra_random_centers, seed)
-    analytic = f.analytic_average(family)
-
+    value = f.analytic_average(family)
+    centers = _extreme_centers(f, r_max) if family.translation_invariant_p else [origin(f.dim)]
     samples = [box_average(f, Box.centered(c, r_max)) for c in centers]
-    if analytic is NON_CONVERGENT:
-        spread = max(samples) - min(samples)
-        return AverageEstimate(NON_CONVERGENT, spread, radii, non_convergent=True)
-    if analytic is not None:
-        defect = max(abs(s - analytic) for s in samples)
-        return AverageEstimate(analytic, defect, radii)
-
-    # no analytic path (raw evaluator): extrapolate the centered sequence
-    seq = [float(box_average(f, Box.centered(origin(f.dim), r))) for r in radii]
-    value = _aitken_limit(seq)
-    defect = max(abs(float(s) - value) for s in samples)
-    return AverageEstimate(value, defect, radii)
-
-
-def _aitken_limit(seq: list[float]) -> float:
-    if len(seq) < 3:
-        return seq[-1]
-    x0, x1, x2 = seq[-3], seq[-2], seq[-1]
-    denom = x2 - 2 * x1 + x0
-    if abs(denom) < 1e-300:
-        return x2
-    return x2 - (x2 - x1) ** 2 / denom
+    if value is NON_CONVERGENT:
+        return AverageEstimate(value, max(samples) - min(samples), radii, non_convergent=True)
+    return AverageEstimate(value, max(abs(s - value) for s in samples), radii)
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +648,7 @@ def av_invariance_check(f: SiteObservable, p: WalkDistribution, n: int, family: 
     if family is None:
         family = BoxFamily.translation_invariant(f.dim)
     before = f.analytic_average(family)
-    if before is None or before is NON_CONVERGENT:
+    if before is NON_CONVERGENT:
         raise ValueError("observable does not admit an analytic average for this family")
     after = evolve_site(f, p, n).analytic_average(family)
     return abs(after - before)

@@ -125,6 +125,40 @@ def test_empty_schedule_exit_2(tmp_path, capsys, command, name):
     assert one_error_line(capsys) == f"schedules.{name} is empty"
 
 
+@pytest.mark.parametrize(
+    "command, name, values",
+    [
+        ("mixing-report", "radii", [-3]),
+        ("mixing-report", "r_list", [-2, 4]),
+        ("audit", "r_list", [-2, 4]),
+        ("correlate", "n_list", [-1]),
+        ("fourier-decay", "decay_n_list", [-4]),
+        ("fourier-decay", "decay_n_list", [0]),
+        ("a1-check", "a1_r_list", [-1]),
+        ("a1-check", "a1_r_list", [0]),
+    ],
+)
+def test_schedule_entry_below_its_limit_exit_2(tmp_path, capsys, command, name, values):
+    config = {"schedules": {name: values}, "mixing_kinds": ["M5", "M2"]}
+    assert run(command, config, tmp_path / "o") == 2
+    assert not any((tmp_path / "o").iterdir())
+    assert one_error_line(capsys).startswith(f"schedules.{name} ")
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [({"seed": -1}, "seed"), ({"steps": -2}, "steps"), ({"samples": 0}, "samples"), ({"steps": 1.5}, "steps")],
+)
+def test_simulate_invalid_fields_exit_2(tmp_path, capsys, monkeypatch, config, field):
+    def no_sampling(*args):
+        raise AssertionError("the walk was sampled from an invalid config")
+
+    monkeypatch.setattr(cli, "simulate_walk", no_sampling)
+    assert run("simulate", config, tmp_path / "o") == 2
+    assert not any((tmp_path / "o").iterdir())
+    assert one_error_line(capsys).startswith(field)
+
+
 @pytest.mark.parametrize("config", [{"nowak_count": -3}, {"nowak_count": 0}, {"nowak_dims": []}])
 def test_nowak_test_without_signals_exit_2(tmp_path, capsys, config):
     assert run("nowak-test", config, tmp_path / "o") == 2
@@ -356,6 +390,22 @@ def test_mixing_report_all_kinds(tmp_path, capsys):
     payload = read_json(out / "mixing_report.json")
     names = set(payload["artifacts"])
     assert {"m5_0.csv", "m4_0_0.csv", "m2_0_1.csv", "m1_0_1.csv"} <= names
+
+
+@pytest.mark.parametrize("seed", [0, 6, 13])
+def test_uniformity_defect_is_the_sup_over_every_center(tmp_path, capsys, seed):
+    # f = [x and y both even] at r = 15: a box centered at odd (x, y) holds
+    # 16 x 16 even sites of its 31 x 31, the most above the mean 1/4
+    config = {
+        "walk": {"preset": "lazy-2d"},
+        "observables": [{"kind": "periodic", "period": [2, 2], "table": {"0,0": "1", "0,1": "0", "1,0": "0", "1,1": "0"}}],
+        "schedules": {"radii": [15]},
+        "seed": seed,
+    }
+    out = tmp_path / "out"
+    assert run("mixing-report", config, out) == 0
+    averages = read_json(out / "mixing_report.json")["averages"]
+    assert averages == [{"observable": 0, "value": "1/4", "uniformity_defect": "63/3844"}]
 
 
 def test_simulate_artifacts(tmp_path, capsys):

@@ -53,6 +53,7 @@ def test_import_leaves_numpy_unloaded(tmp_path, statement):
         ("correlate", None),
         ("span-check", None),
         ("a1-check", None),
+        ("mixing-report", None),
         ("mixing-report", {"family": "centeredOnly"}),
         ("nowak-test", None),
     ],
