@@ -53,9 +53,9 @@ def test_import_leaves_numpy_unloaded(tmp_path, statement):
         ("correlate", None),
         ("span-check", None),
         ("a1-check", None),
-        ("mixing-report", None),
         ("mixing-report", {"family": "centeredOnly"}),
         ("nowak-test", None),
+        ("mixing-report", None),
     ],
 )
 def test_exact_commands_run_without_numpy(tmp_path, command, config):
