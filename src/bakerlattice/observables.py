@@ -13,6 +13,7 @@ enough forward steps.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -486,24 +487,61 @@ class AverageEstimate:
     non_convergent: bool = False
 
 
-def _extreme_centers(f: SiteObservable, r: int):
-    """Finite set of centers holding the max and the min of the radius-r box sum.
+def _box_average_range(f: SiteObservable, r: int):
+    """The least and the greatest radius-r box average of f over every center.
 
-    Moving the center along axis i adds the slice that enters the box and
-    drops the one that leaves.  Away from the breakpoints (0 and the
-    deviation sites' coordinates) both slices are background, periodic with
-    the joint period L_i, so there the sum is linear plus L_i-periodic and
-    takes its extremes within L_i + 1 of a box face crossing a breakpoint.
-    The sum is bounded, so an unbounded stretch has no linear part.  Taking
-    each axis in turn leaves the product of the per-axis candidates.
+    The deviations are the sites where f differs from its background.  With
+    one background on every orthant, the background part of the box sum is
+    periodic in the center: convolving the background's table with the
+    residue counts of [-r, r] along each axis in turn gives it on one period
+    cell of centers, and without deviations that cell holds every value.
+    Otherwise moving the center along axis i adds the slice that enters the
+    box and drops the one that leaves.  Away from the breakpoints t (the
+    deviations' coordinates, and 0 when the backgrounds differ) both slices
+    are background, periodic with the joint period L_i, so between the
+    centers t - r - 1 and t + r where a box face meets a breakpoint the sum
+    is linear plus L_i-periodic, and it takes its extremes within L_i of
+    them.  The sum is bounded, so an unbounded stretch has no linear part.
+    Taking each axis in turn, the extremes lie on the product of the
+    per-axis candidates.
     """
-    backgrounds = [f.tail.background(signs) for signs in itertools.product((-1, 1), repeat=f.dim)]
-    axes = []
+    tail, den = f.tail.integer_form
+    den *= (2 * r + 1) ** f.dim  # of the box averages
+    backgrounds = [tail.background(signs) for signs in itertools.product((-1, 1), repeat=f.dim)]
+    uniform = all(bg == backgrounds[0] for bg in backgrounds)
+    deviation = {s: v for s in tail.deviation_sites() if (v := tail.value(s) - tail.background(_signs(s)).value(s))}
+    if uniform:
+        period, cell = backgrounds[0].period, backgrounds[0].table
+        for i, l in enumerate(period):
+            counts = [_residue_count(k, l, -r, r) for k in range(l)]
+            cell = {c: sum(n * cell[(*c[:i], (c[i] + k) % l, *c[i + 1 :])] for k, n in enumerate(counts)) for c in cell}
+        if not deviation:
+            return Fraction(min(cell.values()), den), Fraction(max(cell.values()), den)
+    # prefix sums of the deviations over the grid of their coordinates, indexed by rank
+    coords = [sorted({s[i] for s in deviation}) for i in range(f.dim)]
+    grid = itertools.product(*(range(len(cs)) for cs in coords))
+    prefix = {ranks: deviation.get(tuple(cs[j] for cs, j in zip(coords, ranks)), 0) for ranks in grid}
     for i in range(f.dim):
+        for ranks in prefix:  # lexicographic: ranks - e_i comes first
+            prefix[ranks] += prefix.get((*ranks[:i], ranks[i] - 1, *ranks[i + 1 :]), 0)
+    axes = []
+    for i, cs in enumerate(coords):
         l = lcm(*(bg.period[i] for bg in backgrounds))
-        breakpoints = {0, *(s[i] for s in f.tail.deviation_sites())}
-        axes.append(sorted({t + side * r + k for t in breakpoints for side in (-1, 1) for k in range(-l - 1, l + 2)}))
-    return itertools.product(*axes)
+        breakpoints = cs if uniform else [0, *cs]
+        candidates = {e + k for t in breakpoints for e in (t - r - 1, t + r) for k in range(1 - l, l + 1)}
+        # with each candidate, the signed ranks of the last deviation coordinates up to each box face
+        axes.append([(v, ((bisect_right(cs, v + r) - 1, 1), (bisect_right(cs, v - r - 1) - 1, -1))) for v in candidates])
+    totals = []
+    for points in itertools.product(*axes):
+        c = tuple(v for v, _ in points)
+        if uniform:
+            total = cell[tuple(v % l for v, l in zip(c, period))]
+        else:
+            total = sum(_periodic_box_sum([tail.background(g)], part) for g, part in _orthant_parts(Box.centered(c, r)))
+        for corner in itertools.product(*(faces for _, faces in points)):
+            total += prod(sign for _, sign in corner) * prefix.get(tuple(j for j, _ in corner), 0)
+        totals.append(total)
+    return Fraction(min(totals), den), Fraction(max(totals), den)
 
 
 def estimate_average(f: SiteObservable, family: BoxFamily, radii) -> AverageEstimate:
@@ -513,8 +551,10 @@ def estimate_average(f: SiteObservable, family: BoxFamily, radii) -> AverageEsti
         raise ValueError("need a nonempty radii schedule")
     r_max = radii[-1]
     value = f.analytic_average(family)
-    centers = _extreme_centers(f, r_max) if family.translation_invariant_p else [origin(f.dim)]
-    samples = [box_average(f, Box.centered(c, r_max)) for c in centers]
+    if family.translation_invariant_p:
+        samples = _box_average_range(f, r_max)
+    else:
+        samples = [box_average(f, Box.centered(origin(f.dim), r_max))]
     if value is NON_CONVERGENT:
         return AverageEstimate(value, max(samples) - min(samples), radii, non_convergent=True)
     return AverageEstimate(value, max(abs(s - value) for s in samples), radii)

@@ -692,6 +692,34 @@ def test_uniformity_defect_is_the_sup_over_every_center(dim, data):
     assert centered.uniformity_defect == abs(averages[(0,) * dim] - centered.value)
 
 
+@pytest.mark.parametrize("kind", ["periodic", "orthant"])
+def test_uniformity_defect_of_a_long_period_or_a_wide_table(kind, monkeypatch):
+    """Past the sizes drawn above, at r = 32: a (30, 30) periodic table,
+    whose period cell of box sums takes no box sum at all, and a 21 x 21
+    table with four orthant constants, whose box sums run at 44 centers per
+    axis (those within one of a box face meeting a table coordinate or 0)."""
+    rng, r = random.Random(12), 32
+    if kind == "periodic":
+        window = Box((0, 0), (29, 29))
+        f = periodic_observable((30, 30), {s: rng.randint(-3, 3) for s in window.sites()})
+    else:
+        box = Box.centered((0, 0), 10)
+        constants = {(1, 1): 1, (1, -1): 2, (-1, 1): -1, (-1, -1): 0}
+        f = orthant_observable(2, constants, box, {s: rng.randint(-3, 3) for s in box.sites()})
+        window = box.dilate(r + 8)
+    centers = []
+    orthant_parts = observables._orthant_parts
+    monkeypatch.setattr(observables, "_orthant_parts", lambda box: centers.append(box) or orthant_parts(box))
+    est = estimate_average(f, TI(2), [r])
+    monkeypatch.undo()
+    averages = [s / Fraction((2 * r + 1) ** 2) for s in window_box_sums(f, r, window).values()]
+    if est.non_convergent:
+        assert est.uniformity_defect == max(averages) - min(averages)
+    else:
+        assert est.uniformity_defect == max(abs(a - est.value) for a in averages)
+    assert len(centers) == (0 if kind == "periodic" else 44**2)
+
+
 def test_box_sum_of_huge_2d_box_is_closed_form():
     c = Fraction(2, 3)
     table = {(0, 0): Fraction(5), (-1, 2): Fraction(-1, 2), (3, -4): c}
