@@ -5,161 +5,112 @@ a finite-support random walk, estimators for five infinite-volume mixing
 notions, and the torus Fourier diagnostics behind their decay rates.
 """
 
-from .lattice import (
-    DimensionMismatchError,
-    LatticeSignal,
-    SpanVerdict,
-    WalkDistribution,
-    a1_boundary_constant,
-    a1_defect,
-    convolution_power,
-    convolve,
-    drift,
-    moment,
-    span_check,
-)
-from .phase import (
-    BudgetExceededError,
-    ItineraryPushforward,
-    PartitionTable,
-    PhasePoint,
-    SiteHistogram,
-    Strip,
-    inverse_step,
-    push_strip,
-    simulate_walk,
-    step,
-)
-from .observables import (
-    NON_CONVERGENT,
-    AverageEstimate,
-    Box,
-    BoxFamily,
-    CellObservable,
-    SiteObservable,
-    av_invariance_check,
-    box_average,
-    box_average_product,
-    constant_observable,
-    estimate_average,
-    evolve_site,
-    localized_observable,
-    observable_from_config,
-    observable_to_config,
-    orthant_observable,
-    periodic_observable,
-    product_average,
-    reduce_to_site,
-    sign_observable,
-)
-from .mixing import (
-    NOT_COMPUTABLE,
-    AuditRecord,
-    CorrelationReport,
-    LocalObservable,
-    RateFit,
-    correlate_global_local,
-    implication_audit,
-    itinerary_oracle,
-    m1_limit,
-    m1_report,
-    m2_entry,
-    m2_table,
-    m4_report,
-    m5_gap,
-    m5_report,
-    rate_profile,
-)
-from .presets import PRESETS, preset
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AliasingError",
-    "AuditRecord",
-    "AverageEstimate",
-    "Box",
-    "BoxFamily",
-    "BudgetExceededError",
-    "CellObservable",
-    "CorrelationReport",
-    "DefectNorms",
-    "DimensionMismatchError",
-    "FourierConfig",
-    "ItineraryPushforward",
-    "LatticeSignal",
-    "LocalObservable",
-    "NON_CONVERGENT",
-    "NOT_COMPUTABLE",
-    "PRESETS",
-    "PartitionTable",
-    "PhasePoint",
-    "RateFit",
-    "SiteHistogram",
-    "SiteObservable",
-    "SpanVerdict",
-    "Strip",
-    "TorusGrid",
-    "WalkDistribution",
-    "a1_boundary_constant",
-    "a1_defect",
-    "a_norm",
-    "av_invariance_check",
-    "box_average",
-    "box_average_product",
-    "box_kernel_hat",
-    "box_signal",
-    "char_function",
-    "constant_observable",
-    "convolution_power",
-    "convolve",
-    "correlate_global_local",
-    "defect_signal",
-    "drift",
-    "drift_removed_char",
-    "estimate_average",
-    "evolve_site",
-    "h_norm",
-    "implication_audit",
-    "inverse_step",
-    "itinerary_oracle",
-    "local_bounds_report",
-    "localized_observable",
-    "m1_limit",
-    "m1_report",
-    "m2_entry",
-    "m2_table",
-    "m4_report",
-    "m5_gap",
-    "m5_report",
-    "moment",
-    "nowak_check",
-    "nowak_constant",
-    "observable_from_config",
-    "observable_to_config",
-    "orthant_observable",
-    "parseval_pairing",
-    "periodic_observable",
-    "periodic_pairing",
-    "preset",
-    "product_average",
-    "push_strip",
-    "rate_profile",
-    "reduce_to_site",
-    "sign_observable",
-    "simulate_walk",
-    "smallest_grid",
-    "span_check",
-    "step",
-    "taylor_coefficient",
-]
+# every public name, by the module that defines it; each module loads on the
+# first read of one of its names, so ``import bakerlattice`` loads none
+_EXPORTS = {
+    "lattice": (
+        "BoxFamily",
+        "DimensionMismatchError",
+        "LatticeSignal",
+        "SpanVerdict",
+        "WalkDistribution",
+        "a1_boundary_constant",
+        "a1_defect",
+        "convolution_power",
+        "convolve",
+        "drift",
+        "moment",
+        "span_check",
+    ),
+    "phase": (
+        "BudgetExceededError",
+        "ItineraryPushforward",
+        "PartitionTable",
+        "PhasePoint",
+        "SiteHistogram",
+        "Strip",
+        "inverse_step",
+        "push_strip",
+        "simulate_walk",
+        "step",
+    ),
+    "observables": (
+        "NON_CONVERGENT",
+        "AverageEstimate",
+        "Box",
+        "CellObservable",
+        "SiteObservable",
+        "av_invariance_check",
+        "box_average",
+        "box_average_product",
+        "constant_observable",
+        "estimate_average",
+        "evolve_site",
+        "localized_observable",
+        "observable_from_config",
+        "observable_to_config",
+        "orthant_observable",
+        "periodic_observable",
+        "product_average",
+        "reduce_to_site",
+        "sign_observable",
+    ),
+    "mixing": (
+        "NOT_COMPUTABLE",
+        "AuditRecord",
+        "CorrelationReport",
+        "LocalObservable",
+        "RateFit",
+        "correlate_global_local",
+        "implication_audit",
+        "itinerary_oracle",
+        "m1_limit",
+        "m1_report",
+        "m2_entry",
+        "m2_table",
+        "m4_report",
+        "m5_gap",
+        "m5_report",
+        "rate_profile",
+    ),
+    "presets": ("PRESETS", "preset"),
+    "embedding": ("a_norm", "h_norm", "nowak_check", "nowak_constant"),
+    # the torus diagnostics are numerical throughout and load numpy
+    "fourier": (
+        "AliasingError",
+        "DefectNorms",
+        "FourierConfig",
+        "TorusGrid",
+        "box_kernel_hat",
+        "box_signal",
+        "char_function",
+        "defect_signal",
+        "drift_removed_char",
+        "local_bounds_report",
+        "parseval_pairing",
+        "periodic_pairing",
+        "smallest_grid",
+        "taylor_coefficient",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
-    # the torus diagnostics are numerical throughout; importing them (and
-    # numpy) waits until a name in __all__ that no exact module binds is read
-    if name in __all__:
-        from . import fourier
+    if name in _EXPORTS:  # a layer read as ``bakerlattice.mixing`` before any import of it
+        return import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
-        return getattr(fourier, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __dir__():
+    return sorted({*globals(), *__all__})

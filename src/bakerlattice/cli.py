@@ -14,13 +14,14 @@ import functools
 import hashlib
 import itertools
 import json
-import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import mixing
+# what every command runs; each command body imports its own layers, so a
+# command loads only the modules it uses
 from .lattice import (
+    BoxFamily,
     LatticeSignal,
     WalkDistribution,
     a1_boundary_constant,
@@ -28,18 +29,8 @@ from .lattice import (
     origin,
     span_check,
 )
-from .observables import (
-    BoxFamily,
-    CellObservable,
-    estimate_average,
-    evolve_site,
-    observable_from_config,
-    reduce_to_site,
-)
-from .phase import DEFAULT_BUDGET, BudgetExceededError, Strip, simulate_walk
 from .presets import PRESETS, preset
 from .rational import format_rational, parse_integer, parse_rational, write_csv, write_json
-from .svgplot import write_loglog_svg
 
 COMMANDS = (
     "span-check",
@@ -116,7 +107,11 @@ def _family_from_config(config: dict, dim: int) -> BoxFamily:
         raise ConfigError(str(exc)) from exc
 
 
-def _observables_from_config(config: dict, walk: WalkDistribution, budget: int):
+def _observables_from_config(config: dict, walk: WalkDistribution, budget: int | None):
+    from .observables import CellObservable, observable_from_config, reduce_to_site
+    from .phase import DEFAULT_BUDGET, BudgetExceededError
+
+    budget = DEFAULT_BUDGET if budget is None else budget
     out = []
     for spec in config.get("observables", []):
         try:
@@ -137,6 +132,9 @@ def _observables_from_config(config: dict, walk: WalkDistribution, budget: int):
 
 
 def _locals_from_config(config: dict, walk: WalkDistribution):
+    from . import mixing
+    from .phase import Strip
+
     specs = config.get("locals")
     if not specs:
         return [mixing.LocalObservable.unit_square(origin(walk.dim))]
@@ -190,6 +188,8 @@ def _cmd_span_check(config, walk, out_dir, args):
 
 
 def _cmd_simulate(config, walk, out_dir, args):
+    from .phase import simulate_walk
+
     steps = _config_integer(config.get("steps", 4), "steps")
     samples = _config_integer(config.get("samples", 100000), "samples")
     seed = _config_integer(config.get("seed", 0), "seed")
@@ -216,6 +216,9 @@ def _write_report(report, out_dir, stem, written):
 
 
 def _cmd_correlate(config, walk, out_dir, args):
+    from . import mixing
+    from .observables import evolve_site
+
     family = _family_from_config(config, walk.dim)
     observables = _observables_from_config(config, walk, args.budget)
     locals_ = _locals_from_config(config, walk)
@@ -233,6 +236,9 @@ def _cmd_correlate(config, walk, out_dir, args):
 
 
 def _cmd_mixing_report(config, walk, out_dir, args):
+    from . import mixing
+    from .observables import estimate_average, evolve_site
+
     family = _family_from_config(config, walk.dim)
     observables = _observables_from_config(config, walk, args.budget)
     locals_ = _locals_from_config(config, walk)
@@ -270,6 +276,8 @@ def _cmd_mixing_report(config, walk, out_dir, args):
             rep = mixing.m5_report(obs, evs(i, 2 * offset), family, offset, metadata={**meta, "observable": i})
             _write_report(rep, out_dir, f"m5_{i}", written)
             if args.plot:
+                from .svgplot import write_loglog_svg
+
                 xs = sorted(rep.series)
                 write_loglog_svg(
                     out_dir / f"m5_{i}.svg",
@@ -342,6 +350,8 @@ def _cmd_fourier_decay(config, walk, out_dir, args):
     }
     write_json(out_dir / "fourier_decay.json", payload)
     if args.plot:
+        from .svgplot import write_loglog_svg
+
         write_loglog_svg(
             out_dir / "decay.svg",
             "defect norm decay",
@@ -372,6 +382,8 @@ def _cmd_nowak_test(config, walk, out_dir, args):
         raise ConfigError(f"nowak_radius must be >= 0, got {radius}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    import random
+
     from . import embedding
 
     rng = random.Random(seed)
@@ -401,7 +413,7 @@ def _config_integer(value, name: str) -> int:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _random_signal(rng: random.Random, dim: int, radius: int) -> LatticeSignal:
+def _random_signal(rng, dim: int, radius: int) -> LatticeSignal:
     """Up to 6 sites in [-radius, radius]^dim, values n/m with |n| <= 9, 1 <= m <= 9."""
     entries = {}
     for _ in range(rng.randint(1, 6)):
@@ -438,6 +450,8 @@ def _cmd_a1_check(config, walk, out_dir, args):
 
 
 def _cmd_audit(config, walk, out_dir, args):
+    from . import mixing
+
     family = _family_from_config(config, walk.dim)
     observables = [obs for obs, _ in _observables_from_config(config, walk, args.budget)]
     locals_ = _locals_from_config(config, walk)
@@ -470,7 +484,7 @@ _BODIES = {
 
 def run(command: str, config: dict, out_dir, seed=None, grid=None, budget=None, plot=False) -> int:
     """Validate the config, execute one command, write artifacts, return the exit code."""
-    args = argparse.Namespace(grid=grid, budget=DEFAULT_BUDGET if budget is None else budget, plot=plot)
+    args = argparse.Namespace(grid=grid, budget=budget, plot=plot)
     try:
         if command not in _BODIES:
             raise ConfigError(f"unknown command {command!r}")

@@ -410,6 +410,43 @@ def span_check(p: WalkDistribution, base_index: int = 0) -> SpanVerdict:
 
 
 # ---------------------------------------------------------------------------
+# box families (named here, so a config is checked without loading the observables)
+
+
+TRANSLATION_INVARIANT = "translationInvariant"
+CENTERED_ONLY = "centeredOnly"
+
+
+@dataclass(frozen=True)
+class BoxFamily:
+    """Exhaustive family of boxes determining the infinite-volume limit.
+
+    The translation-invariant family contains boxes around every center; the
+    centered-only family restricts to boxes around the origin, which accepts
+    more observables as averageable but is blind to where mass sits.
+    """
+
+    dim: int
+    kind: str
+
+    def __post_init__(self):
+        if self.kind not in (TRANSLATION_INVARIANT, CENTERED_ONLY):
+            raise ValueError(f"unknown family kind {self.kind!r}")
+
+    @classmethod
+    def translation_invariant(cls, dim: int) -> "BoxFamily":
+        return cls(dim, TRANSLATION_INVARIANT)
+
+    @classmethod
+    def centered_only(cls, dim: int) -> "BoxFamily":
+        return cls(dim, CENTERED_ONLY)
+
+    @property
+    def translation_invariant_p(self) -> bool:
+        return self.kind == TRANSLATION_INVARIANT
+
+
+# ---------------------------------------------------------------------------
 # boundary defect of centered boxes (compatibility of dynamics and averaging)
 
 

@@ -13,7 +13,7 @@ enough forward steps.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -21,6 +21,7 @@ from math import lcm, prod
 from typing import Mapping
 
 from .lattice import (
+    BoxFamily,
     LatticeSignal,
     Site,
     WalkDistribution,
@@ -49,7 +50,7 @@ NON_CONVERGENT = Sentinel("NonConvergent")
 
 
 # ---------------------------------------------------------------------------
-# boxes and box families
+# boxes
 
 
 @dataclass(frozen=True)
@@ -107,39 +108,6 @@ class Box:
             tuple(min(s[i] for s in pts) for i in range(dim)),
             tuple(max(s[i] for s in pts) for i in range(dim)),
         )
-
-
-TRANSLATION_INVARIANT = "translationInvariant"
-CENTERED_ONLY = "centeredOnly"
-
-
-@dataclass(frozen=True)
-class BoxFamily:
-    """Exhaustive family of boxes determining the infinite-volume limit.
-
-    The translation-invariant family contains boxes around every center; the
-    centered-only family restricts to boxes around the origin, which accepts
-    more observables as averageable but is blind to where mass sits.
-    """
-
-    dim: int
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (TRANSLATION_INVARIANT, CENTERED_ONLY):
-            raise ValueError(f"unknown family kind {self.kind!r}")
-
-    @classmethod
-    def translation_invariant(cls, dim: int) -> "BoxFamily":
-        return cls(dim, TRANSLATION_INVARIANT)
-
-    @classmethod
-    def centered_only(cls, dim: int) -> "BoxFamily":
-        return cls(dim, CENTERED_ONLY)
-
-    @property
-    def translation_invariant_p(self) -> bool:
-        return self.kind == TRANSLATION_INVARIANT
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +470,8 @@ def _box_average_range(f: SiteObservable, r: int):
     centers t - r - 1 and t + r where a box face meets a breakpoint the sum
     is linear plus L_i-periodic, and it takes its extremes within L_i of
     them.  The sum is bounded, so an unbounded stretch has no linear part.
-    Taking each axis in turn, the extremes lie on the product of the
-    per-axis candidates.
+    Taking each axis in turn, the extremes lie among the candidates of
+    ``_candidate_centers``.
     """
     tail, den = f.tail.integer_form
     den *= (2 * r + 1) ** f.dim  # of the box averages
@@ -524,24 +492,48 @@ def _box_average_range(f: SiteObservable, r: int):
     for i in range(f.dim):
         for ranks in prefix:  # lexicographic: ranks - e_i comes first
             prefix[ranks] += prefix.get((*ranks[:i], ranks[i] - 1, *ranks[i + 1 :]), 0)
-    axes = []
-    for i, cs in enumerate(coords):
-        l = lcm(*(bg.period[i] for bg in backgrounds))
-        breakpoints = cs if uniform else [0, *cs]
-        candidates = {e + k for t in breakpoints for e in (t - r - 1, t + r) for k in range(1 - l, l + 1)}
-        # with each candidate, the signed ranks of the last deviation coordinates up to each box face
-        axes.append([(v, ((bisect_right(cs, v + r) - 1, 1), (bisect_right(cs, v - r - 1) - 1, -1))) for v in candidates])
+    periods = [lcm(*(bg.period[i] for bg in backgrounds)) for i in range(f.dim)]
     totals = []
-    for points in itertools.product(*axes):
-        c = tuple(v for v, _ in points)
+    for c in _candidate_centers(list(deviation), r, periods, [] if uniform else [0]):
         if uniform:
             total = cell[tuple(v % l for v, l in zip(c, period))]
         else:
             total = sum(_periodic_box_sum([tail.background(g)], part) for g, part in _orthant_parts(Box.centered(c, r)))
-        for corner in itertools.product(*(faces for _, faces in points)):
+        # the signed ranks of the last deviation coordinates up to each box face
+        faces = [((bisect_right(cs, v + r) - 1, 1), (bisect_right(cs, v - r - 1) - 1, -1)) for cs, v in zip(coords, c)]
+        for corner in itertools.product(*faces):
             total += prod(sign for _, sign in corner) * prefix.get(tuple(j for j, _ in corner), 0)
         totals.append(total)
     return Fraction(min(totals), den), Fraction(max(totals), den)
+
+
+def _candidate_centers(sites, r: int, periods, extra, i: int = 0) -> list[tuple[int, ...]]:
+    """The centers of ``_box_average_range``, by their coordinates on axes i, i + 1, ...
+
+    On axis i they lie within l_i of a box face meeting a breakpoint t: a
+    coordinate of ``sites``, or one of ``extra``.  Such a center lies within
+    r + l_i of each t it comes from, so its box meets on axis i only the
+    sites within 2r + l_i of those t, and with its coordinate on axis i
+    fixed only those sites bend the sum along the later axes.
+    """
+    l = periods[i]
+    sites = sorted(sites, key=lambda s: s[i])
+    keys = [s[i] for s in sites]
+    span = {}  # candidate coordinate -> the least and the greatest t it comes from
+    for t in sorted({*keys, *extra}):
+        for v in (t - r - 1, t + r):
+            for k in range(1 - l, l + 1):
+                span.setdefault(v + k, [t, t])[1] = t
+    if i + 1 == len(periods):
+        return [(v,) for v in span]
+    later = {}  # the slice of sites a box may meet -> their candidates on the later axes
+    out = []
+    for v, (a, b) in span.items():
+        near = (bisect_left(keys, a - 2 * r - l), bisect_right(keys, b + 2 * r + l))
+        if near not in later:
+            later[near] = _candidate_centers(sites[near[0] : near[1]], r, periods, extra, i + 1)
+        out.extend((v, *rest) for rest in later[near])
+    return out
 
 
 def estimate_average(f: SiteObservable, family: BoxFamily, radii) -> AverageEstimate:

@@ -93,6 +93,14 @@ def one_error_line(capsys):
     return payload["message"]
 
 
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_unknown_family_exit_2_on_every_command(tmp_path, capsys, command):
+    # checked up front, also by the commands that never read a family
+    assert run(command, {"family": "bogus"}, tmp_path / "o") == 2
+    assert not (tmp_path / "o").exists()
+    assert one_error_line(capsys) == "unknown family kind 'bogus'"
+
+
 @pytest.mark.parametrize("site", [[1, 5], []])
 def test_local_site_of_wrong_dimension_exit_2(tmp_path, capsys, site):
     config = {"locals": [{"terms": [{"site": site}]}], "schedules": {"n_list": [1, 2]}}
@@ -153,7 +161,7 @@ def test_simulate_invalid_fields_exit_2(tmp_path, capsys, monkeypatch, config, f
     def no_sampling(*args):
         raise AssertionError("the walk was sampled from an invalid config")
 
-    monkeypatch.setattr(cli, "simulate_walk", no_sampling)
+    monkeypatch.setattr("bakerlattice.phase.simulate_walk", no_sampling)
     assert run("simulate", config, tmp_path / "o") == 2
     assert not any((tmp_path / "o").iterdir())
     assert one_error_line(capsys).startswith(field)
@@ -312,7 +320,7 @@ def test_each_observable_and_time_is_evolved_once(tmp_path, capsys, monkeypatch)
         calls.append((id(f), n))
         return evolve_site(f, p, n)
 
-    monkeypatch.setattr(cli, "evolve_site", counting, raising=False)
+    monkeypatch.setattr("bakerlattice.observables.evolve_site", counting)
     monkeypatch.setattr(mixing, "evolve_site", counting)
     config = {
         "observables": [

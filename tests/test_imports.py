@@ -1,5 +1,7 @@
-"""Package imports: exact commands start without numpy, fourier names resolve lazily."""
+"""Package imports: each command loads only its own layers, exact commands
+start without numpy, and every exported name resolves lazily."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -23,27 +25,70 @@ def fresh_python(code, tmp_path):
     return proc
 
 
-def run_command(tmp_path, command, config=None):
-    """Run one CLI command in a fresh interpreter: its exit code and whether numpy got loaded."""
+# prints whether numpy is loaded and which bakerlattice submodules are, by short name
+REPORT = (
+    "import json, sys\n"
+    "loaded = sorted(m.removeprefix('bakerlattice.') for m in sys.modules if m.startswith('bakerlattice.'))\n"
+    "print(json.dumps(['numpy' in sys.modules, loaded]))\n"
+)
+
+# what `import bakerlattice.cli` loads, and so what every command starts from
+CLI_MODULES = {"cli", "lattice", "presets", "rational"}
+
+
+def package_modules(tmp_path, statement):
+    """The bakerlattice submodules a fresh interpreter has loaded after ``statement``."""
+    proc = fresh_python(f"{statement}\n{REPORT}", tmp_path)
+    return set(json.loads(proc.stdout.splitlines()[-1])[1])
+
+
+def command_run(tmp_path, command, config=None):
+    """Run one CLI command in a fresh interpreter: its exit code, whether numpy
+    got loaded, and the bakerlattice submodules loaded."""
     argv = [command, "--out", str(tmp_path / "out")]
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         argv += ["--config", str(path)]
-    proc = fresh_python(
-        "import json, sys\n"
-        "from bakerlattice import cli\n"
-        f"code = cli.main({argv!r})\n"
-        "print(json.dumps([code, 'numpy' in sys.modules]))\n",
-        tmp_path,
-    )
-    return json.loads(proc.stdout.splitlines()[-1])
+    proc = fresh_python(f"from bakerlattice import cli\ncode = cli.main({argv!r})\nprint(code)\n{REPORT}", tmp_path)
+    code, report = proc.stdout.splitlines()[-2:]
+    numpy_loaded, modules = json.loads(report)
+    return int(code), numpy_loaded, set(modules)
+
+
+def run_command(tmp_path, command, config=None):
+    """Run one CLI command in a fresh interpreter: its exit code and whether numpy got loaded."""
+    return list(command_run(tmp_path, command, config)[:2])
 
 
 @pytest.mark.parametrize("statement", ["import bakerlattice", "import bakerlattice.cli"])
 def test_import_leaves_numpy_unloaded(tmp_path, statement):
     proc = fresh_python(f"import sys\n{statement}\nprint('numpy' in sys.modules)\n", tmp_path)
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("statement, modules", [("import bakerlattice", set()), ("import bakerlattice.cli", CLI_MODULES)])
+def test_import_loads_no_layer_it_does_not_run(tmp_path, statement, modules):
+    assert package_modules(tmp_path, statement) == modules
+
+
+@pytest.mark.parametrize(
+    "command, layers",
+    [
+        ("span-check", set()),
+        ("a1-check", set()),
+        ("nowak-test", {"embedding"}),
+        ("fourier-decay", {"embedding", "fourier"}),
+        ("simulate", {"phase"}),
+        ("correlate", {"mixing", "observables", "phase"}),
+        ("mixing-report", {"mixing", "observables", "phase"}),
+        ("audit", {"mixing", "observables", "phase"}),
+    ],
+)
+def test_each_command_loads_only_its_layers(tmp_path, command, layers):
+    code, _, modules = command_run(tmp_path, command)
+    assert code == 0
+    assert modules == CLI_MODULES | layers
 
 
 @pytest.mark.parametrize(
@@ -83,6 +128,20 @@ def test_fourier_names_are_the_fourier_objects():
     from bakerlattice import fourier
 
     assert bakerlattice.char_function is bakerlattice.fourier.char_function is fourier.char_function
+
+
+def test_every_export_is_its_defining_module_object():
+    for name in bakerlattice.__all__:
+        module = importlib.import_module(f"bakerlattice.{bakerlattice._MODULE_OF[name]}")
+        value = getattr(bakerlattice, name)
+        assert value is getattr(module, name), name
+        if hasattr(value, "__qualname__"):  # a function or a class names where it is defined
+            assert value.__module__ == module.__name__, name
+
+
+def test_dir_lists_every_export_before_it_is_read(tmp_path):
+    proc = fresh_python("import bakerlattice\nprint(sorted(set(bakerlattice.__all__) - set(dir(bakerlattice))))\n", tmp_path)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unknown_attribute_names_the_module():

@@ -720,6 +720,35 @@ def test_uniformity_defect_of_a_long_period_or_a_wide_table(kind, monkeypatch):
     assert len(centers) == (0 if kind == "periodic" else 44**2)
 
 
+def test_uniformity_defect_sees_the_sites_a_box_can_reach_past_its_breakpoint():
+    # the greatest box sums center at (-5, 2) and (-6, 2); on axis 0, -5 is a
+    # candidate only from the breakpoint -2, and its box meets (-6, 0) and
+    # (-6, 4), 2r = 4 away from that breakpoint
+    table = {(-4, 1): 2, (-5, 6): -1, (-6, 4): 2, (-6, 0): 1, (-2, 3): -2}
+    f = localized_observable(2, 0, Box.spanning(table, 2), table)
+    est = estimate_average(f, TI(2), [2])
+    sums = window_box_sums(f, 2, Box.spanning(table, 2).dilate(3))
+    assert est.uniformity_defect == max(abs(s) for s in sums.values()) / 25 == Fraction(1, 5)
+
+
+def test_uniformity_defect_of_spread_sites_takes_linearly_many_box_sums(monkeypatch):
+    """n table sites at (13s, -13s) with four orthant constants, r = 32: a
+    box meets at most 5 of them, so the box sums grow like n, where the
+    product of the per-axis candidates would take about (4n)^2."""
+    constants = {(1, 1): 1, (1, -1): 2, (-1, 1): -1, (-1, -1): 0}
+    orthant_parts = observables._orthant_parts
+    counts = {}
+    for n in (25, 50, 100):
+        sites = {(13 * s, -13 * s): 1 + s % 3 for s in range(1, n + 1)}
+        f = orthant_observable(2, constants, Box.spanning(sites, 2), sites)
+        centers = []
+        monkeypatch.setattr(observables, "_orthant_parts", lambda box: centers.append(box) or orthant_parts(box))
+        estimate_average(f, TI(2), [32])
+        counts[n] = len(centers)
+    assert 5 * counts[50] < 11 * counts[25]
+    assert 5 * counts[100] < 11 * counts[50]
+
+
 def test_box_sum_of_huge_2d_box_is_closed_form():
     c = Fraction(2, 3)
     table = {(0, 0): Fraction(5), (-1, 2): Fraction(-1, 2), (3, -4): c}
