@@ -78,7 +78,7 @@ _EXPORTS = {
         "rate_profile",
     ),
     "presets": ("PRESETS", "preset"),
-    "embedding": ("a_norm", "h_norm", "nowak_check", "nowak_constant"),
+    "embedding": ("a_norm", "h_norm", "nowak_check", "nowak_constant", "sobolev_part"),
     # the torus diagnostics are numerical throughout and load numpy
     "fourier": (
         "AliasingError",

@@ -69,10 +69,14 @@ class ConfigError(ValueError):
 
 
 def _merge_defaults(config: dict) -> dict:
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    if not isinstance(config.get("schedules", {}), dict):
+        raise ConfigError("schedules must be a JSON object")
     merged = json.loads(json.dumps(_DEFAULT_CONFIG))
-    merged.update(config or {})
+    merged.update(config)
     sched = dict(_DEFAULT_CONFIG["schedules"])
-    sched.update((config or {}).get("schedules", {}))
+    sched.update(config.get("schedules", {}))
     merged["schedules"] = sched
     return merged
 
@@ -328,7 +332,12 @@ def _cmd_fourier_decay(config, walk, out_dir, args):
         raise ConfigError(
             f"grid {grid} is below the bandwidth {2 * bandwidth + 1} required for n_max={n_max}"
         )
-    rows = [fourier.defect_signal(walk, n, fc, grid)[1] for n in n_list]
+    rows = []
+    embedding_ok = True
+    for n in n_list:
+        g, norms = fourier.defect_signal(walk, n, fc, grid)
+        rows.append(norms)
+        embedding_ok = fourier.nowak_check(g, fc.nu) and embedding_ok
     meta = _meta(config, "fourier-decay")
     write_csv(
         out_dir / "decay.csv",
@@ -346,7 +355,7 @@ def _cmd_fourier_decay(config, walk, out_dir, args):
         "monotone": all(
             rows[i].h_total >= rows[i + 1].h_total for i in range(len(rows) - 1)
         ),
-        "embedding_ok": all(row.a_norm <= row.bound + 1e-8 for row in rows),
+        "embedding_ok": embedding_ok,
     }
     write_json(out_dir / "fourier_decay.json", payload)
     if args.plot:

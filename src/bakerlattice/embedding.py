@@ -2,17 +2,19 @@
 
 ||a||_l1 <= C_d ||a~||_{H^nu_bar} with nu_bar = floor(d/2) + 1, where the
 Sobolev norm is read on the lattice side by Parseval:
-||a~||_{H^nu_bar} = |a_0| + sum_i (sum_alpha |alpha_i^nu_bar a_alpha|^2)^(1/2).
-``fourier`` re-exports every name here; only this module is loaded by the
-``nowak-test`` command.
+||a~||_{H^nu} = |a_0| + sum_i sqrt(S_i), S_i = sum_alpha alpha_i^(2 nu) a_alpha^2.
+Each S_i is summed exactly over the integer numerators of the signal, so
+``nowak_check`` decides the inequality with no tolerance.  ``fourier``
+re-exports every name here; only this module is loaded by the ``nowak-test``
+command.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, sqrt
+from math import factorial, isqrt, sqrt
 
-from .lattice import LatticeSignal, origin
+from .lattice import LatticeSignal, _integer_form, origin
 
 # Upper bounds for the nested sum over 0 < |b_1| <= ... <= |b_d| of
 # b_d^(-2 nu_bar).  Collapsing the ordered tuples gives
@@ -38,16 +40,27 @@ def a_norm(a: LatticeSignal):
     return float(sum(abs(v) for v in a.entries.values()))
 
 
+def _sobolev_sums(a: LatticeSignal, order: int) -> tuple[dict, int, list[int]]:
+    """Numerators n_alpha of an exact signal over the common denominator den, and
+    T_i = sum_alpha alpha_i^(2 order) n_alpha^2, so that S_i = T_i / den^2."""
+    if order < 1:
+        raise ValueError("derivative order must be >= 1")
+    nums, den = _integer_form(a)
+    squares = {s: v * v for s, v in nums.items()}
+    sums = [sum(v * s[i] ** (2 * order) for s, v in squares.items()) for i in range(a.dim)]
+    return nums, den, sums
+
+
+def sobolev_part(a: LatticeSignal, order: int) -> float:
+    """sum_i ||d_i^order a~||_{L^2} = sum_i sqrt(S_i), from the exact S_i."""
+    _, den, sums = _sobolev_sums(a, order)
+    den2 = den * den
+    return sum(sqrt(t / den2) for t in sums)
+
+
 def h_norm(a: LatticeSignal, nu_bar: int) -> float:
     """|a_0| + sum_i (sum_alpha |alpha_i^nu_bar a_alpha|^2)^(1/2)."""
-    if nu_bar < 1:
-        raise ValueError("derivative order must be >= 1")
-    zero = abs(complex(a[origin(a.dim)]))
-    total = zero
-    for i in range(a.dim):
-        sq = sum(abs(complex(v)) ** 2 * s[i] ** (2 * nu_bar) for s, v in a.entries.items())
-        total += sqrt(sq)
-    return float(total)
+    return abs(float(a[origin(a.dim)])) + sobolev_part(a, nu_bar)
 
 
 def nowak_constant(d: int) -> float:
@@ -57,9 +70,26 @@ def nowak_constant(d: int) -> float:
     return max(1.0, factorial(d - 1) * sqrt(NESTED_TAIL_CONSTANTS[d]))
 
 
-def nowak_check(a: LatticeSignal) -> bool:
-    """Verify the l^1 versus Sobolev coefficient inequality for one signal."""
-    nu_bar = a.dim // 2 + 1
-    lhs = float(a_norm(a))
-    rhs = nowak_constant(a.dim) * h_norm(a, nu_bar)
-    return lhs <= rhs * (1 + 1e-12) + 1e-12
+def nowak_check(a: LatticeSignal, order: int | None = None) -> bool:
+    """Decide ||a||_l1 <= C_d (|a_0| + sum_i sqrt(S_i)) exactly, with no tolerance.
+
+    S_i is taken at the derivative ``order`` (default nu_bar) and C_d = p/q
+    is the exact dyadic value of ``nowak_constant(d)``.  Over the common
+    denominator the claim reads q sum|n_alpha| - p |n_0| <= p sum_i sqrt(T_i)
+    in integers, and floor(2^k sqrt(T_i)) <= 2^k sqrt(T_i) < that floor + 1
+    brackets the right side.  A perfect square T_i is bracketed exactly, so
+    equality (possible only when every S_i is a rational square) passes in
+    the first round; any other case differs by a nonzero amount, which
+    doubling k resolves in finitely many rounds.
+    """
+    nums, _, sums = _sobolev_sums(a, a.dim // 2 + 1 if order is None else order)
+    p, q = nowak_constant(a.dim).as_integer_ratio()
+    gap = q * sum(abs(v) for v in nums.values()) - p * abs(nums.get(origin(a.dim), 0))
+    k = 64
+    while True:
+        low = sum(isqrt(t << (2 * k)) for t in sums)
+        if gap << k <= p * low:
+            return True
+        if gap << k >= p * (low + len(sums)):
+            return False
+        k *= 2

@@ -14,18 +14,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, sqrt
+from math import factorial, lcm
 
 import numpy as np
 
 # the coefficient inequality is numpy-free; it lives in .embedding and is re-exported
-from .embedding import a_norm, h_norm, nowak_check, nowak_constant
+from .embedding import a_norm, h_norm, nowak_check, nowak_constant, sobolev_part
 from .lattice import (
     LatticeSignal,
     WalkDistribution,
     convolution_power,
     convolve,
     drift,
+    origin,
     span_check,
 )
 from .rational import is_exact, nearest_integer, parse_rational
@@ -274,9 +275,10 @@ def defect_signal(
     """Exact g^(n) = p^(n) - q^(r_n) * p^(n), with its decay norms record.
 
     The recorded quantities are the exact l^1 coefficient norm, the grid
-    L^1 norm of g~, the Sobolev part sum_i ||d_i^nu g~||_{L^2} (derivatives
-    taken exactly on the lattice side, integrated by grid quadrature), and
-    the embedding bound C_d (L^1 + Sobolev) that must dominate the l^1 norm.
+    L^1 norm of g~, the Sobolev part sum_i ||d_i^nu g~||_{L^2} read on the
+    lattice side by Parseval (``sobolev_part``), and the embedding bound
+    C_d (|g_0| + Sobolev) that ``nowak_check(g, config.nu)`` decides exactly.
+    Since |g_0| <= int |g~|, the bound is never above C_d (L^1 + Sobolev).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -285,18 +287,12 @@ def defect_signal(
     radius = max(g.support_radius()) if g.entries else 0
     M = int(grid_size) if grid_size else smallest_grid(radius)
     if M <= 2 * radius:
-        raise AliasingError(
-            f"grid {M} below the Sobolev quadrature bandwidth {2 * radius + 1}"
-        )
+        raise AliasingError(f"grid {M} below the defect bandwidth {2 * radius + 1}")
     gt = char_function(g, M)
     l1 = float(np.mean(np.abs(gt.values)))
-    sob = 0.0
-    for axis in range(p.dim):
-        wsig = _derivative_weighted(g, axis, config.nu)
-        wt = char_function(wsig, M)
-        sob += sqrt(float(np.mean(np.abs(wt.values) ** 2)))
+    sob = sobolev_part(g, config.nu)
     an = float(a_norm(g))
-    bound = nowak_constant(p.dim) * (l1 + sob)
+    bound = nowak_constant(p.dim) * (abs(float(g[origin(p.dim)])) + sob)
     return g, DefectNorms(n, r, an, l1, sob, bound)
 
 
@@ -466,14 +462,18 @@ def taylor_coefficient(j: int, r: int) -> Fraction:
     return Fraction((-1) ** j * power_sum, factorial(2 * j) * (2 * r + 1))
 
 
+# radius of the ball around 0 on which (a) fits c, the box-kernel Taylor
+# orders j of (c), and the ratio to the median ratio above which (d) flags n
+QUADRATIC_BALL = 0.5
+TAYLOR_ORDERS = (1, 2, 3)
+SHAPE_TOLERANCE = 5.0
+
+
 def local_bounds_report(
     p: WalkDistribution,
     n_list,
     config: FourierConfig,
     grid_size: int,
-    quadratic_ball: float = 0.5,
-    taylor_orders=(1, 2, 3),
-    shape_tolerance: float = 5.0,
 ) -> LocalBoundsReport:
     """Measured versions of the local estimates feeding the decay argument.
 
@@ -483,7 +483,7 @@ def local_bounds_report(
     (c) exact Taylor coefficients of the box kernel transform;
     (d) max |d_i^nu g~^(n)| over the shrinking ball against the reference
         shape r^(2 nu) n^((-2 + 2 eps + nu(1+eps))/2); entries whose ratio to
-        the shape exceeds ``shape_tolerance`` times the median ratio are
+        the shape exceeds ``SHAPE_TOLERANCE`` times the median ratio are
         flagged (asymptotic bounds may be violated at small n; that is a
         flag, not a failure).
 
@@ -507,7 +507,7 @@ def local_bounds_report(
         theta = tuple(float(grid.principal_theta_axis()[i]) for i in idx)
         witness = (theta, float(modulus[idx]))
 
-    in_ball = (radius > 0) & (radius <= quadratic_ball)
+    in_ball = (radius > 0) & (radius <= QUADRATIC_BALL)
     c_hat = float(np.min((1.0 - modulus[in_ball]) / radius[in_ball] ** 2)) if in_ball.any() else 0.0
 
     tail = []  # (n, ball radius, max |p~| outside the ball, -log of its n-th power)
@@ -526,7 +526,7 @@ def local_bounds_report(
     xi_by_key = {}
     for n in n_list:
         r = config.radius(n)
-        for j in taylor_orders:
+        for j in TAYLOR_ORDERS:
             xi_by_key.setdefault((j, r), XiRow(j, r, taylor_coefficient(j, r)))
     xi_rows = tuple(xi_by_key[k] for k in sorted(xi_by_key))
 
@@ -548,14 +548,14 @@ def local_bounds_report(
     if deriv_rows:
         ratios = sorted(row.ratio for row in deriv_rows)
         median = ratios[len(ratios) // 2]
-        flagged = [row.n for row in deriv_rows if median > 0 and row.ratio > shape_tolerance * median]
+        flagged = [row.n for row in deriv_rows if median > 0 and row.ratio > SHAPE_TOLERANCE * median]
 
     return LocalBoundsReport(
         full_lattice=verdict.full,
         max_modulus_off_zero=max_off,
         witness=witness,
         quadratic_coefficient=c_hat,
-        quadratic_ball=quadratic_ball,
+        quadratic_ball=QUADRATIC_BALL,
         kappa_hat=kappa_hat,
         tail_rows=tuple(tail_rows),
         xi_rows=xi_rows,

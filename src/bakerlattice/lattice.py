@@ -391,16 +391,15 @@ def _hermite_basis(rows: Iterable[Site], dim: int) -> list[list[int]]:
     return basis
 
 
-def span_check(p: WalkDistribution, base_index: int = 0) -> SpanVerdict:
+def span_check(p: WalkDistribution) -> SpanVerdict:
     """Decide whether the step differences generate all of Z^d.
 
-    The verdict does not depend on ``base_index`` (the subgroup generated by
-    {beta^(j) - beta^(j')} is the same for every j'); the parameter exists so
-    that this invariance can be exercised directly.
+    The differences are taken from the first support point; the subgroup
+    generated by {beta^(j) - beta^(j')} is the same for every base j'.
     """
     if p.size < 2:
         raise ValueError("span check needs at least two support points")
-    base = p.sites[base_index]
+    base = p.sites[0]
     rows = [tuple(a - b for a, b in zip(s, base)) for s in p.sites]
     basis = _hermite_basis(rows, p.dim)
     full = len(basis) == p.dim and all(

@@ -728,7 +728,10 @@ def observable_from_config(dim: int, cfg: Mapping):
         values = {}
         for rec in cfg["values"]:
             site = tuple(parse_integer(c) for c in rec["site"])
-            word = tuple(parse_integer(d) for d in (*rec.get("back", ()), *rec.get("fwd", ())))
+            back, fwd = rec.get("back", ()), rec.get("fwd", ())
+            if not len(back) == len(fwd) == depth:
+                raise ValueError(f"cell record {rec!r} needs m = {depth} back and fwd digits, got {len(back)} and {len(fwd)}")
+            word = tuple(parse_integer(d) for d in (*back, *fwd))
             values[(site, word)] = parse_rational(rec["value"])
         return CellObservable(dim, depth, values, parse_rational(cfg.get("default", 0)))
     raise ValueError(f"unknown observable kind {kind!r}")

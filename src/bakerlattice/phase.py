@@ -262,12 +262,15 @@ class SiteHistogram:
         )
 
 
+# PCG64 child generators per simulation; the histogram depends on this count
+STREAMS = 8
+
+
 def simulate_walk(
     p: WalkDistribution,
     n: int,
     samples: int,
     seed: int,
-    streams: int = 8,
 ) -> SiteHistogram:
     """Iterate the map on uniform random points of the origin square.
 
@@ -276,7 +279,7 @@ def simulate_walk(
     bits of y1, so every step adds a fresh uniform digit at 2^-53 (lazy bits,
     after Knuth and Yao, 1976): the unread digits of a uniform point are
     uniform, so the law holds at any n.  Samples are split across
-    ``streams`` PCG64 child generators spawned from the seed and merged by
+    ``STREAMS`` PCG64 child generators spawned from the seed and merged by
     summation, so the result is reproducible and order-independent.
     """
     if samples < 1:
@@ -289,8 +292,8 @@ def simulate_walk(
     steps_arr = np.array([table.cell_step(k) for k in range(table.size)], dtype=np.int64)
 
     counts: dict = {}
-    children = np.random.SeedSequence(seed).spawn(streams)
-    base, extra = divmod(samples, streams)
+    children = np.random.SeedSequence(seed).spawn(STREAMS)
+    base, extra = divmod(samples, STREAMS)
     for i, child in enumerate(children):
         m = base + (1 if i < extra else 0)
         if m == 0:

@@ -161,11 +161,12 @@ def test_criterion_7_defect_norm_decay():
     with criterion(7, "defect norms decrease over n in {4,...,1024} and obey the embedding bound", 30.0):
         p = preset("third-walk")
         fc = FourierConfig(1, "1/10")
-        rows = [defect_signal(p, n, fc, 4096)[1] for n in (4, 16, 64, 256, 1024)]
-        totals = [row.h_total for row in rows]
+        results = [defect_signal(p, n, fc, 4096) for n in (4, 16, 64, 256, 1024)]
+        totals = [row.h_total for _, row in results]
         assert all(a > b for a, b in zip(totals, totals[1:]))
-        for row in rows:
-            assert row.a_norm <= row.bound + 1e-8
+        for g, row in results:
+            assert nowak_check(g, fc.nu)
+            assert row.a_norm <= row.bound
 
 
 def test_criterion_8_boundary_defect():

@@ -109,6 +109,30 @@ def test_local_site_of_wrong_dimension_exit_2(tmp_path, capsys, site):
     assert f"dimension {len(site)}" in message and "dimension 1" in message
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('[["seed", 1]]', "config must be a JSON object"),
+        ('"abc"', "config must be a JSON object"),
+        ('{"schedules": [["n_list", [1]]]}', "schedules must be a JSON object"),
+    ],
+)
+def test_config_not_an_object_exit_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    assert main(["correlate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert one_error_line(capsys) == message
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("back, fwd", [([1, 1], []), ([1], [1, 2]), ([], [])])
+def test_cell_record_word_lengths_exit_2(tmp_path, capsys, back, fwd):
+    record = {"site": [0], "back": back, "fwd": fwd, "value": "1"}
+    assert run("correlate", {"observables": [{"kind": "cell", "m": 1, "values": [record]}]}, tmp_path / "o") == 2
+    message = one_error_line(capsys)
+    assert f"cell record {record!r} needs m = 1 back and fwd digits, got {len(back)} and {len(fwd)}" in message
+
+
 def test_empty_decay_schedule_exit_2(tmp_path, capsys):
     assert run("fourier-decay", {"schedules": {"decay_n_list": []}}, tmp_path / "o") == 2
     assert "decay_n_list" in one_error_line(capsys)

@@ -1,8 +1,10 @@
 """Torus-side machinery: characters, kernels, norms, schedules, decay."""
 
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import factorial, pi, sqrt
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from bakerlattice import (
     smallest_grid,
     taylor_coefficient,
 )
+from bakerlattice import embedding
 from bakerlattice.embedding import NESTED_TAIL_CONSTANTS
 from bakerlattice.fourier import _derivative_weighted
 from conftest import random_signal, random_walk
@@ -201,7 +204,7 @@ def test_nested_tail_table_is_its_derivation(d):
 def test_embedding_names_are_the_fourier_names():
     from bakerlattice import embedding, fourier
 
-    for name in ("a_norm", "h_norm", "nowak_constant", "nowak_check"):
+    for name in ("a_norm", "h_norm", "nowak_constant", "nowak_check", "sobolev_part"):
         assert getattr(fourier, name) is getattr(embedding, name)
 
 
@@ -212,6 +215,93 @@ def test_embedding_check_random_signals():
     for dim in (1, 2, 3):
         for _ in range(30):
             assert nowak_check(random_signal(rng, dim, radius=6))
+
+
+def _decimal_sides(sig, order, constant):
+    """a_norm and C (|a_0| + sum_i sqrt(S_i)) at 100 significant digits, in decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        dec = {s: Decimal(v.numerator) / v.denominator for s, v in sig.entries.items()}
+        lhs = sum((abs(v) for v in dec.values()), Decimal(0))
+        zero = abs(dec.get((0,) * sig.dim, Decimal(0)))
+        sob = sum(
+            (sum((v * v * s[i] ** (2 * order) for s, v in dec.items()), Decimal(0)).sqrt() for i in range(sig.dim)),
+            Decimal(0),
+        )
+        return lhs, Decimal(constant) * (zero + sob)
+
+
+exact_values = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def exact_signals(draw):
+    dim = draw(st.integers(1, 3))
+    sites = st.tuples(*[st.integers(-6, 6)] * dim)
+    entries = draw(st.dictionaries(sites, exact_values, min_size=1, max_size=6))
+    return LatticeSignal.from_entries(dim, entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_signals(), st.integers(1, 3), st.floats(0.05, 4.0), st.booleans())
+def test_embedding_check_agrees_with_decimal(sig, order, scale, near):
+    """Exact verdicts against a 100-digit evaluation, with C_d at a random value or next to the ratio."""
+    lhs, rhs = _decimal_sides(sig, order, 1)
+    constant = float(lhs / rhs) if near and rhs else scale
+    with patch.object(embedding, "nowak_constant", lambda d: constant):
+        verdict = nowak_check(sig, order)
+    lhs, rhs = _decimal_sides(sig, order, constant)
+    if abs(lhs - rhs) > Decimal(10) ** -90 * (1 + rhs):
+        assert verdict == (lhs <= rhs)
+
+
+K = 2**64  # u at site 1 and 1 at site K: (u + 1)^2 - (u^2 + K^2) = 2u + 1 - K^2
+TINY = Fraction(1, 10**31)
+
+
+def _pell_axes(k1: int, k2: int) -> dict:
+    """Axis 1 with A_1^2 = T_1 - 1 at K = k1, axis 2 with A_2^2 = T_2 + 1 at K = k2, in units 2^-80.
+
+    sqrt(T_1) + sqrt(T_2) - A_1 - A_2 is about 1/(2 A_1) - 1/(2 A_2): below
+    2^-64 of a unit, so the 2^-64 brackets leave the sum undecided, while the
+    fractional parts of both roots are far from 0.
+    """
+    u1, u2 = k1 * k1 // 2 - 1, k2 * k2 // 2
+    unit = Fraction(1, 2**80)
+    return {(1, 0): u1 * unit, (k1, 0): unit, (0, 1): u2 * unit, (0, k2): unit}
+
+
+@pytest.mark.parametrize(
+    "entries,constant,expected",
+    [
+        # 3/2 + 1 = sqrt(9/4 + 4): equality, and S = 25/4 is a rational square
+        ({(1,): Fraction(3, 2), (2,): 1}, 1.0, True),
+        # 8 + 3 = sqrt(64 + 36) + 1: one unit of the common denominator 10^31 above
+        ({(1,): 8 * TINY, (2,): 3 * TINY}, 1.0, False),
+        # u = K^2/2 - 1: A^2 = S - 1 in units 2^-127, so A is about 2e-77 below sqrt(S)
+        ({(1,): Fraction(K * K // 2 - 1, 2**127), (K,): Fraction(1, 2**127)}, 1.0, True),
+        # u = K^2/2: A^2 = S + 1, so A is about 2e-77 above sqrt(S)
+        ({(1,): Fraction(K * K // 2, 2**127), (K,): Fraction(1, 2**127)}, 1.0, False),
+        # a lone origin term: C |a_0| against |a_0|
+        ({(0,): TINY}, 0.5, False),
+        # two irrational roots whose sum is about 2e-60 above A, then below it
+        (_pell_axes(2**40, 2**40 + 2), 1.0, True),
+        (_pell_axes(2**40 + 2, 2**40), 1.0, False),
+    ],
+)
+def test_embedding_check_at_and_next_to_equality(monkeypatch, entries, constant, expected):
+    """Order 1 with C_d replaced, at or within 1e-30 of equality."""
+    monkeypatch.setattr(embedding, "nowak_constant", lambda d: constant)
+    sig = LatticeSignal.from_entries(len(next(iter(entries))), entries)
+    assert nowak_check(sig, 1) is expected
+    lhs, rhs = _decimal_sides(sig, 1, constant)
+    assert abs(lhs - rhs) < Decimal(10) ** -30 and (lhs <= rhs) is expected
+
+
+def test_embedding_check_equality_has_no_slack(monkeypatch):
+    sig = LatticeSignal.from_entries(1, {(1,): Fraction(3, 2), (2,): 1})
+    monkeypatch.setattr(embedding, "nowak_constant", lambda d: float(np.nextafter(1.0, 0.0)))
+    assert not nowak_check(sig, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +361,28 @@ def test_defect_a_norm_matches_direct_rational(third):
     assert norms.a_norm == pytest.approx(float(exact), rel=1e-14)
 
 
-def test_defect_sobolev_matches_lattice_parseval(third):
-    fc = FourierConfig(1, "1/10")
-    g, norms = defect_signal(third, 8, fc, grid_size=256)
-    exact = sqrt(sum(float(v) ** 2 * s[0] ** 4 for s, v in g.entries.items()))
-    assert norms.sobolev == pytest.approx(exact, rel=1e-10)
+def test_defect_sobolev_matches_lattice_parseval():
+    """The lattice-side Sobolev part against the grid quadrature of sum_i ||d_i^nu g~||_L2."""
+    for name, n in (("third-walk", 8), ("third-walk", 64), ("lazy-2d", 6)):
+        walk = preset(name)
+        fc = FourierConfig(walk.dim, "1/10")
+        g, norms = defect_signal(walk, n, fc, grid_size=256)
+        quadrature = 0.0
+        for axis in range(walk.dim):
+            dd = char_function(_derivative_weighted(g, axis, fc.nu), 256).values
+            quadrature += sqrt(float(np.mean(np.abs(dd) ** 2)))
+        assert norms.sobolev == pytest.approx(quadrature, rel=1e-12)
+        assert norms.bound == nowak_constant(walk.dim) * (abs(float(g[(0,) * walk.dim])) + norms.sobolev)
 
 
 def test_defect_norms_decrease_and_respect_bound(third):
     fc = FourierConfig(1, "1/10")
-    rows = [defect_signal(third, n, fc, 1024)[1] for n in (4, 16, 64, 256)]
-    totals = [row.h_total for row in rows]
+    results = [defect_signal(third, n, fc, 1024) for n in (4, 16, 64, 256)]
+    totals = [row.h_total for _, row in results]
     assert all(a > b for a, b in zip(totals, totals[1:]))
-    for row in rows:
-        assert row.a_norm <= row.bound + 1e-8
+    for g, row in results:
+        assert nowak_check(g, fc.nu)
+        assert row.a_norm <= row.bound
 
 
 def test_defect_grid_too_small_raises(third):
