@@ -85,13 +85,11 @@ _EXPORTS = {
         "DefectNorms",
         "FourierConfig",
         "TorusGrid",
-        "box_kernel_hat",
         "box_signal",
         "char_function",
         "defect_signal",
         "drift_removed_char",
         "local_bounds_report",
-        "parseval_pairing",
         "periodic_pairing",
         "smallest_grid",
         "taylor_coefficient",

@@ -30,7 +30,7 @@ from .lattice import (
     span_check,
 )
 from .presets import PRESETS, preset
-from .rational import format_rational, parse_integer, parse_rational, write_csv, write_json
+from .rational import format_rational, parse_integer, parse_integers, parse_rational, write_csv, write_json
 
 COMMANDS = (
     "span-check",
@@ -117,7 +117,7 @@ def _observables_from_config(config: dict, walk: WalkDistribution, budget: int |
 
     budget = DEFAULT_BUDGET if budget is None else budget
     out = []
-    for spec in config.get("observables", []):
+    for spec in _objects(config.get("observables", []), "observables"):
         try:
             obs = observable_from_config(walk.dim, spec)
         except (KeyError, TypeError, ValueError) as exc:
@@ -139,14 +139,14 @@ def _locals_from_config(config: dict, walk: WalkDistribution):
     from . import mixing
     from .phase import Strip
 
-    specs = config.get("locals")
+    specs = _objects(config.get("locals", []), "locals")
     if not specs:
         return [mixing.LocalObservable.unit_square(origin(walk.dim))]
     out = []
-    for spec in specs:
+    for j, spec in enumerate(specs):
         terms = []
-        for term in spec["terms"]:
-            site = tuple(parse_integer(c) for c in term.get("site", origin(walk.dim)))
+        for term in _objects(spec.get("terms"), f"locals[{j}].terms"):
+            site = _parsed(parse_integers, term.get("site", origin(walk.dim)), f"locals[{j}] site")
             if len(site) != walk.dim:
                 raise ConfigError(f"local site {list(site)} has dimension {len(site)}, the walk has dimension {walk.dim}")
             strip = Strip(site, parse_rational(term.get("lo", 0)), parse_rational(term.get("hi", 1)))
@@ -155,11 +155,26 @@ def _locals_from_config(config: dict, walk: WalkDistribution):
     return out
 
 
-def _schedule(config: dict, name: str, default=None, minimum: int = 0) -> list[int]:
+def _parsed(parse, value, name: str):
+    """parse(value), with a malformed value reported as a ConfigError naming its field."""
     try:
-        values = [parse_integer(v) for v in config["schedules"].get(name, default)]
+        return parse(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"schedules.{name}: {exc}") from exc
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+_config_integer = functools.partial(_parsed, parse_integer)
+
+
+def _objects(value, name: str) -> list:
+    """A config field that must be a list of JSON objects."""
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise ConfigError(f"{name} must be a list of objects, got {value!r}")
+    return value
+
+
+def _schedule(config: dict, name: str, default=None, minimum: int = 0) -> list[int]:
+    values = list(_parsed(parse_integers, config["schedules"].get(name, default), f"schedules.{name}"))
     if not values:
         raise ConfigError(f"schedules.{name} is empty")
     if min(values) < minimum:
@@ -315,7 +330,7 @@ def _cmd_fourier_decay(config, walk, out_dir, args):
     from . import fourier
 
     sched = config["schedules"]
-    eps = parse_rational(sched.get("eps", "1/10"))
+    eps = _parsed(parse_rational, sched.get("eps", "1/10"), "schedules.eps")
     try:
         fc = fourier.FourierConfig(walk.dim, eps)
     except ValueError as exc:
@@ -327,7 +342,7 @@ def _cmd_fourier_decay(config, walk, out_dir, args):
     n_max = n_list[-1]
     bandwidth = n_max * walk.max_step + fc.radius(n_max)
     grid = args.grid if args.grid is not None else sched.get("grid")
-    grid = fourier.smallest_grid(bandwidth) if grid is None else parse_integer(grid)
+    grid = fourier.smallest_grid(bandwidth) if grid is None else _config_integer(grid, "schedules.grid")
     if grid <= 2 * bandwidth:
         raise ConfigError(
             f"grid {grid} is below the bandwidth {2 * bandwidth + 1} required for n_max={n_max}"
@@ -376,10 +391,7 @@ def _cmd_fourier_decay(config, walk, out_dir, args):
 
 
 def _cmd_nowak_test(config, walk, out_dir, args):
-    dims = config.get("nowak_dims", [1, 2, 3])
-    if not isinstance(dims, list):
-        raise ConfigError(f"nowak_dims must be a list of dimensions, got {dims!r}")
-    dims = [_config_integer(d, "nowak_dims") for d in dims]
+    dims = list(_parsed(parse_integers, config.get("nowak_dims", [1, 2, 3]), "nowak_dims"))
     count = _config_integer(config.get("nowak_count", 200), "nowak_count")
     radius = _config_integer(config.get("nowak_radius", 6), "nowak_radius")
     seed = _config_integer(config.get("seed", 0), "seed")
@@ -413,13 +425,6 @@ def _cmd_nowak_test(config, walk, out_dir, args):
     write_json(out_dir / "nowak_test.json", payload)
     code = 0 if not failures else 1
     return code, f"nowak-test: {len(failures)} violations in {count * len(dims)} signals", payload
-
-
-def _config_integer(value, name: str) -> int:
-    try:
-        return parse_integer(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _random_signal(rng, dim: int, radius: int) -> LatticeSignal:

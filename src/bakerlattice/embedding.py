@@ -30,14 +30,9 @@ NESTED_TAIL_CONSTANTS = {
 }
 
 
-def a_norm(a: LatticeSignal):
-    """l^1 norm of the coefficients (the absolutely-convergent-series norm).
-
-    Exact (a Fraction) when the signal is exact, float otherwise.
-    """
-    if a.is_exact:
-        return sum((abs(v) for v in a.entries.values()), Fraction(0))
-    return float(sum(abs(v) for v in a.entries.values()))
+def a_norm(a: LatticeSignal) -> Fraction:
+    """Exact l^1 norm of the coefficients (the absolutely-convergent-series norm)."""
+    return sum((abs(v) for v in a.entries.values()), Fraction(0))
 
 
 def _sobolev_sums(a: LatticeSignal, order: int) -> tuple[dict, int, list[int]]:

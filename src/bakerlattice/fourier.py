@@ -29,7 +29,7 @@ from .lattice import (
     origin,
     span_check,
 )
-from .rational import is_exact, nearest_integer, parse_rational
+from .rational import nearest_integer, parse_rational
 
 
 class AliasingError(ValueError):
@@ -91,7 +91,7 @@ def char_function(a: LatticeSignal, grid_size: int) -> TorusGrid:
 
 
 # ---------------------------------------------------------------------------
-# the box kernel and its transform
+# the box kernel
 
 
 def box_signal(dim: int, r: int) -> LatticeSignal:
@@ -100,81 +100,6 @@ def box_signal(dim: int, r: int) -> LatticeSignal:
         raise ValueError("box radius must be >= 1")
     weight = Fraction(1, (2 * r + 1) ** dim)
     return LatticeSignal(dim, dict.fromkeys(itertools.product(range(-r, r + 1), repeat=dim), weight))
-
-
-def _dirichlet_axis(r: int, theta: np.ndarray) -> np.ndarray:
-    """Normalized Dirichlet kernel sin((r+1/2)t) / ((2r+1) sin(t/2)).
-
-    The closed form is a removable singularity at t = 0 (mod 2pi); within
-    1e-6 of it the direct sum (1 + 2 sum_a cos(a t)) / (2r+1) is used
-    instead.  Both branches equal the transform of the uniform box weights.
-    """
-    t = np.asarray(theta, dtype=float)
-    half = np.sin(t / 2.0)
-    near = np.abs(half) < 1e-6
-    safe_half = np.where(near, 1.0, half)
-    closed = np.sin((r + 0.5) * t) / ((2 * r + 1) * safe_half)
-    direct = np.ones_like(t)
-    for a in range(1, r + 1):
-        direct = direct + 2.0 * np.cos(a * t)
-    direct = direct / (2 * r + 1)
-    return np.where(near, direct, closed)
-
-
-def box_kernel_hat(r: int, theta):
-    """Transform of the box kernel at angles theta.
-
-    Scalars and 1-d arrays are read as d = 1 evaluation points; an array of
-    shape (..., d) is read as d-dimensional points and the per-axis kernels
-    are multiplied.
-    """
-    if r < 1:
-        raise ValueError("box radius must be >= 1")
-    arr = np.asarray(theta, dtype=float)
-    if arr.ndim <= 1:
-        out = _dirichlet_axis(r, arr)
-        return float(out) if arr.ndim == 0 else out
-    return np.prod(_dirichlet_axis(r, arr), axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# pairings and norms
-
-
-@dataclass(frozen=True)
-class PairingResult:
-    """Both sides of the duality sum_alpha conj(a) b = int conj(a~) b~."""
-
-    lattice_value: object
-    grid_value: complex
-
-
-def _conj(v):
-    return v.conjugate() if isinstance(v, complex) else v
-
-
-def parseval_pairing(a: LatticeSignal, b: LatticeSignal, grid_size: int) -> PairingResult:
-    """Lattice-side inner product and its grid quadrature.
-
-    Requires M > per-axis support radius of a plus that of b, so that the
-    quadrature of conj(a~) b~ sees no aliased frequency; under that
-    precondition the two values agree to rounding (about 1e-10 relative).
-    """
-    if a.dim != b.dim:
-        raise ValueError("signals live on lattices of different dimension")
-    M = int(grid_size)
-    ra, rb = a.support_radius(), b.support_radius()
-    if any(M <= x + y for x, y in zip(ra, rb)):
-        raise AliasingError(
-            f"grid {M} too small for support radii {ra} + {rb}; aliasing would corrupt the quadrature"
-        )
-    common = set(a.entries) & set(b.entries)
-    start = Fraction(0) if a.is_exact and b.is_exact else 0
-    lattice = sum((_conj(a.entries[s]) * b.entries[s] for s in common), start)
-    ga = char_function(a, M).values
-    gb = char_function(b, M).values
-    grid = complex(np.mean(np.conj(ga) * gb))
-    return PairingResult(lattice, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +279,7 @@ def drift_removed_char(
 class PeriodicPairing:
     """Space-side and spectral-side values of sum_alpha conj(f_alpha) p^(n)_alpha."""
 
-    space_value: object
+    space_value: Fraction
     spectral_value: complex
 
 
@@ -385,9 +310,8 @@ def periodic_pairing(
     dim = p.dim
     if len(period) != dim:
         raise ValueError("period tuple does not match the walk dimension")
-    exact = all(is_exact(v) for v in table.values())
     folded = convolution_power(p, n).fold(period)
-    space = sum((table[r] * w for r, w in folded.entries.items()), Fraction(0) if exact else 0.0)
+    space = sum((table[r] * w for r, w in folded.entries.items()), Fraction(0))
 
     cell = np.zeros(period)
     for residue in np.ndindex(*period):

@@ -1,10 +1,9 @@
 """Exact arithmetic on finitely supported functions over the lattice Z^d.
 
 Walk distributions are finite probability vectors with exact rational
-weights.  Signals are finitely supported real/complex functions on Z^d;
-whenever every value is rational, convolutions, moments, drift and the
-boundary-defect computation stay rational, so tests can assert equalities
-instead of tolerances.
+weights.  Signals are finitely supported rational functions on Z^d, so
+convolutions, moments, drift and the boundary-defect computation stay
+rational and tests can assert equalities instead of tolerances.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from functools import lru_cache
 from math import comb, lcm, prod, sqrt
 from typing import Iterable, Mapping
 
-from .rational import format_rational, is_exact, parse_integer, parse_rational
+from .rational import format_rational, parse_integer, parse_rational
 
 Site = tuple[int, ...]
 
@@ -64,10 +63,6 @@ class LatticeSignal:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(is_exact(v) for v in self.entries.values())
-
     def mass(self):
         return sum(self.entries.values())
 
@@ -83,16 +78,6 @@ class LatticeSignal:
             self.dim,
             {tuple(a + b for a, b in zip(s, g)): v for s, v in self.entries.items()},
         )
-
-    def modulate(self, zeta) -> "LatticeSignal":
-        """Multiply entries by the character exp(i zeta . alpha); values go complex."""
-        import cmath
-
-        out = {}
-        for s, v in self.entries.items():
-            phase = cmath.exp(1j * sum(z * c for z, c in zip(zeta, s)))
-            out[s] = complex(v) * phase
-        return LatticeSignal(self.dim, out)
 
     def reflect(self) -> "LatticeSignal":
         """alpha -> a_{-alpha}: convolving with the reflection correlates."""
@@ -198,7 +183,7 @@ class WalkDistribution:
 # ---------------------------------------------------------------------------
 # convolution
 #
-# Exact signals are multiplied in integer form: integer numerators over one
+# Signals are multiplied in integer form: integer numerators over one
 # common denominator, with Fractions built once, for the result.
 
 
@@ -274,11 +259,9 @@ def _kronecker(a: dict, b: dict, n: int = 1) -> dict:
 
 
 def convolve(a: LatticeSignal, b: LatticeSignal) -> LatticeSignal:
-    """(a * b)_alpha = sum_beta a_beta b_{alpha-beta}; exact on rational input."""
+    """(a * b)_alpha = sum_beta a_beta b_{alpha-beta}, exactly."""
     if a.dim != b.dim:
         raise DimensionMismatchError("cannot convolve signals of different dimension")
-    if not (a.is_exact and b.is_exact):
-        return LatticeSignal.from_entries(a.dim, _convolve_entries(a.entries, b.entries))
     if not (a.entries and b.entries):
         return LatticeSignal(a.dim, {})
     na, da = _integer_form(a)

@@ -30,7 +30,7 @@ from .lattice import (
     origin,
 )
 from .phase import DEFAULT_BUDGET, BudgetExceededError, PartitionTable, PhasePoint
-from .rational import format_rational, parse_integer, parse_rational
+from .rational import format_rational, parse_integer, parse_integers, parse_rational
 
 
 class Sentinel:
@@ -305,7 +305,7 @@ class SiteObservable:
 def _site_table(dim: int, table: Mapping, name: str) -> dict:
     out = {}
     for s, v in table.items():
-        site = tuple(parse_integer(c) for c in s)
+        site = parse_integers(s)
         if len(site) != dim:
             raise ValueError(f"{name} key {list(site)} has dimension {len(site)}, the walk has dimension {dim}")
         out[site] = parse_rational(v)
@@ -313,12 +313,12 @@ def _site_table(dim: int, table: Mapping, name: str) -> dict:
 
 
 def periodic_observable(period, table: Mapping) -> SiteObservable:
-    period = tuple(parse_integer(l) for l in period)
+    period = parse_integers(period)
     if any(l < 1 for l in period):
         raise ValueError(f"periods must be positive, got {list(period)}")
     clean = {}
     for residue, v in table.items():
-        key = (residue,) if isinstance(residue, int) else tuple(parse_integer(c) for c in residue)
+        key = (residue,) if isinstance(residue, int) else parse_integers(residue)
         if len(key) != len(period):
             raise ValueError(f"table key {list(key)} has dimension {len(key)}, the period has dimension {len(period)}")
         clean[tuple(c % l for c, l in zip(key, period))] = parse_rational(v)
@@ -690,17 +690,19 @@ def av_invariance_check(f: SiteObservable, p: WalkDistribution, n: int, family: 
 # config (de)serialization
 
 
-def _parse_table(table: Mapping) -> dict:
+def _parse_table(table: Mapping, name: str = "table") -> dict:
     """Config table with "i,j" site keys."""
-    return {tuple(parse_integer(c) for c in str(key).split(",")): parse_rational(v) for key, v in table.items()}
+    if not isinstance(table, Mapping):
+        raise TypeError(f"{name} must be an object, got {table!r}")
+    return {parse_integers(str(key).split(",")): parse_rational(v) for key, v in table.items()}
 
 
 def _box_from_config(dim: int, cfg: Mapping) -> Box:
     """``box: {lo, hi}`` as written by observable_to_config, else ``center``/``radius``."""
     if "box" in cfg:
-        box = Box(tuple(parse_integer(c) for c in cfg["box"]["lo"]), tuple(parse_integer(c) for c in cfg["box"]["hi"]))
+        box = Box(parse_integers(cfg["box"]["lo"]), parse_integers(cfg["box"]["hi"]))
     else:
-        center = tuple(parse_integer(c) for c in cfg.get("center", origin(dim)))
+        center = parse_integers(cfg.get("center", origin(dim)))
         box = Box.centered(center, parse_integer(cfg.get("radius", 0)))
     if box.dim != dim:
         raise ValueError(f"box of dimension {box.dim} for a {dim}-dimensional walk")
@@ -710,14 +712,15 @@ def _box_from_config(dim: int, cfg: Mapping) -> Box:
 def observable_from_config(dim: int, cfg: Mapping):
     kind = cfg.get("kind")
     if kind == "periodic":
-        if len(cfg["period"]) != dim:
-            raise ValueError(f"period {cfg['period']} has dimension {len(cfg['period'])}, the walk has dimension {dim}")
-        return periodic_observable(cfg["period"], _parse_table(cfg["table"]))
+        period = parse_integers(cfg["period"])
+        if len(period) != dim:
+            raise ValueError(f"period {list(period)} has dimension {len(period)}, the walk has dimension {dim}")
+        return periodic_observable(period, _parse_table(cfg["table"]))
     if kind == "constantOutsideBox":
         return localized_observable(dim, cfg["constant"], _box_from_config(dim, cfg), _parse_table(cfg.get("table", {})))
     if kind == "orthant":
         return orthant_observable(
-            dim, _parse_table(cfg["constants"]), _box_from_config(dim, cfg), _parse_table(cfg.get("table", {}))
+            dim, _parse_table(cfg["constants"], "constants"), _box_from_config(dim, cfg), _parse_table(cfg.get("table", {}))
         )
     if kind == "sign1d":
         if dim != 1:
@@ -727,12 +730,11 @@ def observable_from_config(dim: int, cfg: Mapping):
         depth = parse_integer(cfg["m"])
         values = {}
         for rec in cfg["values"]:
-            site = tuple(parse_integer(c) for c in rec["site"])
-            back, fwd = rec.get("back", ()), rec.get("fwd", ())
+            site = parse_integers(rec["site"])
+            back, fwd = parse_integers(rec.get("back", ())), parse_integers(rec.get("fwd", ()))
             if not len(back) == len(fwd) == depth:
                 raise ValueError(f"cell record {rec!r} needs m = {depth} back and fwd digits, got {len(back)} and {len(fwd)}")
-            word = tuple(parse_integer(d) for d in (*back, *fwd))
-            values[(site, word)] = parse_rational(rec["value"])
+            values[(site, back + fwd)] = parse_rational(rec["value"])
         return CellObservable(dim, depth, values, parse_rational(cfg.get("default", 0)))
     raise ValueError(f"unknown observable kind {kind!r}")
 

@@ -48,6 +48,13 @@ def parse_integer(value) -> int:
     return q.numerator
 
 
+def parse_integers(value) -> tuple[int, ...]:
+    """Parse a list or tuple of integer fields; a string is not read digit by digit."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list of integers, got {value!r}")
+    return tuple(parse_integer(c) for c in value)
+
+
 def format_rational(q: Fraction) -> str:
     q = Fraction(q)
     if q.denominator == 1:

@@ -10,6 +10,7 @@ import pytest
 from bakerlattice import cli, evolve_site, mixing
 from bakerlattice.cli import main, run
 from bakerlattice.embedding import nowak_constant
+from bakerlattice.rational import parse_integers
 
 
 def read_json(path):
@@ -61,8 +62,10 @@ def test_unknown_preset_exit_2(tmp_path, capsys):
 
 
 def test_bad_eps_exit_2(tmp_path, capsys):
-    config = {"schedules": {"eps": "2/5", "decay_n_list": [4]}}
-    assert run("fourier-decay", config, tmp_path / "o") == 2
+    for schedules, field in (({"eps": "2/5"}, "eps"), ({"eps": "abc"}, "schedules.eps"), ({"grid": "x"}, "schedules.grid")):
+        config = {"schedules": {**schedules, "decay_n_list": [4]}}
+        assert run("fourier-decay", config, tmp_path / "o") == 2
+        assert one_error_line(capsys).startswith(field)
 
 
 @pytest.mark.parametrize("grid", [64, 0])
@@ -241,6 +244,51 @@ def test_cell_site_of_wrong_dimension_exit_2(tmp_path, capsys, command):
     assert "cell site [0, 1] has dimension 2, the walk has dimension 1" in one_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"observables": [5]}, "observables must be a list of objects, got [5]"),
+        ({"observables": "abc"}, "observables must be a list of objects, got 'abc'"),
+        ({"observables": [{"kind": "periodic", "period": [2], "table": [1, 2]}]}, "table must be an object, got [1, 2]"),
+        ({"locals": [{"terms": [5]}]}, "locals[0].terms must be a list of objects, got [5]"),
+        ({"locals": [5]}, "locals must be a list of objects, got [5]"),
+        ({"locals": {"a": 1}}, "locals must be a list of objects, got {'a': 1}"),
+    ],
+)
+def test_malformed_observable_and_local_specs_exit_2(tmp_path, capsys, config, message):
+    # the first four once ended in an AttributeError traceback with exit 1
+    assert run("correlate", config, tmp_path / "o") == 2
+    assert message in one_error_line(capsys)
+
+
+CELL_RECORD = {"site": [0], "back": [1], "fwd": [1], "value": "1"}
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("correlate", {"schedules": {"n_list": "12"}}, "schedules.n_list: expected a list of integers, got '12'"),
+        ("fourier-decay", {"schedules": {"decay_n_list": "48"}}, "schedules.decay_n_list: expected a list of integers"),
+        ("correlate", {"walk": {"preset": "lazy-2d"}, "observables": [{"kind": "periodic", "period": "23", "table": {}}]},
+         "expected a list of integers, got '23'"),
+        ("correlate", {"locals": [{"terms": [{"site": "10"}]}]}, "locals[0] site: expected a list of integers, got '10'"),
+        ("correlate", {"observables": [{"kind": "constantOutsideBox", "constant": "0", "center": "0", "radius": 1}]},
+         "expected a list of integers, got '0'"),
+        ("correlate", {"observables": [{"kind": "constantOutsideBox", "constant": "0", "box": {"lo": "0", "hi": [1]}}]},
+         "expected a list of integers, got '0'"),
+        ("correlate", {"observables": [{"kind": "cell", "m": 1, "values": [{**CELL_RECORD, "site": "0"}]}]},
+         "expected a list of integers, got '0'"),
+        ("correlate", {"observables": [{"kind": "cell", "m": 1, "values": [{**CELL_RECORD, "back": "1"}]}]},
+         "expected a list of integers, got '1'"),
+    ],
+)
+def test_string_integer_lists_exit_2(tmp_path, capsys, command, config, message):
+    # each string was once read one character at a time: n = 1, 2 or site (1, 0)
+    assert run(command, config, tmp_path / "o") == 2
+    assert message in one_error_line(capsys)
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
 @pytest.mark.parametrize("kinds", ["M5", ["M5", "M3"], [5], []])
 def test_invalid_mixing_kinds_exit_2(tmp_path, capsys, kinds):
     assert run("mixing-report", {"mixing_kinds": kinds}, tmp_path / "o") == 2
@@ -309,6 +357,13 @@ def test_integer_fields_read_ints_integral_floats_and_strings(tmp_path, capsys):
         assert run("correlate", config, tmp_path / name) == 0
     rows = [(tmp_path / name / "correlate_0_0.csv").read_text().splitlines()[1:] for name in ("plain", "spelled")]
     assert rows[0] == rows[1]
+
+
+def test_parse_integers_reads_lists_and_tuples_only():
+    assert parse_integers(["1", 2.0, 3]) == parse_integers((1, 2, 3)) == (1, 2, 3)
+    for value in ("12", 12, None, {"0": 1}):
+        with pytest.raises(TypeError, match="expected a list of integers"):
+            parse_integers(value)
 
 
 def test_json_float_table_values_parse_exactly(tmp_path, capsys):

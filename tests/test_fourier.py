@@ -17,7 +17,6 @@ from bakerlattice import (
     LatticeSignal,
     WalkDistribution,
     a_norm,
-    box_kernel_hat,
     box_signal,
     char_function,
     convolution_power,
@@ -28,7 +27,6 @@ from bakerlattice import (
     local_bounds_report,
     nowak_check,
     nowak_constant,
-    parseval_pairing,
     periodic_pairing,
     preset,
     smallest_grid,
@@ -79,63 +77,6 @@ def test_convolution_theorem_on_grid(seed, dim):
 
 
 # ---------------------------------------------------------------------------
-# box kernel
-
-
-def test_box_kernel_normalization_and_hand_value():
-    assert box_kernel_hat(1, 0.0) == pytest.approx(1.0, abs=1e-15)
-    assert box_kernel_hat(1, pi) == pytest.approx(-1 / 3, abs=1e-14)
-
-
-@pytest.mark.parametrize("r", [1, 2, 5, 13, 30])
-def test_box_kernel_matches_direct_transform(r):
-    grid = char_function(box_signal(1, r), 128)
-    kernel = box_kernel_hat(r, grid.theta_axis())
-    assert np.max(np.abs(kernel - grid.values.real)) < 1e-12
-    assert np.max(np.abs(grid.values.imag)) < 1e-12
-
-
-def test_box_kernel_2d_factorizes():
-    pts = np.array([[0.3, 1.1], [pi, 0.4], [2.0, 2.0]])
-    expect = box_kernel_hat(2, pts[:, 0]) * box_kernel_hat(2, pts[:, 1])
-    assert np.allclose(box_kernel_hat(2, pts), expect, atol=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# Parseval pairing
-
-
-def test_parseval_delta():
-    d = LatticeSignal.delta(1)
-    res = parseval_pairing(d, d, 8)
-    assert res.lattice_value == 1
-    assert res.grid_value == pytest.approx(1.0, abs=1e-12)
-
-
-def test_parseval_walk_self_pairing(third):
-    res = parseval_pairing(third.signal(), third.signal(), 16)
-    assert res.lattice_value == Fraction(1, 3)
-    assert abs(res.grid_value - 1 / 3) < 1e-12
-
-
-def test_parseval_aliasing_flagged(third):
-    p4 = convolution_power(third, 4)
-    with pytest.raises(AliasingError):
-        parseval_pairing(p4, p4, 8)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.integers(1, 2))
-def test_parseval_sides_agree(seed, dim):
-    rng = random.Random(seed)
-    a = random_signal(rng, dim, radius=5)
-    b = random_signal(rng, dim, radius=5)
-    res = parseval_pairing(a, b, 16)
-    scale = max(1.0, float(a_norm(a)) * float(a_norm(b)))
-    assert abs(complex(res.lattice_value) - res.grid_value) < 1e-10 * scale
-
-
-# ---------------------------------------------------------------------------
 # norms and the embedding constant
 
 
@@ -152,15 +93,6 @@ def test_norms_on_delta_and_spike():
 def test_a_norm_translation_invariant(seed, shift):
     sig = random_signal(random.Random(seed), 1)
     assert a_norm(sig.shift((shift,))) == a_norm(sig)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10**6))
-def test_a_norm_modulation_invariant(seed):
-    rng = random.Random(seed)
-    sig = random_signal(rng, 1)
-    zeta = rng.uniform(-pi, pi)
-    assert float(a_norm(sig.modulate((zeta,)))) == pytest.approx(float(a_norm(sig)), rel=1e-12)
 
 
 def test_h_norm_brute_force_agreement():

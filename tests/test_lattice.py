@@ -64,17 +64,6 @@ def test_convolve_third_walk_hand_values(third):
     assert pp[(2,)] == Fraction(1, 9)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10**6), st.integers(1, 2))
-def test_convolve_float_entries_match_exact(seed, dim):
-    rng = random.Random(seed)
-    a, b = random_signal(rng, dim), random_signal(rng, dim)
-    exact = convolve(a, b)
-    inexact = convolve(LatticeSignal(dim, {s: float(v) for s, v in a.entries.items()}), b)
-    for s in set(exact.entries) | set(inexact.entries):
-        assert float(inexact[s]) == pytest.approx(float(exact[s]), abs=1e-12)
-
-
 def test_reflect_and_fold_hand_values():
     a = LatticeSignal.from_entries(
         2,
