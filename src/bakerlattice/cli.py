@@ -32,17 +32,6 @@ from .lattice import (
 from .presets import PRESETS, preset
 from .rational import format_rational, parse_integer, parse_integers, parse_rational, write_csv, write_json
 
-COMMANDS = (
-    "span-check",
-    "simulate",
-    "correlate",
-    "mixing-report",
-    "fourier-decay",
-    "nowak-test",
-    "a1-check",
-    "audit",
-)
-
 MIXING_KINDS = ("M5", "M4", "M2", "M1")
 
 _DEFAULT_CONFIG = {
@@ -120,15 +109,13 @@ def _observables_from_config(config: dict, walk: WalkDistribution, budget: int |
     for spec in _objects(config.get("observables", []), "observables"):
         try:
             obs = observable_from_config(walk.dim, spec)
+            depth = 0
+            if isinstance(obs, CellObservable):
+                obs, depth = reduce_to_site(obs, walk, budget), obs.depth
+        except BudgetExceededError as exc:
+            raise ConfigError(str(exc)) from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid observable {spec!r}: {exc}") from exc
-        depth = 0
-        if isinstance(obs, CellObservable):
-            depth = obs.depth
-            try:
-                obs = reduce_to_site(obs, walk, budget)
-            except BudgetExceededError as exc:
-                raise ConfigError(str(exc)) from exc
         out.append((obs, depth))
     if not out:
         raise ConfigError("config declares no observables")
@@ -145,13 +132,16 @@ def _locals_from_config(config: dict, walk: WalkDistribution):
     out = []
     for j, spec in enumerate(specs):
         terms = []
-        for term in _objects(spec.get("terms"), f"locals[{j}].terms"):
+        for k, term in enumerate(_objects(spec.get("terms"), f"locals[{j}].terms")):
             site = _parsed(parse_integers, term.get("site", origin(walk.dim)), f"locals[{j}] site")
             if len(site) != walk.dim:
                 raise ConfigError(f"local site {list(site)} has dimension {len(site)}, the walk has dimension {walk.dim}")
-            strip = Strip(site, parse_rational(term.get("lo", 0)), parse_rational(term.get("hi", 1)))
-            terms.append((strip, parse_rational(term.get("weight", 1))))
-        out.append(mixing.LocalObservable(tuple(terms)))
+            name = f"locals[{j}].terms[{k}]"
+            lo = _parsed(parse_rational, term.get("lo", 0), f"{name}.lo")
+            hi = _parsed(parse_rational, term.get("hi", 1), f"{name}.hi")
+            weight = _parsed(parse_rational, term.get("weight", 1), f"{name}.weight")
+            terms.append((_parsed(lambda bounds: Strip(site, *bounds), (lo, hi), name), weight))
+        out.append(_parsed(mixing.LocalObservable, tuple(terms), f"locals[{j}].terms"))
     return out
 
 
@@ -163,7 +153,12 @@ def _parsed(parse, value, name: str):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-_config_integer = functools.partial(_parsed, parse_integer)
+def _integer(config: dict, name: str, default: int, minimum: int | None = None) -> int:
+    """The integer field ``name`` of the config, at least ``minimum`` when one is given."""
+    value = _parsed(parse_integer, config.get(name, default), name)
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def _objects(value, name: str) -> list:
@@ -191,7 +186,7 @@ def _meta(config: dict, command: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# command bodies (each returns (exit_code, summary, payload))
+# command bodies (each returns (exit_code, summary line, payload of <command>.json))
 
 
 def _cmd_span_check(config, walk, out_dir, args):
@@ -202,19 +197,15 @@ def _cmd_span_check(config, walk, out_dir, args):
         "basis": [list(row) for row in verdict.basis],
         "walk": walk.to_json_dict(),
     }
-    write_json(out_dir / "span_check.json", payload)
     return 0, json.dumps({"verdict": verdict.verdict}), payload
 
 
 def _cmd_simulate(config, walk, out_dir, args):
     from .phase import simulate_walk
 
-    steps = _config_integer(config.get("steps", 4), "steps")
-    samples = _config_integer(config.get("samples", 100000), "samples")
-    seed = _config_integer(config.get("seed", 0), "seed")
-    for name, value, low in (("steps", steps, 0), ("samples", samples, 1), ("seed", seed, 0)):
-        if value < low:
-            raise ConfigError(f"{name} must be >= {low}, got {value}")
+    steps = _integer(config, "steps", 4, minimum=0)
+    samples = _integer(config, "samples", 100000, minimum=1)
+    seed = _integer(config, "seed", 0, minimum=0)
     hist = simulate_walk(walk, steps, samples, seed)
     hist.write_csv(out_dir / "histogram.csv", {"config_hash": _config_hash(config)})
     payload = {
@@ -224,7 +215,6 @@ def _cmd_simulate(config, walk, out_dir, args):
         "empirical_mean": list(hist.empirical_mean()),
         "sites_seen": len(hist.counts),
     }
-    write_json(out_dir / "simulate.json", payload)
     return 0, f"simulate: {samples} samples, {len(hist.counts)} sites", payload
 
 
@@ -250,7 +240,6 @@ def _cmd_correlate(config, walk, out_dir, args):
             report = mixing.m4_report(obs, g, evs, family, metadata=meta)
             _write_report(report, out_dir, f"correlate_{i}_{j}", written)
     payload = {**_meta(config, "correlate"), "walk": walk.to_json_dict(), "artifacts": written}
-    write_json(out_dir / "correlate.json", payload)
     return 0, f"correlate: wrote {len(written)} artifacts", payload
 
 
@@ -322,7 +311,6 @@ def _cmd_mixing_report(config, walk, out_dir, args):
                 rep = mixing.m1_report(f_obs, g_obs, evs(i), metadata={**meta, "observables": f"{i},{j}"})
                 _write_report(rep, out_dir, f"m1_{i}_{j}", written)
     payload = {**meta, "kinds": kinds, "walk": walk.to_json_dict(), "averages": averages, "artifacts": written}
-    write_json(out_dir / "mixing_report.json", payload)
     return 0, f"mixing-report: kinds={','.join(kinds)}, {len(written)} artifacts", payload
 
 
@@ -342,7 +330,7 @@ def _cmd_fourier_decay(config, walk, out_dir, args):
     n_max = n_list[-1]
     bandwidth = n_max * walk.max_step + fc.radius(n_max)
     grid = args.grid if args.grid is not None else sched.get("grid")
-    grid = fourier.smallest_grid(bandwidth) if grid is None else _config_integer(grid, "schedules.grid")
+    grid = fourier.smallest_grid(bandwidth) if grid is None else _parsed(parse_integer, grid, "schedules.grid")
     if grid <= 2 * bandwidth:
         raise ConfigError(
             f"grid {grid} is below the bandwidth {2 * bandwidth + 1} required for n_max={n_max}"
@@ -372,7 +360,6 @@ def _cmd_fourier_decay(config, walk, out_dir, args):
         ),
         "embedding_ok": embedding_ok,
     }
-    write_json(out_dir / "fourier_decay.json", payload)
     if args.plot:
         from .svgplot import write_loglog_svg
 
@@ -392,17 +379,13 @@ def _cmd_fourier_decay(config, walk, out_dir, args):
 
 def _cmd_nowak_test(config, walk, out_dir, args):
     dims = list(_parsed(parse_integers, config.get("nowak_dims", [1, 2, 3]), "nowak_dims"))
-    count = _config_integer(config.get("nowak_count", 200), "nowak_count")
-    radius = _config_integer(config.get("nowak_radius", 6), "nowak_radius")
-    seed = _config_integer(config.get("seed", 0), "seed")
+    count = _integer(config, "nowak_count", 200)
     if count < 1 or not dims:
         raise ConfigError(f"nowak-test needs nowak_count >= 1 and some nowak_dims, got {count} and {dims}")
     if not all(1 <= d <= 4 for d in dims):
         raise ConfigError(f"nowak_dims must lie in 1..4 (the tabulated C_d), got {dims}")
-    if radius < 0:
-        raise ConfigError(f"nowak_radius must be >= 0, got {radius}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    radius = _integer(config, "nowak_radius", 6, minimum=0)
+    seed = _integer(config, "seed", 0, minimum=0)
     import random
 
     from . import embedding
@@ -422,7 +405,6 @@ def _cmd_nowak_test(config, walk, out_dir, args):
         "constants": {str(d): embedding.nowak_constant(d) for d in dims},
         "failures": failures,
     }
-    write_json(out_dir / "nowak_test.json", payload)
     code = 0 if not failures else 1
     return code, f"nowak-test: {len(failures)} violations in {count * len(dims)} signals", payload
 
@@ -459,7 +441,6 @@ def _cmd_a1_check(config, walk, out_dir, args):
         "rows": rows,
         "ok": ok,
     }
-    write_json(out_dir / "a1_check.json", payload)
     return (0 if ok else 1), f"a1-check: ok={ok} over r={r_list}", payload
 
 
@@ -479,9 +460,8 @@ def _cmd_audit(config, walk, out_dir, args):
         metadata=_meta(config, "audit"),
     )
     record.write_csv(out_dir / "audit.csv")
-    write_json(out_dir / "audit.json", record.to_json_dict())
-    code = 0 if record.ok else 1
-    return code, f"audit: ok={record.ok} ({len(record.m2_rows)} M2 rows, {len(record.m4_rows)} M4 rows)", record.to_json_dict()
+    summary = f"audit: ok={record.ok} ({len(record.m2_rows)} M2 rows, {len(record.m4_rows)} M4 rows)"
+    return (0 if record.ok else 1), summary, record.to_json_dict()
 
 
 _BODIES = {
@@ -494,10 +474,12 @@ _BODIES = {
     "a1-check": _cmd_a1_check,
     "audit": _cmd_audit,
 }
+COMMANDS = tuple(_BODIES)
 
 
 def run(command: str, config: dict, out_dir, seed=None, grid=None, budget=None, plot=False) -> int:
-    """Validate the config, execute one command, write artifacts, return the exit code."""
+    """Validate the config, execute one command, write its artifacts and its
+    ``<command>.json`` summary, return the exit code."""
     args = argparse.Namespace(grid=grid, budget=budget, plot=plot)
     try:
         if command not in _BODIES:
@@ -509,7 +491,8 @@ def run(command: str, config: dict, out_dir, seed=None, grid=None, budget=None, 
         _family_from_config(config, walk.dim)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        code, summary, _ = _BODIES[command](config, walk, out, args)
+        code, summary, payload = _BODIES[command](config, walk, out, args)
+        write_json(out / f"{command.replace('-', '_')}.json", payload)
     except ConfigError as exc:
         print(json.dumps({"error": {"exit": 2, "message": str(exc)}}), file=sys.stderr)
         return 2

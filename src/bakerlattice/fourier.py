@@ -366,11 +366,6 @@ class LocalBoundsReport:
     flagged_n: tuple[int, ...]
     grid_size: int
 
-    def to_json_dict(self) -> dict:
-        from .rational import to_jsonable
-
-        return to_jsonable(self)
-
 
 def taylor_coefficient(j: int, r: int) -> Fraction:
     """Order-2j Taylor coefficient of the 1d box kernel transform at 0.

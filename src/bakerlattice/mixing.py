@@ -499,6 +499,8 @@ def implication_audit(
     |Av F| |mu_V(G) - Av G|  +  0  +  gap * mu_V(|G|),
     the middle term being exactly zero here because the decomposition is
     exact on every box.  All comparisons are exact for rational inputs.
+    The rows audit the reports' own numbers: the gaps of ``m5_report``, the
+    deviations and bounds of ``m4_report`` and the deviations of ``m2_table``.
     """
     if family is None:
         family = BoxFamily.translation_invariant(p.dim)
@@ -518,32 +520,18 @@ def implication_audit(
     for fi in convergent:
         f, av_f = globals_[fi], averages[fi]
         evs = {n: evolve_site(f, p, n) for n in n_list}
-        gaps = {n: ev.sup_deviation(av_f) for n, ev in evs.items()}
+        gaps = m5_report(f, evs, family).series
         for gi, g in enumerate(locals_):
-            for n in n_list:
-                dev = abs(_pair(evs[n], g) - av_f * g.mass())
-                m4_rows.append(
-                    M4AuditRow(fi, gi, n, dev, gaps[n] * g.abs_mass(), g.mass() == 0)
-                )
+            m4 = m4_report(f, g, evs, family)
+            devs = m4.deviations()
+            m4_rows.extend(M4AuditRow(fi, gi, n, devs[n], m4.gap_series[n], g.mass() == 0) for n in n_list)
         for gi in convergent:
-            G, av_g = globals_[gi], averages[gi]
-            for n in n_list:
-                for r in r_list:
-                    entry = box_average_product(evs[n], G, boxes[r])
-                    mean_G, mean_abs_G = means[gi][r]
-                    term1 = abs(av_f) * abs(mean_G - av_g)
-                    term3 = gaps[n] * mean_abs_G
-                    m2_rows.append(
-                        M2AuditRow(
-                            fi,
-                            gi,
-                            n,
-                            r,
-                            term1,
-                            Fraction(0),
-                            term3,
-                            abs(entry - av_f * av_g),
-                        )
-                    )
+            devs = m2_table(f, globals_[gi], evs, r_list, family, eps_schedule=()).deviations()
+            term1 = {r: abs(av_f) * abs(means[gi][r][0] - averages[gi]) for r in r_list}
+            m2_rows.extend(
+                M2AuditRow(fi, gi, n, r, term1[r], Fraction(0), gaps[n] * means[gi][r][1], devs[(n, r)])
+                for n in n_list
+                for r in r_list
+            )
     return AuditRecord(tuple(m4_rows), tuple(m2_rows), metadata or {})
 

@@ -179,8 +179,7 @@ class PeriodicTail(Tail):
     def evolve(self, pn):
         cell = LatticeSignal.from_entries(len(self.period), self.table)
         evolved = convolve(cell, pn.fold(self.period).reflect()).fold(self.period).entries
-        zero = 0 * next(iter(self.table.values()))  # typed like the table: Fraction or float
-        return PeriodicTail(self.period, {r: evolved.get(r, zero) for r in self.table})
+        return PeriodicTail(self.period, {r: evolved.get(r, Fraction(0)) for r in self.table})
 
     def background(self, signs):
         return self
@@ -302,12 +301,20 @@ class SiteObservable:
         return self.tail.sup_deviation(center)
 
 
-def _site_table(dim: int, table: Mapping, name: str) -> dict:
+def _site_table(dim: int, table: Mapping, name: str, owner: str = "walk") -> dict:
+    """The table with rational values, each key read as a site: a tuple or
+    list, an "i,j" string, or an int; a site named twice is an error."""
+    if not isinstance(table, Mapping):
+        raise TypeError(f"{name} must be an object, got {table!r}")
     out = {}
-    for s, v in table.items():
-        site = parse_integers(s)
+    for key, v in table.items():
+        if isinstance(key, str):
+            key = key.split(",")
+        site = parse_integers(key if isinstance(key, (list, tuple)) else [key])
         if len(site) != dim:
-            raise ValueError(f"{name} key {list(site)} has dimension {len(site)}, the walk has dimension {dim}")
+            raise ValueError(f"{name} key {list(site)} has dimension {len(site)}, the {owner} has dimension {dim}")
+        if site in out:
+            raise ValueError(f"{name}: site {list(site)} is named twice")
         out[site] = parse_rational(v)
     return out
 
@@ -316,13 +323,13 @@ def periodic_observable(period, table: Mapping) -> SiteObservable:
     period = parse_integers(period)
     if any(l < 1 for l in period):
         raise ValueError(f"periods must be positive, got {list(period)}")
-    clean = {}
-    for residue, v in table.items():
-        key = (residue,) if isinstance(residue, int) else parse_integers(residue)
-        if len(key) != len(period):
-            raise ValueError(f"table key {list(key)} has dimension {len(key)}, the period has dimension {len(period)}")
-        clean[tuple(c % l for c, l in zip(key, period))] = parse_rational(v)
-    return SiteObservable(len(period), PeriodicTail(period, clean))
+    residues = {}
+    for site, v in _site_table(len(period), table, "table", "period").items():
+        residue = tuple(c % l for c, l in zip(site, period))
+        if residue in residues:
+            raise ValueError(f"table: residue {list(residue)} of period {list(period)} is named twice")
+        residues[residue] = v
+    return SiteObservable(len(period), PeriodicTail(period, residues))
 
 
 def constant_observable(dim: int, value) -> SiteObservable:
@@ -690,13 +697,6 @@ def av_invariance_check(f: SiteObservable, p: WalkDistribution, n: int, family: 
 # config (de)serialization
 
 
-def _parse_table(table: Mapping, name: str = "table") -> dict:
-    """Config table with "i,j" site keys."""
-    if not isinstance(table, Mapping):
-        raise TypeError(f"{name} must be an object, got {table!r}")
-    return {parse_integers(str(key).split(",")): parse_rational(v) for key, v in table.items()}
-
-
 def _box_from_config(dim: int, cfg: Mapping) -> Box:
     """``box: {lo, hi}`` as written by observable_to_config, else ``center``/``radius``."""
     if "box" in cfg:
@@ -715,13 +715,11 @@ def observable_from_config(dim: int, cfg: Mapping):
         period = parse_integers(cfg["period"])
         if len(period) != dim:
             raise ValueError(f"period {list(period)} has dimension {len(period)}, the walk has dimension {dim}")
-        return periodic_observable(period, _parse_table(cfg["table"]))
+        return periodic_observable(period, cfg["table"])
     if kind == "constantOutsideBox":
-        return localized_observable(dim, cfg["constant"], _box_from_config(dim, cfg), _parse_table(cfg.get("table", {})))
+        return localized_observable(dim, cfg["constant"], _box_from_config(dim, cfg), cfg.get("table", {}))
     if kind == "orthant":
-        return orthant_observable(
-            dim, _parse_table(cfg["constants"], "constants"), _box_from_config(dim, cfg), _parse_table(cfg.get("table", {}))
-        )
+        return orthant_observable(dim, cfg["constants"], _box_from_config(dim, cfg), cfg.get("table", {}))
     if kind == "sign1d":
         if dim != 1:
             raise ValueError("sign1d needs a one-dimensional walk")

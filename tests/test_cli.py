@@ -1,11 +1,18 @@
 """Command line front end: exit codes, artifacts, determinism."""
 
+import contextlib
 import filecmp
+import io
+import itertools
 import json
+import tempfile
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bakerlattice import cli, evolve_site, mixing
 from bakerlattice.cli import main, run
@@ -244,6 +251,9 @@ def test_cell_site_of_wrong_dimension_exit_2(tmp_path, capsys, command):
     assert "cell site [0, 1] has dimension 2, the walk has dimension 1" in one_error_line(capsys)
 
 
+DIGIT_BEYOND_THE_WALK = {"kind": "cell", "m": 1, "values": [{"site": [0], "back": [4], "fwd": [1], "value": "1"}]}
+
+
 @pytest.mark.parametrize(
     "config, message",
     [
@@ -253,10 +263,29 @@ def test_cell_site_of_wrong_dimension_exit_2(tmp_path, capsys, command):
         ({"locals": [{"terms": [5]}]}, "locals[0].terms must be a list of objects, got [5]"),
         ({"locals": [5]}, "locals must be a list of objects, got [5]"),
         ({"locals": {"a": 1}}, "locals must be a list of objects, got {'a': 1}"),
+        ({"observables": [{"kind": "periodic", "period": [2], "table": {"0": "1", "1": "-1", "2": "5"}}]},
+         "table: residue [0] of period [2] is named twice"),
+        ({"observables": [{"kind": "periodic", "period": [2], "table": {"2": "5", "0": "1", "1": "-1"}}]},
+         "table: residue [0] of period [2] is named twice"),
+        ({"observables": [{"kind": "constantOutsideBox", "constant": "0", "radius": 1, "table": {"1": "2", "1.0": "3"}}]},
+         "constantOutsideBox table: site [1] is named twice"),
+        ({"observables": [{"kind": "orthant", "constants": {"1": "1", "-1": "-1", "+1": "2"}, "radius": 1}]},
+         "orthant constants: site [1] is named twice"),
+        ({"locals": [{"terms": [{"lo": "abc"}]}]}, "locals[0].terms[0].lo: "),
+        ({"locals": [{"terms": [{}]}, {"terms": [{}, {"hi": [1]}]}]},
+         "locals[1].terms[1].hi: cannot interpret [1] as a rational number"),
+        ({"locals": [{"terms": [{"weight": "1/0"}]}]}, "locals[0].terms[0].weight: zero denominator in '1/0'"),
+        ({"locals": [{"terms": [{"lo": "3/4", "hi": "1/4"}]}]},
+         "locals[0].terms[0]: strip interval must satisfy 0 <= lo < hi <= 1, got [3/4, 1/4)"),
+        ({"locals": [{"terms": []}]}, "locals[0].terms: local observable needs at least one strip term"),
+        ({"observables": [DIGIT_BEYOND_THE_WALK]},
+         f"invalid observable {DIGIT_BEYOND_THE_WALK!r}: digit out of range for a walk with 3 directions"),
     ],
 )
 def test_malformed_observable_and_local_specs_exit_2(tmp_path, capsys, config, message):
-    # the first four once ended in an AttributeError traceback with exit 1
+    # the first four once ended in an AttributeError traceback with exit 1; the
+    # tables naming a site twice ran with exit 0 on whichever value came last,
+    # and the locals' fields and the cell digit went unnamed, through run's catch-all
     assert run("correlate", config, tmp_path / "o") == 2
     assert message in one_error_line(capsys)
 
@@ -629,3 +658,75 @@ def test_main_rejects_missing_config_file(tmp_path, capsys):
     )
     assert code == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzzed configs: an exit code, never an exception
+
+# mostly well-formed values, now and then a malformed one
+NUMBERS = st.sampled_from(["0", "1", "-1", "1/2", "3/4", "-2/3", "+1", "1.0", 0, 1, -1, 2, -2, "1/0", "abc", None])
+BOUNDS = st.sampled_from(["0", "1/4", "1/2", "3/4", "1", "1/3", 0, 1, "2/3", "5/4", "x", None])
+
+
+def pick(*strategies):
+    """One of the strategies, each as likely (st.one_of favours the simpler ones)."""
+    return st.sampled_from(strategies).flatmap(lambda s: s)
+
+
+def usually(strategy, other):
+    return pick(strategy, strategy, strategy, other)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    walk = draw(st.sampled_from(["third-walk", "drifted-1d", "lazy-2d"]))
+    dim = 2 if walk == "lazy-2d" else 1
+
+    def sized(size, elements):  # lists of the given size, now and then of another
+        return usually(st.lists(elements, min_size=size, max_size=size), st.lists(elements, max_size=size + 1))
+
+    sites = sized(dim, st.integers(-2, 2))
+    keys = usually(sites.map(lambda s: ",".join(map(str, s))), st.sampled_from(["+1", "1.0", "-0", "x", ""]))
+    tables = usually(st.dictionaries(keys, NUMBERS, max_size=4), st.sampled_from([[1, 2], "0", None]))
+    signs = [",".join(map(str, s)) for s in itertools.product((-1, 1), repeat=dim)]
+    constants = usually(st.fixed_dictionaries(dict.fromkeys(signs, NUMBERS)), tables)
+    box = {"radius": st.integers(-1, 2), "center": sites}
+    cell_values = st.integers(-1, 2).flatmap(lambda m: st.fixed_dictionaries({
+        "m": st.just(m),
+        "values": st.lists(st.fixed_dictionaries({
+            "site": sites, "back": sized(max(m, 0), st.integers(0, 4)), "fwd": sized(max(m, 0), st.integers(0, 4)), "value": NUMBERS
+        }), max_size=2),
+    }))
+    observable = pick(
+        st.fixed_dictionaries({"kind": st.just("periodic"), "period": sized(dim, usually(st.integers(1, 3), st.just(0))), "table": tables}),
+        st.fixed_dictionaries({"kind": st.just("constantOutsideBox"), "constant": NUMBERS, "table": tables}, optional=box),
+        st.fixed_dictionaries({"kind": st.just("orthant"), "constants": constants, "table": tables}, optional=box),
+        st.tuples(cell_values, st.fixed_dictionaries({"kind": st.just("cell")}, optional={"default": NUMBERS}))
+        .map(lambda parts: {**parts[0], **parts[1]}),
+        st.sampled_from([{"kind": "sign1d"}, {"kind": "mystery"}, {}, 5]),
+    )
+    term = st.fixed_dictionaries({}, optional={"site": sites, "lo": BOUNDS, "hi": BOUNDS, "weight": NUMBERS})
+    schedule = st.lists(st.integers(-1, 4), max_size=3)
+    return draw(st.fixed_dictionaries(
+        {"walk": st.just({"preset": walk}), "observables": st.lists(observable, min_size=1, max_size=2)},
+        optional={
+            "locals": st.lists(st.fixed_dictionaries({"terms": st.lists(term, max_size=2)}), max_size=2),
+            "family": usually(st.sampled_from(["translationInvariant", "centeredOnly"]), st.just("bogus")),
+            "schedules": st.fixed_dictionaries({}, optional={"n_list": schedule, "r_list": schedule, "radii": schedule}),
+            "mixing_kinds": usually(st.lists(st.sampled_from(["M5", "M4", "M2", "M1", "m4", "M3"]), max_size=3), st.just("M5")),
+        },
+    ))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(["correlate", "mixing-report", "audit"]), fuzzed_configs())
+def test_fuzzed_configs_end_in_an_exit_code(command, config):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(command, config, out)  # an exception escaping run fails the test here
+        assert code in (0, 1, 2)
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and json.loads(lines[0])["error"]["exit"] == 2
+        else:
+            assert Path(out, f"{command.replace('-', '_')}.json").exists()

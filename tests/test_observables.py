@@ -3,6 +3,7 @@ cell reduction, and site evolution."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import lcm, prod
 
@@ -483,6 +484,42 @@ def test_periodic_table_key_of_wrong_dimension_is_rejected():
         periodic_observable([2], {(0, 5): 1, (1, 7): -1})
     with pytest.raises(ValueError, match="dimension 1, the period has dimension 2"):
         periodic_observable([2, 2], {0: 1, 1: -1})
+
+
+def test_table_keys_read_as_tuples_strings_or_ints_and_name_a_site_once():
+    as_tuples = periodic_observable([2], {(0,): 1, (1,): -1})
+    assert periodic_observable([2], {"0": 1, 1: -1}) == as_tuples
+    assert periodic_observable(["2"], {"2": "1", "-1": "-1"}) == as_tuples
+    box = Box((0, 0), (1, 1))
+    assert localized_observable(2, 0, box, {"1,0": 2, (0, 1): 3}) == localized_observable(2, 0, box, {(1, 0): 2, (0, 1): 3})
+    with pytest.raises(ValueError, match=re.escape("table: site [0] is named twice")):
+        periodic_observable([3], {0: 1, (0,): 2, 1: 0, 2: 0})
+    with pytest.raises(ValueError, match=re.escape("orthant constants: site [-1] is named twice")):
+        orthant_observable(1, {(1,): 1, (-1,): 0, "-1": 2}, Box((0,), (0,)), {})
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize(
+    "cfg, field, message",
+    [
+        ({"kind": "periodic", "period": [2], "table": {"0": "1", "1": "-1", "2": "5"}}, "table",
+         "table: residue [0] of period [2] is named twice"),
+        ({"kind": "periodic", "period": [2], "table": {"1": "1", "0": "-1", "+1": "5"}}, "table",
+         "table: site [1] is named twice"),
+        ({"kind": "constantOutsideBox", "constant": "0", "radius": 1, "table": {"1": "2", "1.0": "3"}}, "table",
+         "constantOutsideBox table: site [1] is named twice"),
+        ({"kind": "orthant", "constants": {"1": "1", "-1": "-1", "+1": "2"}, "radius": 1}, "constants",
+         "orthant constants: site [1] is named twice"),
+        ({"kind": "orthant", "constants": {"1": "1", "-1": "-1"}, "radius": 1, "table": {"0": "1", "-0": "2"}}, "table",
+         "orthant table: site [0] is named twice"),
+    ],
+)
+def test_a_table_naming_one_site_twice_is_rejected(cfg, field, message, reverse):
+    # each once kept whichever value came last, so the answer hung on key order
+    if reverse:
+        cfg = {**cfg, field: dict(reversed(cfg[field].items()))}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        observable_from_config(1, cfg)
 
 
 @pytest.mark.parametrize(
