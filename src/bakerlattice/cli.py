@@ -3,8 +3,10 @@
 Every command reads one JSON config (or falls back to the bundled
 third-walk defaults), writes its artifacts under --out, and prints a
 one-line summary.  Exit codes: 0 success, 1 a checked assertion failed
-(e.g. a norm inequality violated), 2 invalid configuration.  Artifacts
-embed the config hash and seed so identical inputs give identical bytes.
+(e.g. a norm inequality violated), 2 a ConfigError, reported as one JSON
+line naming the field; any other exception is a bug and propagates.
+Artifacts embed the config hash and seed so identical inputs give
+identical bytes.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ def _family_from_config(config: dict, dim: int) -> BoxFamily:
 
 
 def _observables_from_config(config: dict, walk: WalkDistribution, budget: int | None):
-    from .observables import CellObservable, observable_from_config, reduce_to_site
+    from .observables import CellObservable, OrthantTail, observable_from_config, reduce_to_site
     from .phase import DEFAULT_BUDGET, BudgetExceededError
 
     budget = DEFAULT_BUDGET if budget is None else budget
@@ -112,6 +114,8 @@ def _observables_from_config(config: dict, walk: WalkDistribution, budget: int |
             depth = 0
             if isinstance(obs, CellObservable):
                 obs, depth = reduce_to_site(obs, walk, budget), obs.depth
+            if walk.dim > 1 and isinstance(obs.tail, OrthantTail) and len(set(obs.tail.constants.values())) > 1:
+                raise ValueError("orthant constants that differ evolve exactly only in dimension 1")
         except BudgetExceededError as exc:
             raise ConfigError(str(exc)) from exc
         except (KeyError, TypeError, ValueError) as exc:
@@ -495,9 +499,6 @@ def run(command: str, config: dict, out_dir, seed=None, grid=None, budget=None, 
         write_json(out / f"{command.replace('-', '_')}.json", payload)
     except ConfigError as exc:
         print(json.dumps({"error": {"exit": 2, "message": str(exc)}}), file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, TypeError) as exc:
-        print(json.dumps({"error": {"exit": 2, "message": f"{type(exc).__name__}: {exc}"}}), file=sys.stderr)
         return 2
     print(summary)
     return code

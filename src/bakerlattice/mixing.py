@@ -22,6 +22,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log
+from numbers import Rational
 
 from .lattice import WalkDistribution, origin
 from .observables import (
@@ -44,7 +45,7 @@ from .phase import (
     cylinder_interval,
     push_strip,
 )
-from .rational import format_rational, is_exact, to_jsonable, write_csv
+from .rational import format_rational, to_jsonable, write_csv
 
 
 # the requested limit is outside the analytic tail models
@@ -247,9 +248,7 @@ def _cell(value):
         return ""
     if value is NON_CONVERGENT:
         return "NonConvergent"
-    if isinstance(value, (Fraction, int)):
-        return format_rational(Fraction(value))
-    return repr(float(value))
+    return format_rational(value)
 
 
 def m5_report(
@@ -369,25 +368,29 @@ class RateFit:
     floor: bool
     points_used: int
 
-    FLOOR = 1e-14
-
 
 def _log_deviation(v, target) -> float | None:
-    """log |v - target| (exact values: log num - log den), None at the floor."""
-    if is_exact(v) and is_exact(target):
-        d = abs(Fraction(v) - Fraction(target))
-        return log(d.numerator) - log(d.denominator) if d else None
-    d = abs(float(v) - float(target))
-    return log(d) if d > RateFit.FLOOR else None
+    """log |v - target| as log num - log den, None where v equals the target."""
+    if not (isinstance(v, Rational) and isinstance(target, Rational)):
+        raise TypeError(f"rate fitting takes exact values, got {v!r} against the target {target!r}")
+    d = abs(Fraction(v) - Fraction(target))
+    return log(d.numerator) - log(d.denominator) if d else None
+
+
+def _slope(xs, ys) -> float:
+    """The least-squares slope of ys against xs."""
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
 def rate_profile(series, target=Fraction(0)) -> RateFit:
     """Fit decay rates to a series n -> value against its target.
 
     Accepts a plain mapping or a CorrelationReport (whose own target is then
-    used).  Exact values equal to the target, and float values within 1e-14
-    of it, are treated as numerical floor; a series entirely at floor gets
-    the floor flag instead of rates.
+    used).  Values equal to the target are treated as floor; a series with
+    fewer than two points off the floor gets the floor flag instead of rates.
+    Values must be exact (ints or Fractions): a float raises TypeError
+    instead of being read as the nonzero rational it rounds to.
     """
     if isinstance(series, CorrelationReport):
         if series.kind == "M2":
@@ -404,11 +407,7 @@ def rate_profile(series, target=Fraction(0)) -> RateFit:
             logs.append(log_d)
     if len(ns) < 2:
         return RateFit(None, None, True, len(ns))
-    import numpy as np
-
-    exp_slope = np.polyfit(ns, logs, 1)[0]
-    poly_slope = np.polyfit(np.log(ns), logs, 1)[0]
-    return RateFit(-float(exp_slope), -float(poly_slope), False, len(ns))
+    return RateFit(-_slope(ns, logs), -_slope([log(n) for n in ns], logs), False, len(ns))
 
 
 # ---------------------------------------------------------------------------

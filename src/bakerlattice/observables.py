@@ -458,7 +458,6 @@ class AverageEstimate:
 
     value: object
     uniformity_defect: object
-    radii_used: tuple[int, ...]
     non_convergent: bool = False
 
 
@@ -545,18 +544,18 @@ def _candidate_centers(sites, r: int, periods, extra, i: int = 0) -> list[tuple[
 
 def estimate_average(f: SiteObservable, family: BoxFamily, radii) -> AverageEstimate:
     """Exact average of f for the family and its uniformity defect at max(radii)."""
-    radii = tuple(sorted(int(r) for r in radii))
+    radii = [int(r) for r in radii]
     if not radii:
         raise ValueError("need a nonempty radii schedule")
-    r_max = radii[-1]
+    r_max = max(radii)
     value = f.analytic_average(family)
     if family.translation_invariant_p:
         samples = _box_average_range(f, r_max)
     else:
         samples = [box_average(f, Box.centered(origin(f.dim), r_max))]
     if value is NON_CONVERGENT:
-        return AverageEstimate(value, max(samples) - min(samples), radii, non_convergent=True)
-    return AverageEstimate(value, max(abs(s - value) for s in samples), radii)
+        return AverageEstimate(value, max(samples) - min(samples), non_convergent=True)
+    return AverageEstimate(value, max(abs(s - value) for s in samples))
 
 
 # ---------------------------------------------------------------------------

@@ -71,11 +71,6 @@ def nearest_integer(q) -> int:
     return base + 1 if q - base > Fraction(1, 2) else base
 
 
-def is_exact(value) -> bool:
-    """True for values that support exact arithmetic (ints and Fractions)."""
-    return isinstance(value, Rational)
-
-
 def to_jsonable(obj):
     """Recursively convert Fractions, tuples, and dataclasses for json.dumps."""
     if isinstance(obj, bool) or obj is None:
@@ -84,16 +79,12 @@ def to_jsonable(obj):
         return format_rational(obj)
     if isinstance(obj, (int, float, str)):
         return obj
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {_json_key(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
         return [to_jsonable(v) for v in obj]
-    if hasattr(obj, "item"):  # numpy scalars
-        return obj.item()
     return str(obj)
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bakerlattice import cli, evolve_site, mixing
@@ -244,7 +244,7 @@ def test_periodic_table_key_of_wrong_dimension_exit_2(tmp_path, capsys):
     assert "dimension 2, the period has dimension 1" in one_error_line(capsys)
 
 
-@pytest.mark.parametrize("command", ["mixing-report", "correlate"])
+@pytest.mark.parametrize("command", ["mixing-report", "correlate", "audit"])
 def test_cell_site_of_wrong_dimension_exit_2(tmp_path, capsys, command):
     cell = {"kind": "cell", "m": 1, "values": [{"site": [0, 1], "back": [1], "fwd": [1], "value": "1"}]}
     assert run(command, {"observables": [cell]}, tmp_path / "o") == 2
@@ -421,6 +421,42 @@ def test_m5_time_below_the_depth_offset_exit_2(tmp_path, capsys):
     assert "time 3 is below the depth offset 2m = 4" in one_error_line(capsys)
 
 
+# an orthant whose constants differ evolves exactly only in d = 1 (OrthantTail.evolve)
+ORTHANT_2D = {"kind": "orthant", "constants": {"1,1": "1", "1,-1": "0", "-1,1": "0", "-1,-1": "0"}}
+ORTHANT_2D_CONFIG = {"walk": {"preset": "lazy-2d"}, "observables": [ORTHANT_2D]}
+
+
+def refused(tmp_path, capsys, command, config):
+    """The message of the one JSON error line that ``main`` prints when
+    ``command`` refuses ``config`` read from a file with exit 2."""
+    assert main([command, "--config", str(write_config(tmp_path, config)), "--out", str(tmp_path / "o")]) == 2
+    return one_error_line(capsys)
+
+
+@pytest.mark.parametrize("family", ["translationInvariant", "centeredOnly"])
+@pytest.mark.parametrize("command", ["correlate", "mixing-report", "audit"])
+def test_2d_orthant_with_differing_constants_exit_2(tmp_path, capsys, command, family):
+    # refused up front; mixing-report and audit under translationInvariant once
+    # exited 0 with a NonConvergent average or without the observable
+    message = refused(tmp_path, capsys, command, {**ORTHANT_2D_CONFIG, "family": family})
+    assert message == f"invalid observable {ORTHANT_2D!r}: orthant constants that differ evolve exactly only in dimension 1"
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("nowak-test", [["seed", 1]], "config must be a JSON object"),
+        ("span-check", "abc", "config must be a JSON object"),
+        ("mixing-report", {"observables": [{"kind": "cell", "m": 1, "values": [{**CELL_RECORD, "back": [1, 1], "fwd": []}]}]},
+         "needs m = 1 back and fwd digits, got 2 and 0"),
+        ("correlate", {"walk": {"preset": "lazy-2d"}, "observables": [{"kind": "periodic", "period": "23", "table": {}}]},
+         "period"),
+    ],
+)
+def test_refused_config_files_exit_2_naming_the_field(tmp_path, capsys, command, config, field):
+    assert field in refused(tmp_path, capsys, command, config)
+
+
 def test_each_observable_and_time_is_evolved_once(tmp_path, capsys, monkeypatch):
     calls = []
 
@@ -465,13 +501,15 @@ def test_m1_pairs_without_an_exact_average_are_skipped(tmp_path, capsys):
 
 
 def test_m1_report_errors_are_not_swallowed(tmp_path, capsys, monkeypatch):
+    # a fault inside a layer escapes as itself, not relabelled as a refused config
     def failing(*args, **kwargs):
         raise ValueError("m1 report failed")
 
     monkeypatch.setattr(mixing, "m1_report", failing)
     config = {"schedules": {"n_list": [1, 2], "r_list": [1], "radii": [4]}, "mixing_kinds": ["M1"]}
-    assert run("mixing-report", config, tmp_path / "o") == 2
-    assert "m1 report failed" in one_error_line(capsys)
+    with pytest.raises(ValueError, match="^m1 report failed$"):
+        run("mixing-report", config, tmp_path / "o")
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +758,9 @@ def fuzzed_configs(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.sampled_from(["correlate", "mixing-report", "audit"]), fuzzed_configs())
+@example("correlate", ORTHANT_2D_CONFIG)
+@example("mixing-report", ORTHANT_2D_CONFIG)
+@example("audit", ORTHANT_2D_CONFIG)
 def test_fuzzed_configs_end_in_an_exit_code(command, config):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -107,6 +107,18 @@ def test_exact_commands_run_without_numpy(tmp_path, command, config):
     assert run_command(tmp_path, command, config) == [0, False]
 
 
+def test_rate_fit_of_an_m5_report_leaves_numpy_unloaded(tmp_path):
+    proc = fresh_python(
+        "import sys\n"
+        "from bakerlattice import evolve_site, m5_report, periodic_observable, preset, rate_profile\n"
+        "parity, p = periodic_observable((2,), {(0,): 1, (1,): -1}), preset('third-walk')\n"
+        "fit = rate_profile(m5_report(parity, {n: evolve_site(parity, p, n) for n in range(1, 10)}))\n"
+        "print(round(fit.exponential_rate, 6), 'numpy' in sys.modules)\n",
+        tmp_path,
+    )
+    assert proc.stdout.split() == ["1.098612", "False"]
+
+
 @pytest.mark.parametrize("command", ["fourier-decay", "simulate"])
 def test_float_commands_import_numpy_themselves(tmp_path, command):
     assert run_command(tmp_path, command) == [0, True]

@@ -358,8 +358,12 @@ def test_rate_profile_keeps_every_exact_point():
 
 
 def test_rate_profile_float_floor():
-    series = {n: 1e-15 for n in range(1, 8)}
-    assert rate_profile(series).floor
+    # Fraction(1e-15) is nonzero: read exactly, a float at rounding level
+    # would count as a real deviation, so a float is refused instead
+    with pytest.raises(TypeError, match="rate fitting takes exact values, got 1e-15"):
+        rate_profile({n: 1e-15 for n in range(1, 8)})
+    with pytest.raises(TypeError, match="exact values"):
+        rate_profile({n: Fraction(1, 3**n) for n in range(1, 8)}, target=0.0)
 
 
 def test_rate_profile_floor_flag():
