@@ -103,7 +103,7 @@ def _family_from_config(config: dict, dim: int) -> BoxFamily:
 
 
 def _observables_from_config(config: dict, walk: WalkDistribution, budget: int | None):
-    from .observables import CellObservable, OrthantTail, observable_from_config, reduce_to_site
+    from .observables import CellObservable, observable_from_config, reduce_to_site
     from .phase import DEFAULT_BUDGET, BudgetExceededError
 
     budget = DEFAULT_BUDGET if budget is None else budget
@@ -114,7 +114,7 @@ def _observables_from_config(config: dict, walk: WalkDistribution, budget: int |
             depth = 0
             if isinstance(obs, CellObservable):
                 obs, depth = reduce_to_site(obs, walk, budget), obs.depth
-            if walk.dim > 1 and isinstance(obs.tail, OrthantTail) and len(set(obs.tail.constants.values())) > 1:
+            if walk.dim > 1 and not obs.tail.uniform:
                 raise ValueError("orthant constants that differ evolve exactly only in dimension 1")
         except BudgetExceededError as exc:
             raise ConfigError(str(exc)) from exc

@@ -30,7 +30,6 @@ from .observables import (
     Box,
     BoxFamily,
     CellObservable,
-    PeriodicTail,
     Sentinel,
     SiteObservable,
     box_average,
@@ -138,7 +137,7 @@ def m2_entry(
 def m1_computable(f: SiteObservable, g: SiteObservable) -> bool:
     """M1's rules: F is periodic and G has an exact translation-invariant average."""
     av_g = g.analytic_average(BoxFamily.translation_invariant(g.dim))
-    return isinstance(f.tail, PeriodicTail) and av_g is not NON_CONVERGENT
+    return f.tail.box is None and av_g is not NON_CONVERGENT
 
 
 def m1_limit(f: SiteObservable, g: SiteObservable, p: WalkDistribution, n: int):
@@ -148,7 +147,7 @@ def m1_limit(f: SiteObservable, g: SiteObservable, p: WalkDistribution, n: int):
     statement about the tail models, not a mixing failure); it is detected
     before anything is evolved.
     """
-    if not isinstance(f.tail, PeriodicTail):
+    if f.tail.box is not None:
         raise ValueError("M1 limit needs a periodic first observable")
     if not m1_computable(f, g):
         return NOT_COMPUTABLE
@@ -389,6 +388,8 @@ def rate_profile(series, target=Fraction(0)) -> RateFit:
     Accepts a plain mapping or a CorrelationReport (whose own target is then
     used).  Values equal to the target are treated as floor; a series with
     fewer than two points off the floor gets the floor flag instead of rates.
+    The power law fits against log n, so only on the points with n >= 1; it
+    is None when fewer than two of them remain.
     Values must be exact (ints or Fractions): a float raises TypeError
     instead of being read as the nonzero rational it rounds to.
     """
@@ -407,7 +408,9 @@ def rate_profile(series, target=Fraction(0)) -> RateFit:
             logs.append(log_d)
     if len(ns) < 2:
         return RateFit(None, None, True, len(ns))
-    return RateFit(-_slope(ns, logs), -_slope([log(n) for n in ns], logs), False, len(ns))
+    positive = [(log(n), y) for n, y in zip(ns, logs) if n >= 1]
+    polynomial = -_slope(*zip(*positive)) if len(positive) > 1 else None
+    return RateFit(-_slope(ns, logs), polynomial, False, len(ns))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Global and local observables with exactly computable infinite-volume data.
 
-A global observable here is a bounded site function carrying a *tail model*
-that pins down its behavior outside a finite window: periodic, or constant
-per orthant outside a box (constant outside a box when the orthant
-constants agree).  The tail model is what makes suprema, box averages and
+A global observable here is a bounded site function carrying a *tail model*:
+a periodic background on each orthant plus a finite table of sites where
+the function departs from it (periodic: one background and no table;
+constant outside a box: one constant background; orthant: a constant per
+orthant).  The tail model is what makes suprema, box averages and
 infinite-volume averages exact instead of sampled.  Cell observables refine
 site functions by a finite amount of expanding/contracting coordinate
 structure; they reduce exactly to site functions after composing with
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
+from operator import mod
 from typing import Mapping
 
 from .lattice import (
@@ -114,157 +116,119 @@ class Box:
 # tail models and site observables
 
 
-def _table_config(table: dict) -> dict:
-    return {",".join(map(str, s)): format_rational(Fraction(v)) for s, v in sorted(table.items())}
+@dataclass(frozen=True)
+class PeriodicTail:
+    """A periodic site function, by its values on one period cell."""
+
+    period: tuple[int, ...]
+    cell: dict  # residue tuple -> value
+
+    def value(self, site):
+        return self.cell[tuple(map(mod, site, self.period))]
+
+    def map(self, fn):
+        return PeriodicTail(self.period, {k: fn(v) for k, v in self.cell.items()})
+
+    def evolve(self, pn):
+        """The function alpha -> sum_beta pn_beta f(alpha + beta), on the cell;
+        a constant is its own evolution, since a law has mass 1."""
+        if len(self.cell) == 1:
+            return self
+        cell = LatticeSignal.from_entries(len(self.period), self.cell)
+        evolved = convolve(cell, pn.fold(self.period).reflect()).fold(self.period).entries
+        return PeriodicTail(self.period, {r: evolved.get(r, Fraction(0)) for r in self.cell})
 
 
+@dataclass(frozen=True)
 class Tail:
-    """A tail model: the whole site function, declared by its behavior off a window.
+    """A whole site function: a periodic background on each orthant plus a finite table.
 
-    Each model implements
-      value(site)        the function at one site;
-      values()           the finite set of values taken (bound, sup deviation);
-      map(fn)            the same model for fn applied pointwise;
-      evolve(pn)         the model of alpha -> sum_beta pn_beta f(alpha + beta),
-                         a background plus convolve(deviation, pn.reflect()),
-                         plus the jump times the law's CDF for a 1-d step;
-      background(signs)  the PeriodicTail the function equals on the orthant
-                         ``signs`` (coordinate 0 counts as positive) away from
-                         its deviation sites;
-      deviation_sites()  the finite set of sites where the function may
-                         differ from its background;
-      to_config()        the config dict that observable_from_config reads.
-
-    Exact sums run on ``integer_form``, built once per tail through ``map``.
+    ``backgrounds`` maps each sign pattern in {-1,+1}^d (coordinate 0 counts
+    as positive) to the PeriodicTail the function equals on that orthant
+    away from the table; ``box`` is None exactly for a periodic function;
+    ``table`` holds the finitely many sites, inside ``box``, where the
+    function may depart from its background.  Exact sums run on
+    ``integer_form``, built once per tail through ``map``.
     """
 
-    def bound(self):
-        return max(abs(v) for v in self.values())
+    backgrounds: dict
+    box: Box | None
+    table: dict
+
+    def __post_init__(self):
+        for s in self.table:
+            if self.box is None or not self.box.contains(s):
+                raise ValueError(f"table site {s} outside the declared box")
+
+    @cached_property
+    def uniform(self) -> bool:
+        """One background on every orthant."""
+        first, *rest = self.backgrounds.values()
+        return all(bg == first for bg in rest)
+
+    @cached_property
+    def _distinct(self) -> dict:
+        """id -> background, each distinct background once."""
+        return {id(bg): bg for bg in self.backgrounds.values()}
+
+    def _mapped(self, fn) -> dict:
+        """The backgrounds with fn applied once per distinct one, so shared ones stay shared."""
+        done = {k: fn(bg) for k, bg in self._distinct.items()}
+        return {signs: done[id(bg)] for signs, bg in self.backgrounds.items()}
+
+    def value(self, site):
+        v = self.table.get(site)
+        if v is None:  # a uniform tail reads its one background
+            return self.backgrounds[(1,) * len(site) if self.uniform else _signs(site)].value(site)
+        return v
+
+    def values(self):
+        """The finite set of values taken."""
+        return [*(v for bg in self._distinct.values() for v in bg.cell.values()), *self.table.values()]
+
+    def map(self, fn):
+        """This tail for fn applied pointwise."""
+        return Tail(self._mapped(lambda bg: bg.map(fn)), self.box, {k: fn(v) for k, v in self.table.items()})
 
     @cached_property
     def integer_form(self):
-        """(tail, den): this model with every value v as the integer v * den,
+        """(tail, den): this tail with every value v as the integer v * den,
         den the least common denominator of the values."""
         den = lcm(*(Fraction(v).denominator for v in self.values()))
         return self.map(lambda v: _scaled(v, den)), den
 
-    def sup_deviation(self, center):
-        tail, den = self.integer_form
-        c = Fraction(center)
-        return Fraction(max(abs(v * c.denominator - c.numerator * den) for v in tail.values()), den * c.denominator)
-
-
-@dataclass(frozen=True)
-class PeriodicTail(Tail):
-    period: tuple[int, ...]
-    table: dict  # residue tuple -> value
-
-    def __post_init__(self):
-        if any(l < 1 for l in self.period):
-            raise ValueError("periods must be positive")
-        cell = itertools.product(*(range(l) for l in self.period))
-        missing = [r for r in cell if r not in self.table]
-        if missing:
-            raise ValueError(f"periodic table misses residues, e.g. {missing[0]}")
-
-    def value(self, site):
-        return self.table[tuple(c % l for c, l in zip(site, self.period))]
-
-    def values(self):
-        return self.table.values()
-
-    def map(self, fn):
-        return PeriodicTail(self.period, {k: fn(v) for k, v in self.table.items()})
-
     def evolve(self, pn):
-        cell = LatticeSignal.from_entries(len(self.period), self.table)
-        evolved = convolve(cell, pn.fold(self.period).reflect()).fold(self.period).entries
-        return PeriodicTail(self.period, {r: evolved.get(r, Fraction(0)) for r in self.table})
+        """The tail of alpha -> sum_beta pn_beta f(alpha + beta).
 
-    def background(self, signs):
-        return self
-
-    def deviation_sites(self):
-        return ()
-
-    def to_config(self):
-        return {"kind": "periodic", "period": list(self.period), "table": _table_config(self.table)}
-
-
-@dataclass(frozen=True)
-class OrthantTail(Tail):
-    """Constant on each orthant outside the box; coordinate 0 counts as positive.
-
-    Equal constants make the boxed tail, constant outside the box, which
-    evolves in every dimension; differing constants evolve only in d = 1.
-    """
-
-    constants: dict  # sign tuple in {-1,+1}^d -> value
-    box: Box
-    table: dict
-
-    def __post_init__(self):
-        d = self.box.dim
-        for signs in itertools.product((-1, 1), repeat=d):
-            if signs not in self.constants:
-                raise ValueError(f"missing orthant constant for signs {signs}")
-        for s in self.table:
-            if not self.box.contains(s):
-                raise ValueError(f"table site {s} outside the declared box")
-
-    def value(self, site):
-        v = self.table.get(site)
-        return self.constants[_signs(site)] if v is None else v
-
-    def values(self):
-        return [*self.constants.values(), *self.table.values()]
-
-    def map(self, fn):
-        return OrthantTail(
-            {k: fn(v) for k, v in self.constants.items()},
-            self.box,
-            {k: fn(v) for k, v in self.table.items()},
-        )
-
-    def evolve(self, pn):
-        dim, reach = self.box.dim, max(pn.support_radius())
-        c_neg, c_pos = self.constants[(-1,) * dim], self.constants[(1,) * dim]
-        law = pn.reflect()
-        deviation = LatticeSignal.from_entries(dim, {s: v - self.constants[_signs(s)] for s, v in self.table.items()})
+        Each background evolves on its cell, and the deviation, table minus
+        background, goes through convolve(., pn.reflect()), which widens the
+        box by the law's reach.  Differing backgrounds evolve exactly only as
+        constants in d = 1, where the step between them adds the jump times
+        the law's CDF.
+        """
+        backgrounds = self._mapped(lambda bg: bg.evolve(pn))
+        if self.box is None:
+            return Tail(backgrounds, None, {})
+        dim = self.box.dim
+        if not self.uniform and (dim != 1 or any(len(bg.cell) > 1 for bg in self.backgrounds.values())):
+            raise ValueError("differing backgrounds evolve exactly only as orthant constants in dimension 1")
+        reach, law = max(pn.support_radius()), pn.reflect()
+        deviation = {s: v - self.backgrounds[_signs(s)].value(s) for s, v in self.table.items()}
+        deviation = LatticeSignal.from_entries(dim, deviation)
         evolved = convolve(deviation, law).entries if deviation.entries else {}
-        if len(set(self.constants.values())) == 1:
-            return OrthantTail(self.constants, self.box.dilate(reach), {s: c_neg + v for s, v in evolved.items()})
-        if dim != 1:
-            raise ValueError(
-                "evolution of orthant tails is exactly representable only in dimension 1"
-            )
+        if self.uniform:
+            bg = backgrounds[(1,) * dim]
+            return Tail(backgrounds, self.box.dilate(reach), {s: bg.value(s) + v for s, v in evolved.items()})
         # the step c_neg + (c_pos - c_neg) [alpha >= 0] evolves to the jump times
         # P(alpha + X >= 0), the CDF of the law of -X at alpha; the box starts
         # left of -reach, so a running sum over its sites is that CDF
+        c_neg, c_pos = self.backgrounds[(-1,)].value((0,)), self.backgrounds[(1,)].value((0,))
         box = Box((min(self.box.lo[0], 0),), (max(self.box.hi[0], -1),)).dilate(reach)
         table, mass = {}, 0
         for s in box.sites():
             mass += law.entries.get(s, 0)
             table[s] = c_neg + (c_pos - c_neg) * mass + evolved.get(s, 0)
-        return OrthantTail(self.constants, box, table)
-
-    @cached_property
-    def _backgrounds(self):
-        return {signs: _constant_tail(self.box.dim, c) for signs, c in self.constants.items()}
-
-    def background(self, signs):
-        return self._backgrounds[signs]
-
-    def deviation_sites(self):
-        return self.table.keys()
-
-    def to_config(self):
-        constants = set(self.constants.values())
-        if len(constants) == 1:
-            head = {"kind": "constantOutsideBox", "constant": format_rational(Fraction(*constants))}
-        else:
-            head = {"kind": "orthant", "constants": _table_config(self.constants)}
-        return {**head, "box": {"lo": list(self.box.lo), "hi": list(self.box.hi)}, "table": _table_config(self.table)}
+        return Tail(self.backgrounds, box, table)
 
 
 def _scaled(v, den: int) -> int:
@@ -280,6 +244,11 @@ def _constant_tail(dim: int, value) -> PeriodicTail:
     return PeriodicTail((1,) * dim, {origin(dim): value})
 
 
+def _one_background(background: PeriodicTail, box: Box | None = None, table: dict | None = None) -> Tail:
+    """The tail with ``background`` on every orthant."""
+    return Tail(dict.fromkeys(itertools.product((-1, 1), repeat=len(background.period)), background), box, table or {})
+
+
 @dataclass(frozen=True)
 class SiteObservable:
     dim: int
@@ -289,7 +258,7 @@ class SiteObservable:
         return self.tail.value(tuple(int(c) for c in site))
 
     def bound(self):
-        return self.tail.bound()
+        return max(abs(v) for v in self.tail.values())
 
     def analytic_average(self, family: BoxFamily):
         """Exact infinite-volume average, or NON_CONVERGENT when the family's
@@ -297,8 +266,10 @@ class SiteObservable:
         return product_average([self], family)
 
     def sup_deviation(self, center):
-        """Exact sup over all sites of |value - center|; needs a tail model."""
-        return self.tail.sup_deviation(center)
+        """Exact sup over all sites of |value - center|, on the tail's integer form."""
+        tail, den = self.tail.integer_form
+        c = Fraction(center)
+        return Fraction(max(abs(v * c.denominator - c.numerator * den) for v in tail.values()), den * c.denominator)
 
 
 def _site_table(dim: int, table: Mapping, name: str, owner: str = "walk") -> dict:
@@ -329,22 +300,36 @@ def periodic_observable(period, table: Mapping) -> SiteObservable:
         if residue in residues:
             raise ValueError(f"table: residue {list(residue)} of period {list(period)} is named twice")
         residues[residue] = v
-    return SiteObservable(len(period), PeriodicTail(period, residues))
+    missing = [r for r in itertools.product(*(range(l) for l in period)) if r not in residues]
+    if missing:
+        raise ValueError(f"periodic table misses residues, e.g. {missing[0]}")
+    return SiteObservable(len(period), _one_background(PeriodicTail(period, residues)))
 
 
 def constant_observable(dim: int, value) -> SiteObservable:
-    return SiteObservable(dim, _constant_tail(dim, parse_rational(value)))
+    return SiteObservable(dim, _one_background(_constant_tail(dim, parse_rational(value))))
 
 
 def localized_observable(dim: int, constant, box: Box, table: Mapping) -> SiteObservable:
-    """Constant outside the box: an orthant tail whose 2^d constants agree."""
-    constants = dict.fromkeys(itertools.product((-1, 1), repeat=dim), parse_rational(constant))
-    return SiteObservable(dim, OrthantTail(constants, box, _site_table(dim, table, "constantOutsideBox table")))
+    """Constant outside the box: one constant background on every orthant."""
+    background = _constant_tail(dim, parse_rational(constant))
+    return SiteObservable(dim, _one_background(background, box, _site_table(dim, table, "constantOutsideBox table")))
 
 
 def orthant_observable(dim: int, constants: Mapping, box: Box, table: Mapping) -> SiteObservable:
+    """Constant on each orthant outside the box, keyed by sign pattern."""
     constants = _site_table(dim, constants, "orthant constants")
-    return SiteObservable(dim, OrthantTail(constants, box, _site_table(dim, table, "orthant table")))
+    table = _site_table(dim, table, "orthant table")
+    for key in constants:
+        if any(c not in (-1, 1) for c in key):
+            raise ValueError(f"orthant constants key {list(key)} is not a sign pattern in {{-1, 1}}^{dim}")
+    shared = {c: _constant_tail(dim, c) for c in constants.values()}  # equal constants share a background
+    backgrounds = {}
+    for signs in itertools.product((-1, 1), repeat=dim):
+        if signs not in constants:
+            raise ValueError(f"missing orthant constant for signs {signs}")
+        backgrounds[signs] = shared[constants[signs]]
+    return SiteObservable(dim, Tail(backgrounds, box, table))
 
 
 def sign_observable() -> SiteObservable:
@@ -401,9 +386,9 @@ def _box_sum(observables, box: Box):
     """
     parts = list(_orthant_parts(box))
     forms, dens = zip(*(o.tail.integer_form for o in observables))
-    backgrounds = {signs: [t.background(signs) for t in forms] for signs, _ in parts}
+    backgrounds = {signs: [t.backgrounds[signs] for t in forms] for signs, _ in parts}
     total = sum(_periodic_box_sum(backgrounds[signs], part) for signs, part in parts)
-    for site in {s for t in forms for s in t.deviation_sites() if box.contains(s)}:
+    for site in {s for t in forms for s in t.table if box.contains(s)}:
         total += prod(t.value(site) for t in forms) - prod(bg.value(site) for bg in backgrounds[_signs(site)])
     return Fraction(total, prod(dens))
 
@@ -420,7 +405,7 @@ def product_average(observables, family: BoxFamily):
     forms, dens = zip(*(o.tail.integer_form for o in observables))
     means = []
     for signs in itertools.product((-1, 1), repeat=dim):
-        backgrounds = [t.background(signs) for t in forms]
+        backgrounds = [t.backgrounds[signs] for t in forms]
         cell = Box(origin(dim), tuple(lcm(*(bg.period[i] for bg in backgrounds)) - 1 for i in range(dim)))
         means.append(Fraction(_periodic_box_sum(backgrounds, cell), prod(dens) * cell.size))
     if all(m == means[0] for m in means):
@@ -481,11 +466,10 @@ def _box_average_range(f: SiteObservable, r: int):
     """
     tail, den = f.tail.integer_form
     den *= (2 * r + 1) ** f.dim  # of the box averages
-    backgrounds = [tail.background(signs) for signs in itertools.product((-1, 1), repeat=f.dim)]
-    uniform = all(bg == backgrounds[0] for bg in backgrounds)
-    deviation = {s: v for s in tail.deviation_sites() if (v := tail.value(s) - tail.background(_signs(s)).value(s))}
-    if uniform:
-        period, cell = backgrounds[0].period, backgrounds[0].table
+    backgrounds = tail.backgrounds
+    deviation = {s: d for s, v in tail.table.items() if (d := v - backgrounds[_signs(s)].value(s))}
+    if tail.uniform:
+        period, cell = backgrounds[(1,) * f.dim].period, backgrounds[(1,) * f.dim].cell
         for i, l in enumerate(period):
             counts = [_residue_count(k, l, -r, r) for k in range(l)]
             cell = {c: sum(n * cell[(*c[:i], (c[i] + k) % l, *c[i + 1 :])] for k, n in enumerate(counts)) for c in cell}
@@ -498,13 +482,13 @@ def _box_average_range(f: SiteObservable, r: int):
     for i in range(f.dim):
         for ranks in prefix:  # lexicographic: ranks - e_i comes first
             prefix[ranks] += prefix.get((*ranks[:i], ranks[i] - 1, *ranks[i + 1 :]), 0)
-    periods = [lcm(*(bg.period[i] for bg in backgrounds)) for i in range(f.dim)]
+    periods = [lcm(*(bg.period[i] for bg in backgrounds.values())) for i in range(f.dim)]
     totals = []
-    for c in _candidate_centers(list(deviation), r, periods, [] if uniform else [0]):
-        if uniform:
+    for c in _candidate_centers(list(deviation), r, periods, [] if tail.uniform else [0]):
+        if tail.uniform:
             total = cell[tuple(v % l for v, l in zip(c, period))]
         else:
-            total = sum(_periodic_box_sum([tail.background(g)], part) for g, part in _orthant_parts(Box.centered(c, r)))
+            total = sum(_periodic_box_sum([backgrounds[g]], part) for g, part in _orthant_parts(Box.centered(c, r)))
         # the signed ranks of the last deviation coordinates up to each box face
         faces = [((bisect_right(cs, v + r) - 1, 1), (bisect_right(cs, v - r - 1) - 1, -1)) for cs, v in zip(coords, c)]
         for corner in itertools.product(*faces):
@@ -667,13 +651,8 @@ def reduce_to_site(F: CellObservable, p: WalkDistribution, budget: int = DEFAULT
 
 
 def evolve_site(f: SiteObservable, p: WalkDistribution, n: int) -> SiteObservable:
-    """Site function alpha -> sum_beta p^(n)_beta f(alpha + beta), exactly.
-
-    The tail model transforms along: periodic stays periodic with the same
-    period; an orthant tail keeps its constants with the box dilated by the
-    reach n * max|beta| (first widened to the cut at 0 when the constants
-    differ, which needs dimension 1).
-    """
+    """Site function alpha -> sum_beta p^(n)_beta f(alpha + beta), exactly,
+    by ``Tail.evolve`` on the law p^(n)."""
     if n < 0:
         raise ValueError("evolution steps must be nonnegative")
     if f.dim != p.dim:
@@ -736,7 +715,13 @@ def observable_from_config(dim: int, cfg: Mapping):
     raise ValueError(f"unknown observable kind {kind!r}")
 
 
+def _table_config(table: dict) -> dict:
+    return {",".join(map(str, s)): format_rational(Fraction(v)) for s, v in sorted(table.items())}
+
+
 def observable_to_config(obs) -> dict:
+    """The config dict that observable_from_config reads; a boxed tail's
+    backgrounds are constants."""
     if isinstance(obs, CellObservable):
         return {
             "kind": "cell",
@@ -752,4 +737,13 @@ def observable_to_config(obs) -> dict:
                 for (site, word), v in sorted(obs.values.items())
             ],
         }
-    return obs.tail.to_config()
+    t = obs.tail
+    if t.box is None:
+        bg = next(iter(t.backgrounds.values()))
+        return {"kind": "periodic", "period": list(bg.period), "table": _table_config(bg.cell)}
+    constants = {signs: bg.value(signs) for signs, bg in t.backgrounds.items()}
+    if t.uniform:
+        head = {"kind": "constantOutsideBox", "constant": format_rational(Fraction(*set(constants.values())))}
+    else:
+        head = {"kind": "orthant", "constants": _table_config(constants)}
+    return {**head, "box": {"lo": list(t.box.lo), "hi": list(t.box.hi)}, "table": _table_config(t.table)}

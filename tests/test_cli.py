@@ -252,6 +252,8 @@ def test_cell_site_of_wrong_dimension_exit_2(tmp_path, capsys, command):
 
 
 DIGIT_BEYOND_THE_WALK = {"kind": "cell", "m": 1, "values": [{"site": [0], "back": [4], "fwd": [1], "value": "1"}]}
+ORTHANT_OFF_THE_SIGNS = {"kind": "orthant", "constants": {"1": "1", "-1": "-1", "7": "100"}, "box": {"lo": [0], "hi": [0]},
+                         "table": {"0": "1"}}
 
 
 @pytest.mark.parametrize(
@@ -280,12 +282,15 @@ DIGIT_BEYOND_THE_WALK = {"kind": "cell", "m": 1, "values": [{"site": [0], "back"
         ({"locals": [{"terms": []}]}, "locals[0].terms: local observable needs at least one strip term"),
         ({"observables": [DIGIT_BEYOND_THE_WALK]},
          f"invalid observable {DIGIT_BEYOND_THE_WALK!r}: digit out of range for a walk with 3 directions"),
+        ({"observables": [ORTHANT_OFF_THE_SIGNS]},
+         f"invalid observable {ORTHANT_OFF_THE_SIGNS!r}: orthant constants key [7] is not a sign pattern in {{-1, 1}}^1"),
     ],
 )
 def test_malformed_observable_and_local_specs_exit_2(tmp_path, capsys, config, message):
     # the first four once ended in an AttributeError traceback with exit 1; the
     # tables naming a site twice ran with exit 0 on whichever value came last,
-    # and the locals' fields and the cell digit went unnamed, through run's catch-all
+    # and the locals' fields and the cell digit went unnamed, through run's catch-all;
+    # an orthant constant keyed 7 ran with exit 0 and an M5 gap of 100
     assert run("correlate", config, tmp_path / "o") == 2
     assert message in one_error_line(capsys)
 
@@ -421,7 +426,8 @@ def test_m5_time_below_the_depth_offset_exit_2(tmp_path, capsys):
     assert "time 3 is below the depth offset 2m = 4" in one_error_line(capsys)
 
 
-# an orthant whose constants differ evolves exactly only in d = 1 (OrthantTail.evolve)
+# an orthant whose constants differ evolves exactly only in d = 1 (Tail.evolve); the
+# CLI refuses it up front, on a tail that is not Tail.uniform
 ORTHANT_2D = {"kind": "orthant", "constants": {"1,1": "1", "1,-1": "0", "-1,1": "0", "-1,-1": "0"}}
 ORTHANT_2D_CONFIG = {"walk": {"preset": "lazy-2d"}, "observables": [ORTHANT_2D]}
 

@@ -1,5 +1,6 @@
 """Correlation engine, mixing estimators, oracle equivalence, audits."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -370,6 +371,18 @@ def test_rate_profile_floor_flag():
     series = {n: Fraction(0) for n in range(1, 8)}
     fit = rate_profile(series)
     assert fit.floor and fit.exponential_rate is None
+
+
+def test_rate_profile_fits_the_power_law_on_n_at_least_1():
+    # n = 0 once sent log(0) into the power-law fit, a math domain error
+    with_zero = rate_profile({n: Fraction(1, 3**n) for n in range(8)})
+    without = rate_profile({n: Fraction(1, 3**n) for n in range(1, 8)})
+    assert with_zero.points_used == 8
+    assert with_zero.polynomial_exponent == without.polynomial_exponent
+    assert abs(with_zero.exponential_rate - math.log(3)) < 1e-12
+    one_positive = rate_profile({0: Fraction(1), 1: Fraction(1, 3), 2: Fraction(0), 3: Fraction(0)})
+    assert one_positive.polynomial_exponent is None
+    assert abs(one_positive.exponential_rate - math.log(3)) < 1e-12
 
 
 def test_rate_profile_needs_points():

@@ -38,7 +38,6 @@ from bakerlattice import (
     sign_observable,
 )
 from bakerlattice import observables
-from bakerlattice.observables import PeriodicTail
 from conftest import random_periodic, random_site_observable, random_walk
 
 TI = BoxFamily.translation_invariant
@@ -121,7 +120,7 @@ def test_box_average_equals_kernel_convolution(seed, r):
 def test_periodic_box_average_uniform_rate():
     rng = random.Random(71)
     f = random_periodic(rng, 1, max_period=3)
-    L = f.tail.period[0]
+    L = f.tail.backgrounds[(1,)].period[0]
     mean = f.analytic_average(TI(1))
     bound = f.bound()
     for _ in range(100):
@@ -295,6 +294,15 @@ def test_evolve_localized_brute_force_check(third):
     assert ev.value((100,)) == Fraction(1, 2)
 
 
+def test_orthant_constants_keyed_off_the_sign_patterns_are_refused():
+    # a key 7 once became an eighth "orthant" whose constant reached bound() and the M5 gap
+    box = Box((0,), (0,))
+    with pytest.raises(ValueError, match=r"orthant constants key \[7\] is not a sign pattern in \{-1, 1\}\^1"):
+        orthant_observable(1, {"1": "1", "-1": "-1", "7": "100"}, box, {"0": "1"})
+    with pytest.raises(ValueError, match=r"orthant constants key \[0, 1\] is not a sign pattern"):
+        orthant_observable(2, {"1,1": 1, "1,-1": 1, "-1,1": 1, "-1,-1": 1, "0,1": 5}, Box.centered((0, 0), 0), {})
+
+
 def test_evolve_orthant_with_2d_walk_raises(lazy2d):
     signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
     box = Box.centered((0, 0), 0)
@@ -307,17 +315,19 @@ def test_evolve_orthant_with_2d_walk_raises(lazy2d):
 
 
 def test_sign_evolution_runs_no_convolution(third, monkeypatch):
-    # the sign function is its step background: the law's CDF alone evolves it
+    # the sign function is its step background: the law's CDF alone evolves it;
+    # a constant background with an empty table is its own evolution
     def refuse(*args):
-        raise AssertionError("sign1d evolution convolved")
+        raise AssertionError("evolution convolved")
 
     monkeypatch.setattr(observables, "convolve", refuse)
-    sign, n = sign_observable(), 1024
-    ev = evolve_site(sign, third, n)
+    n = 1024
     pn = convolution_power(third, n)
-    assert ev.tail.box == Box((-n,), (n,))
-    for site in (-n - 2, -n - 1, -n, -n + 1, -700, -1, 0, 1, 333, n - 1, n, n + 1):
-        assert ev.value((site,)) == direct_evolution(sign, pn, (site,))
+    for f in (sign_observable(), localized_observable(1, Fraction(2, 3), Box((0,), (0,)), {})):
+        ev = evolve_site(f, third, n)
+        assert ev.tail.box == Box((-n,), (n,))
+        for site in (-n - 2, -n - 1, -n, -n + 1, -700, -1, 0, 1, 333, n - 1, n, n + 1):
+            assert ev.value((site,)) == direct_evolution(f, pn, (site,))
 
 
 def test_evolve_sign_tail_is_exact(third):
@@ -457,8 +467,8 @@ def config_observables(dim):
         cell_observables(dim),
     ]
     if dim == 1:
-        kinds += [st.just(sign_observable()), reduced_third_walk_observables()]
-    return st.one_of(*kinds)
+        kinds += [st.just(sign_observable()), reduced_third_walk_observables(), evolved_signs()]
+    return st.one_of(*kinds, evolved_observables(dim))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -583,12 +593,13 @@ def test_evolve_site_matches_direct_sum(dim, data):
     f = data.draw(st.one_of(*kinds))
     ev = evolve_site(f, p, n)
     reach = n * p.max_step
-    if isinstance(f.tail, PeriodicTail):
-        assert ev.tail.period == f.tail.period
-        window = Box((0,) * dim, tuple(l - 1 for l in f.tail.period)).dilate(reach)
+    if f.tail.box is None:
+        period = f.tail.backgrounds[(1,) * dim].period
+        assert ev.tail.backgrounds[(1,) * dim].period == period
+        window = Box((0,) * dim, tuple(l - 1 for l in period)).dilate(reach)
     else:
         box = f.tail.box
-        if len(set(f.tail.constants.values())) > 1:  # widened to the cut at 0
+        if not f.tail.uniform:  # widened to the cut at 0
             box = Box((min(box.lo[0], 0),), (max(box.hi[0], -1),))
         assert ev.tail.box == box.dilate(reach)
         window = box.hull(Box.centered((0,) * dim, 0)).dilate(reach)
@@ -629,6 +640,11 @@ def evolved_observables(draw, dim):
     return evolve_site(f, draw(walks(dim, 1)), draw(st.integers(0, 3)))
 
 
+@st.composite
+def evolved_signs(draw):
+    return evolve_site(sign_observable(), draw(walks(1, 1)), draw(st.integers(0, 3)))
+
+
 def summable_observables(dim):
     kinds = [
         periodic_observables(dim),
@@ -658,8 +674,8 @@ def far_cell_means(observables, dim):
     """Direct mean of the product over one joint period cell in each orthant,
     placed beyond every deviation site."""
     tails = [o.tail for o in observables]
-    period = [lcm(*(t.period[i] for t in tails if isinstance(t, PeriodicTail))) for i in range(dim)]
-    far = 1 + max((abs(c) for t in tails if not isinstance(t, PeriodicTail) for c in t.box.lo + t.box.hi), default=0)
+    period = [lcm(*(bg.period[i] for t in tails for bg in t.backgrounds.values())) for i in range(dim)]
+    far = 1 + max((abs(c) for t in tails if t.box is not None for c in t.box.lo + t.box.hi), default=0)
     means = []
     for signs in itertools.product((-1, 1), repeat=dim):
         cell = Box(
@@ -715,7 +731,7 @@ def test_uniformity_defect_is_the_sup_over_every_center(dim, data):
     f = data.draw(st.one_of(summable_observables(dim), periodic_observables(dim, max_period=5)))
     r = data.draw(st.integers(0, 6 if dim == 1 else 3))
     hull = Box.centered((0,) * dim, 0)
-    if not isinstance(f.tail, PeriodicTail):
+    if f.tail.box is not None:
         hull = hull.hull(f.tail.box)
     # a box further than 8 from 0 and the tail box on some axis lies in one
     # background, of period at most 5 there: the window holds every box sum
@@ -884,6 +900,6 @@ def test_background_is_built_once_per_orthant(dim):
         localized_observable(dim, Fraction(1, 2), box, {}).tail,
         periodic_observable((2,) * dim, {r: 1 for r in Box((0,) * dim, (1,) * dim).sites()}).tail,
     ]
-    for t in tails:
-        for s in signs:
-            assert t.background(s) is t.background(s)
+    for t, distinct in zip(tails, (len(signs), 1, 1)):
+        for form in (t, t.integer_form[0]):  # mapped once per distinct background
+            assert len({id(form.backgrounds[s]) for s in signs}) == distinct
