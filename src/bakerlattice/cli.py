@@ -4,7 +4,9 @@ Every command reads one JSON config (or falls back to the bundled
 third-walk defaults), writes its artifacts under --out, and prints a
 one-line summary.  Exit codes: 0 success, 1 a checked assertion failed
 (e.g. a norm inequality violated), 2 a ConfigError, reported as one JSON
-line naming the field; any other exception is a bug and propagates.
+line naming the field; 3 any other exception, which is a bug: ``run`` lets
+it propagate, and ``main`` prints its traceback and then one JSON line
+naming its type.
 Artifacts embed the config hash and seed so identical inputs give
 identical bytes.
 """
@@ -525,15 +527,23 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(json.dumps({"error": {"exit": 2, "message": f"cannot read config: {exc}"}}), file=sys.stderr)
             return 2
-    return run(
-        opts.command,
-        config,
-        opts.out,
-        seed=opts.seed,
-        grid=opts.grid,
-        budget=opts.budget,
-        plot=opts.plot,
-    )
+    try:
+        return run(
+            opts.command,
+            config,
+            opts.out,
+            seed=opts.seed,
+            grid=opts.grid,
+            budget=opts.budget,
+            plot=opts.plot,
+        )
+    except Exception as exc:
+        import traceback  # only a fault pays for the import
+
+        traceback.print_exc()
+        error = {"exit": 3, "type": type(exc).__name__, "message": str(exc)}
+        print(json.dumps({"error": error}), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

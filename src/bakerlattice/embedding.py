@@ -31,8 +31,10 @@ NESTED_TAIL_CONSTANTS = {
 
 
 def a_norm(a: LatticeSignal) -> Fraction:
-    """Exact l^1 norm of the coefficients (the absolutely-convergent-series norm)."""
-    return sum((abs(v) for v in a.entries.values()), Fraction(0))
+    """Exact l^1 norm of the coefficients (the absolutely-convergent-series norm),
+    summed over the integer numerators: one Fraction, not one per site."""
+    nums, den = _integer_form(a)
+    return Fraction(sum(map(abs, nums.values())), den)
 
 
 def _sobolev_sums(a: LatticeSignal, order: int) -> tuple[dict, int, list[int]]:

@@ -12,7 +12,6 @@ what every "exact below bandwidth" contract below refers to.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -29,14 +28,14 @@ from .lattice import (
     origin,
     span_check,
 )
-from .rational import nearest_integer, parse_rational
+from .rational import nearest_integer, parse_rational, record
 
 
 class AliasingError(ValueError):
     """The grid is too coarse for the requested quadrature to be exact."""
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class TorusGrid:
     """Samples of a function on the uniform M^d grid of the torus."""
 
@@ -106,7 +105,7 @@ def box_signal(dim: int, r: int) -> LatticeSignal:
 # schedules
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FourierConfig:
     """Exponent bookkeeping for the defect-decay diagnostics.
 
@@ -162,7 +161,7 @@ class FourierConfig:
 # the defect signal p^(n) - q^(r_n) * p^(n) and its norms
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class DefectNorms:
     n: int
     r: int
@@ -225,7 +224,7 @@ def defect_signal(
 # drift removal
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class DriftRemoval:
     """Multiplier bookkeeping for walks with nonzero mean step.
 
@@ -275,7 +274,7 @@ def drift_removed_char(
 # spectral correlation for periodic site functions
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PeriodicPairing:
     """Space-side and spectral-side values of sum_alpha conj(f_alpha) p^(n)_alpha."""
 
@@ -327,7 +326,7 @@ def periodic_pairing(
 # local behavior of p~ and the defect derivatives
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class TailRow:
     n: int
     ball_radius: float
@@ -336,14 +335,14 @@ class TailRow:
     kappa_residual: float
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class XiRow:
     j: int
     r: int
     value: Fraction
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class DerivativeRow:
     n: int
     r: int
@@ -352,7 +351,7 @@ class DerivativeRow:
     ratio: float
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class LocalBoundsReport:
     full_lattice: bool
     max_modulus_off_zero: float

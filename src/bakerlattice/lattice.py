@@ -9,13 +9,12 @@ rational and tests can assert equalities instead of tolerances.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, prod, sqrt
 from typing import Iterable, Mapping
 
-from .rational import format_rational, parse_integer, parse_rational
+from .rational import format_rational, parse_integer, parse_rational, record
 
 Site = tuple[int, ...]
 
@@ -37,7 +36,7 @@ def origin(dim: int) -> Site:
     return (0,) * dim
 
 
-@dataclass(frozen=True, eq=True)
+@record(frozen=True, eq=True)
 class LatticeSignal:
     """Finitely supported function on Z^d; exact zeros are never stored."""
 
@@ -112,7 +111,7 @@ class LatticeSignal:
         return self + other.scale(-1)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WalkDistribution:
     """Finite-support step distribution {p_beta} on Z^d with rational weights.
 
@@ -319,7 +318,7 @@ def moment(p: WalkDistribution, k: int) -> float:
 # irreducibility (span of step differences)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SpanVerdict:
     """Outcome of the step-difference span computation.
 
@@ -399,7 +398,7 @@ TRANSLATION_INVARIANT = "translationInvariant"
 CENTERED_ONLY = "centeredOnly"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoxFamily:
     """Exhaustive family of boxes determining the infinite-volume limit.
 

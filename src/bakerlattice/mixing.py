@@ -19,7 +19,6 @@ Notions measured (t the time, V a box of the exhaustive family):
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log
 from numbers import Rational
@@ -44,14 +43,14 @@ from .phase import (
     cylinder_interval,
     push_strip,
 )
-from .rational import format_rational, to_jsonable, write_csv
+from .rational import field, format_rational, record, to_jsonable, write_csv
 
 
 # the requested limit is outside the analytic tail models
 NOT_COMPUTABLE = Sentinel("NotComputable")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LocalObservable:
     """Finite weighted combination of full-width strips."""
 
@@ -199,7 +198,7 @@ def itinerary_oracle(
 # reports
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class CorrelationReport:
     """Series of one mixing estimator plus everything needed to reproduce it."""
 
@@ -256,11 +255,16 @@ def m5_report(
     family: BoxFamily | None = None,
     m_offset: int = 0,
     metadata: dict | None = None,
+    *,
+    average=None,
 ) -> CorrelationReport:
-    """M5 gaps of f over its evolutions ``evs``: time n -> f evolved n - 2m steps."""
+    """M5 gaps of f over its evolutions ``evs``: time n -> f evolved n - 2m steps.
+
+    ``average`` is f's analytic average for the family, if the caller has it.
+    """
     if family is None:
         family = BoxFamily.translation_invariant(f.dim)
-    av = f.analytic_average(family)
+    av = f.analytic_average(family) if average is None else average
     if av is NON_CONVERGENT:
         raise ValueError("M5 gap needs an observable with an analytic average")
     series = {n: ev.sup_deviation(av) for n, ev in evs.items()}
@@ -279,16 +283,26 @@ def m4_report(
     evs: Mapping[int, SiteObservable],
     family: BoxFamily | None = None,
     metadata: dict | None = None,
+    *,
+    average=None,
+    m5_gaps: Mapping | None = None,
 ) -> CorrelationReport:
-    """mu((F o T^n) g) over the evolutions ``evs`` (n -> f evolved n steps)."""
+    """mu((F o T^n) g) over the evolutions ``evs`` (n -> f evolved n steps).
+
+    The gap at n is the M5 gap of F at n times mu(|g|); ``average`` (f's
+    analytic average) and ``m5_gaps`` (an M5 series over the same times) are
+    taken as given when the caller has them, as the audit does for every g.
+    """
     if family is None:
         family = BoxFamily.translation_invariant(f.dim)
-    av = f.analytic_average(family)
+    av = f.analytic_average(family) if average is None else average
     target = None if av is NON_CONVERGENT else av * g.mass()
     series = {n: _pair(ev, g) for n, ev in evs.items()}
     gaps = {}
     if av is not NON_CONVERGENT:
-        gaps = {n: ev.sup_deviation(av) * g.abs_mass() for n, ev in evs.items()}
+        if m5_gaps is None:
+            m5_gaps = {n: ev.sup_deviation(av) for n, ev in evs.items()}
+        gaps = {n: m5_gaps[n] * g.abs_mass() for n in evs}
     return CorrelationReport("M4", series, target, gap_series=gaps, metadata=metadata or {})
 
 
@@ -300,6 +314,8 @@ def m2_table(
     family: BoxFamily | None = None,
     eps_schedule=(Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)),
     metadata: dict | None = None,
+    *,
+    averages: tuple | None = None,
 ) -> CorrelationReport:
     """Matrix of box averages mu_V((F o T^n) G) plus the eps-M certificate scan.
 
@@ -308,12 +324,12 @@ def m2_table(
     computed entry with n >= M and box volume >= M deviates from Av(F) Av(G)
     by less than eps; ``None`` records that no threshold within the scanned
     grid certifies the joint limit (which is how the centered-family sign
-    counterexample shows up).
+    counterexample shows up).  ``averages`` is the pair of analytic averages
+    of f and g for the family, if the caller has it.
     """
     if family is None:
         family = BoxFamily.translation_invariant(f.dim)
-    av_f = f.analytic_average(family)
-    av_g = g.analytic_average(family)
+    av_f, av_g = averages or (f.analytic_average(family), g.analytic_average(family))
     have_target = av_f is not NON_CONVERGENT and av_g is not NON_CONVERGENT
     target = av_f * av_g if have_target else NON_CONVERGENT
     series = {}
@@ -358,7 +374,7 @@ def m1_report(
 # rate extraction
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RateFit:
     """Least-squares decay rates of |value - target| in n and in log n."""
 
@@ -417,7 +433,7 @@ def rate_profile(series, target=Fraction(0)) -> RateFit:
 # implication audit: M5 => M4 => M3, and the M5 => M2 route
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class M4AuditRow:
     observable: int
     local: int
@@ -431,7 +447,7 @@ class M4AuditRow:
         return self.deviation <= self.bound
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class M2AuditRow:
     observable: int
     other: int
@@ -451,7 +467,7 @@ class M2AuditRow:
         return self.measured <= self.bound
 
 
-@dataclass(eq=False)
+@record(eq=False)
 class AuditRecord:
     m4_rows: tuple
     m2_rows: tuple
@@ -522,13 +538,14 @@ def implication_audit(
     for fi in convergent:
         f, av_f = globals_[fi], averages[fi]
         evs = {n: evolve_site(f, p, n) for n in n_list}
-        gaps = m5_report(f, evs, family).series
+        gaps = m5_report(f, evs, family, average=av_f).series
         for gi, g in enumerate(locals_):
-            m4 = m4_report(f, g, evs, family)
+            m4 = m4_report(f, g, evs, family, average=av_f, m5_gaps=gaps)
             devs = m4.deviations()
             m4_rows.extend(M4AuditRow(fi, gi, n, devs[n], m4.gap_series[n], g.mass() == 0) for n in n_list)
         for gi in convergent:
-            devs = m2_table(f, globals_[gi], evs, r_list, family, eps_schedule=()).deviations()
+            m2 = m2_table(f, globals_[gi], evs, r_list, family, eps_schedule=(), averages=(av_f, averages[gi]))
+            devs = m2.deviations()
             term1 = {r: abs(av_f) * abs(means[gi][r][0] - averages[gi]) for r in r_list}
             m2_rows.extend(
                 M2AuditRow(fi, gi, n, r, term1[r], Fraction(0), gaps[n] * means[gi][r][1], devs[(n, r)])

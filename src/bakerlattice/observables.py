@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
@@ -32,7 +31,7 @@ from .lattice import (
     origin,
 )
 from .phase import DEFAULT_BUDGET, BudgetExceededError, PartitionTable, PhasePoint
-from .rational import format_rational, parse_integer, parse_integers, parse_rational
+from .rational import format_rational, parse_integer, parse_integers, parse_rational, record
 
 
 class Sentinel:
@@ -55,7 +54,7 @@ NON_CONVERGENT = Sentinel("NonConvergent")
 # boxes
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Box:
     """Product of integer intervals [lo_i, hi_i] (inclusive)."""
 
@@ -116,7 +115,7 @@ class Box:
 # tail models and site observables
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PeriodicTail:
     """A periodic site function, by its values on one period cell."""
 
@@ -139,7 +138,7 @@ class PeriodicTail:
         return PeriodicTail(self.period, {r: evolved.get(r, Fraction(0)) for r in self.cell})
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Tail:
     """A whole site function: a periodic background on each orthant plus a finite table.
 
@@ -249,7 +248,7 @@ def _one_background(background: PeriodicTail, box: Box | None = None, table: dic
     return Tail(dict.fromkeys(itertools.product((-1, 1), repeat=len(background.period)), background), box, table or {})
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SiteObservable:
     dim: int
     tail: Tail
@@ -429,7 +428,7 @@ def box_average_product(f: SiteObservable, g: SiteObservable, box: Box):
 # infinite-volume averages and their uniformity
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AverageEstimate:
     """Result of an infinite-volume average computation.
 
@@ -546,7 +545,7 @@ def estimate_average(f: SiteObservable, family: BoxFamily, radii) -> AverageEsti
 # cell observables and the stable reduction
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CellObservable:
     """Function of (site, m backward digits, m forward digits).
 

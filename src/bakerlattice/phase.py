@@ -11,7 +11,6 @@ against which all correlation formulas are checked.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import (
@@ -20,7 +19,7 @@ from .lattice import (
     WalkDistribution,
     convolution_power,
 )
-from .rational import format_rational, parse_rational, write_csv
+from .rational import format_rational, parse_rational, record, write_csv
 
 DEFAULT_BUDGET = 10**7
 
@@ -34,7 +33,7 @@ def _check_unit(value, name: str):
         raise ValueError(f"{name} must lie in [0, 1), got {value}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PhasePoint:
     """A point (site; y1, y2): y1 is the expanding coordinate, y2 the contracting one."""
 
@@ -47,7 +46,7 @@ class PhasePoint:
         _check_unit(self.y2, "y2")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PartitionTable:
     """Cumulative cell boundaries 0 = q_0 < q_1 < ... < q_N = 1.
 
@@ -112,7 +111,7 @@ def inverse_step(x: PhasePoint, p: WalkDistribution, table: PartitionTable | Non
     return PhasePoint(site, w * x.y1 + q, (x.y2 - q) / w)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Strip:
     """Full-width strip {site} x [0,1) x [lo, hi) with rational endpoints."""
 
@@ -135,7 +134,7 @@ class Strip:
         return cls(tuple(site), Fraction(0), Fraction(1))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ItineraryComponent:
     word: tuple[int, ...]  # 1-based cell indices, first step first
     site: Site
@@ -147,7 +146,7 @@ class ItineraryComponent:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ItineraryPushforward:
     """Exact decomposition of the n-step image of a strip into N^n strips."""
 
@@ -229,7 +228,7 @@ def cylinder_interval(table: PartitionTable, word) -> tuple[Fraction, Fraction]:
 # Monte Carlo check that the site process follows the prescribed walk
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class SiteHistogram:
     walk: WalkDistribution
     steps: int

@@ -8,12 +8,111 @@ formatting, rounding conventions, JSON preparation and the artifact writers.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 from fractions import Fraction
 from math import floor
 from numbers import Rational
+from operator import attrgetter
 from pathlib import Path
+
+
+class FrozenRecordError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a frozen record."""
+
+
+class field:
+    """A record field's default, made by ``default_factory()`` for each instance."""
+
+    __slots__ = ("default_factory",)
+
+    def __init__(self, *, default_factory):
+        self.default_factory = default_factory
+
+
+def record(*, frozen=False, eq=True):
+    """Class decorator: a record of the class's own annotated fields, in order.
+
+    It builds what the standard library's dataclass decorator builds for the
+    same ``frozen`` and ``eq`` arguments: an ``__init__`` taking the fields
+    positionally or by keyword, with class-level values and ``field``s as
+    defaults, that ends in ``__post_init__`` if the class has one; the repr
+    ``QualName(field=value, ...)``; under ``eq`` a field-wise ``__eq__``,
+    and a field-wise hash if also ``frozen``.  A frozen record refuses
+    assignment with ``FrozenRecordError``; ``object.__setattr__`` still
+    works.  Instances keep their ``__dict__``.  The methods are closures,
+    not generated source, so defining a record runs no ``exec``, and no
+    command pays for importing that module and the ``inspect`` it loads,
+    which were most of the package's own start-up.  ``to_jsonable`` reads
+    ``__record_fields__``.
+    """
+
+    def decorate(cls):
+        names = tuple(cls.__annotations__)  # its own only, from Python 3.10 on
+        defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+        n = len(names)
+        post_init = hasattr(cls, "__post_init__")
+
+        def bind(args, kwargs):
+            """The fields after ``args``, from ``kwargs`` or their defaults, in order."""
+            out = {}
+            for name in names[len(args):]:
+                if name in kwargs:
+                    out[name] = kwargs.pop(name)
+                elif name in defaults:
+                    default = defaults[name]
+                    out[name] = default.default_factory() if isinstance(default, field) else default
+                else:
+                    raise TypeError(f"{cls.__qualname__}() missing required argument: {name!r}")
+            if len(args) > n or kwargs:
+                raise TypeError(f"{cls.__qualname__}() takes the fields {names}, got {args!r} and {kwargs!r}")
+            return out
+
+        def __init__(self, *args, **kwargs):
+            d = self.__dict__
+            d.update(zip(names, args))
+            if kwargs or len(args) != n:
+                d.update(bind(args, kwargs))
+            if post_init:
+                self.__post_init__()
+
+        if n == 1:  # a 1-tuple, so that hash and repr read as for more fields
+            one = attrgetter(names[0])
+
+            def values(self):
+                return (one(self),)
+        else:
+            values = attrgetter(*names)
+
+        def __repr__(self):
+            shown = ", ".join(map("{}={!r}".format, names, values(self)))
+            return f"{self.__class__.__qualname__}({shown})"
+
+        cls.__init__ = __init__
+        cls.__repr__ = __repr__
+        if eq:
+            def __eq__(self, other):
+                if other.__class__ is self.__class__:
+                    return values(self) == values(other)
+                return NotImplemented
+
+            def __hash__(self):
+                return hash(values(self))
+
+            cls.__eq__ = __eq__
+            cls.__hash__ = __hash__ if frozen else None
+        if frozen:
+            def __setattr__(self, name, value):
+                raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+            def __delattr__(self, name):
+                raise FrozenRecordError(f"cannot delete field {name!r}")
+
+            cls.__setattr__ = __setattr__
+            cls.__delattr__ = __delattr__
+        cls.__record_fields__ = names
+        return cls
+
+    return decorate
 
 
 def parse_rational(value) -> Fraction:
@@ -72,15 +171,16 @@ def nearest_integer(q) -> int:
 
 
 def to_jsonable(obj):
-    """Recursively convert Fractions, tuples, and dataclasses for json.dumps."""
+    """Recursively convert Fractions, tuples, and records for json.dumps."""
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, Fraction):
         return format_rational(obj)
     if isinstance(obj, (int, float, str)):
         return obj
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    names = getattr(obj, "__record_fields__", None)
+    if names is not None and not isinstance(obj, type):
+        return {name: to_jsonable(getattr(obj, name)) for name in names}
     if isinstance(obj, dict):
         return {_json_key(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):

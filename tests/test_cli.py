@@ -14,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bakerlattice import cli, evolve_site, mixing
+from bakerlattice import cli, evolve_site, mixing, observables
 from bakerlattice.cli import main, run
 from bakerlattice.embedding import nowak_constant
+from bakerlattice.observables import SiteObservable
 from bakerlattice.rational import parse_integers
 
 
@@ -518,6 +519,20 @@ def test_m1_report_errors_are_not_swallowed(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
+def test_a_fault_that_escapes_a_command_exits_3(tmp_path, capsys, monkeypatch):
+    # main, not run, maps it: the traceback, then one JSON line naming its type
+    def failing(*args, **kwargs):
+        raise ZeroDivisionError("injected fault")
+
+    monkeypatch.setattr(observables, "evolve_site", failing)
+    assert main(["correlate", "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert json.loads(err.splitlines()[-1]) == {
+        "error": {"exit": 3, "type": "ZeroDivisionError", "message": "injected fault"}
+    }
+
+
 # ---------------------------------------------------------------------------
 # artifacts
 
@@ -623,6 +638,37 @@ def test_audit_command(tmp_path, capsys):
     )
     assert header == "n,r,term1,term2,term3,bound,measured"
     assert read_json(out / "audit.json")["ok"] is True
+
+
+AUDIT_2D = {
+    "walk": {"preset": "lazy-2d"},
+    "observables": [
+        {"kind": "constantOutsideBox", "constant": "2", "radius": 1,
+         "table": {"0,0": "1", "1,0": "-3", "0,-1": "2", "-1,1": "1"}},
+        {"kind": "periodic", "period": [2, 3],
+         "table": {"0,0": "1", "0,1": "-2", "0,2": "3", "1,0": "-1", "1,1": "2", "1,2": "-3"}},
+    ],
+    "locals": [
+        {"terms": [{"site": [0, 0], "lo": "0", "hi": "1/2", "weight": "1"}]},
+        {"terms": [{"site": [1, -1], "lo": "1/4", "hi": "3/4", "weight": "2"},
+                   {"site": [-2, 0], "lo": "0", "hi": "1", "weight": "-1"}]},
+    ],
+    "schedules": {"n_list": [1, 2, 3, 4], "r_list": [2, 4]},
+}
+
+
+def test_audit_takes_each_average_and_m5_gap_once(tmp_path, capsys, monkeypatch):
+    # 2 globals, 2 locals, 4 times: one average per F and one M5 gap per (F, n);
+    # the M4 gaps and the M2 targets reuse them
+    calls = Counter()
+    for name in ("sup_deviation", "analytic_average"):
+        def counting(self, arg, _method=getattr(SiteObservable, name), _name=name):
+            calls[_name] += 1
+            return _method(self, arg)
+
+        monkeypatch.setattr(SiteObservable, name, counting)
+    assert run("audit", AUDIT_2D, tmp_path / "out") == 0
+    assert calls == {"sup_deviation": 2 * 4, "analytic_average": 2}
 
 
 def test_cell_observable_through_cli(tmp_path, capsys):

@@ -95,6 +95,13 @@ def test_a_norm_translation_invariant(seed, shift):
     assert a_norm(sig.shift((shift,))) == a_norm(sig)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_a_norm_equals_the_fraction_sum(seed, dim):
+    sig = random_signal(random.Random(seed), dim)
+    assert a_norm(sig) == sum((abs(v) for v in sig.entries.values()), Fraction(0))
+
+
 def test_h_norm_brute_force_agreement():
     rng = random.Random(3)
     for dim in (1, 2):

@@ -42,15 +42,20 @@ def package_modules(tmp_path, statement):
     return set(json.loads(proc.stdout.splitlines()[-1])[1])
 
 
-def command_run(tmp_path, command, config=None):
-    """Run one CLI command in a fresh interpreter: its exit code, whether numpy
-    got loaded, and the bakerlattice submodules loaded."""
+def command_statement(tmp_path, command, config=None):
+    """Python code that runs one CLI command and prints its exit code."""
     argv = [command, "--out", str(tmp_path / "out")]
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         argv += ["--config", str(path)]
-    proc = fresh_python(f"from bakerlattice import cli\ncode = cli.main({argv!r})\nprint(code)\n{REPORT}", tmp_path)
+    return f"from bakerlattice import cli\ncode = cli.main({argv!r})\nprint(code)"
+
+
+def command_run(tmp_path, command, config=None):
+    """Run one CLI command in a fresh interpreter: its exit code, whether numpy
+    got loaded, and the bakerlattice submodules loaded."""
+    proc = fresh_python(f"{command_statement(tmp_path, command, config)}\n{REPORT}", tmp_path)
     code, report = proc.stdout.splitlines()[-2:]
     numpy_loaded, modules = json.loads(report)
     return int(code), numpy_loaded, set(modules)
@@ -91,20 +96,36 @@ def test_each_command_loads_only_its_layers(tmp_path, command, layers):
     assert modules == CLI_MODULES | layers
 
 
-@pytest.mark.parametrize(
-    "command, config",
-    [
-        ("audit", None),
-        ("correlate", None),
-        ("span-check", None),
-        ("a1-check", None),
-        ("mixing-report", {"family": "centeredOnly"}),
-        ("nowak-test", None),
-        ("mixing-report", None),
-    ],
-)
+EXACT_COMMANDS = [
+    ("audit", None),
+    ("correlate", None),
+    ("span-check", None),
+    ("a1-check", None),
+    ("mixing-report", {"family": "centeredOnly"}),
+    ("nowak-test", None),
+    ("mixing-report", None),
+]
+
+
+@pytest.mark.parametrize("command, config", EXACT_COMMANDS)
 def test_exact_commands_run_without_numpy(tmp_path, command, config):
     assert run_command(tmp_path, command, config) == [0, False]
+
+
+# prints whether dataclasses is loaded: records are rational.record classes,
+# so no method is made by exec and start-up does not import inspect
+DATACLASSES = "import sys\nprint('dataclasses' in sys.modules)\n"
+
+
+def test_cli_import_leaves_dataclasses_unloaded(tmp_path):
+    proc = fresh_python(f"import bakerlattice.cli\n{DATACLASSES}", tmp_path)
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command, config", EXACT_COMMANDS)
+def test_exact_commands_leave_dataclasses_unloaded(tmp_path, command, config):
+    proc = fresh_python(f"{command_statement(tmp_path, command, config)}\n{DATACLASSES}", tmp_path)
+    assert proc.stdout.splitlines()[-2:] == ["0", "False"]
 
 
 def test_rate_fit_of_an_m5_report_leaves_numpy_unloaded(tmp_path):
