@@ -13,7 +13,6 @@ from bakerlattice import (
     FourierConfig,
     defect_signal,
     drift_removed_char,
-    local_bounds_report,
     nowak_constant,
     preset,
 )
@@ -44,15 +43,6 @@ write_loglog_svg(
      "a_norm": [r.a_norm for r in rows]},
 )
 print("Wrote defect_decay.svg")
-print()
-
-print("Local behavior of p~ near and away from zero:")
-report = local_bounds_report(p, [4, 16, 64], fc, 1024)
-print(f"  quadratic pinch: |p~| <= 1 - c|theta|^2 with c = {report.quadratic_coefficient:.4f}")
-print(f"  off-ball decay:  max |p~|^n <= exp(-kappa n^eps) with kappa = {report.kappa_hat:.4f}")
-for row in report.derivative_rows:
-    print(f"  n={row.n:>3}: max |d^2 g~| in the shrinking ball = {row.max_derivative_in_ball:.3e}"
-          f"  (reference shape {row.shape:.3e})")
 print()
 
 drifted = preset("drifted-1d")

@@ -11,9 +11,7 @@ modulus 1 at theta = pi.
 import numpy as np
 
 from bakerlattice import (
-    FourierConfig,
     char_function,
-    local_bounds_report,
     m5_gap,
     periodic_observable,
     preset,
@@ -38,8 +36,7 @@ for name in ("third-walk", "reducible-1d"):
     print(f"  max |p~| off zero on a 256-grid: {mod.max():.12f}")
     print()
 
-print("The local-bounds report carries the torus witness for the sublattice walk:")
-report = local_bounds_report(preset("reducible-1d"), [4, 16], FourierConfig(1, "1/10"), 512)
-theta, modulus = report.witness
-print(f"  |p~({theta[0]:+.6f})| = {modulus}")
-print("  (theta = pi: the parity character never decays, so the gap is stuck at 1)")
+print("The span check returns the exact torus witness for the sublattice walk:")
+(k,) = span_check(preset("reducible-1d")).witness
+print(f"  k = {k} turns: k (beta - beta0) is an integer for every step, so |p~(2 pi k)| = 1")
+print("  (theta = 2 pi k = pi: the parity character never decays, so the gap is stuck at 1)")

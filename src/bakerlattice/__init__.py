@@ -89,7 +89,6 @@ _EXPORTS = {
         "char_function",
         "defect_signal",
         "drift_removed_char",
-        "local_bounds_report",
         "periodic_pairing",
         "smallest_grid",
         "taylor_coefficient",

@@ -275,8 +275,10 @@ def _cmd_mixing_report(config, walk, out_dir, args):
 
     written = []
     averages = []
+    values = []  # each observable's exact average, taken once and passed to every report
     for i, (obs, offset) in enumerate(observables):
         est = estimate_average(obs, family, radii)
+        values.append(est.value)
         averages.append(
             {
                 "observable": i,
@@ -286,8 +288,13 @@ def _cmd_mixing_report(config, walk, out_dir, args):
         )
         if est.non_convergent:
             continue
+        m5_gaps = None  # n -> M5 gap at n of obs evolved n steps, shared by every local's M4 report
         if "M5" in kinds:
-            rep = mixing.m5_report(obs, evs(i, 2 * offset), family, offset, metadata={**meta, "observable": i})
+            rep = mixing.m5_report(
+                obs, evs(i, 2 * offset), family, offset, metadata={**meta, "observable": i}, average=est.value
+            )
+            if offset == 0:
+                m5_gaps = rep.series
             _write_report(rep, out_dir, f"m5_{i}", written)
             if args.plot:
                 from .svgplot import write_loglog_svg
@@ -300,9 +307,14 @@ def _cmd_mixing_report(config, walk, out_dir, args):
                     {"gap": [float(rep.series[n]) for n in xs]},
                 )
                 written.append(f"m5_{i}.svg")
-        if "M4" in kinds:
+        if "M4" in kinds and locals_:
+            if m5_gaps is None:
+                m5_gaps = {n: ev.sup_deviation(est.value) for n, ev in evs(i).items()}
             for j, g in enumerate(locals_):
-                rep = mixing.m4_report(obs, g, evs(i), family, metadata={**meta, "observable": i, "local": j})
+                rep = mixing.m4_report(
+                    obs, g, evs(i), family, metadata={**meta, "observable": i, "local": j},
+                    average=est.value, m5_gaps=m5_gaps,
+                )
                 _write_report(rep, out_dir, f"m4_{i}_{j}", written)
     if "M2" in kinds or "M1" in kinds:
         for i, j in itertools.combinations_with_replacement(range(len(observables)), 2):
@@ -310,7 +322,7 @@ def _cmd_mixing_report(config, walk, out_dir, args):
             if "M2" in kinds:
                 rep = mixing.m2_table(
                     f_obs, g_obs, evs(i), r_list, family,
-                    metadata={**meta, "observables": f"{i},{j}"},
+                    metadata={**meta, "observables": f"{i},{j}"}, averages=(values[i], values[j]),
                 )
                 _write_report(rep, out_dir, f"m2_{i}_{j}", written)
             if "M1" in kinds and mixing.m1_computable(f_obs, g_obs):

@@ -26,7 +26,6 @@ from .lattice import (
     convolve,
     drift,
     origin,
-    span_check,
 )
 from .rational import nearest_integer, parse_rational, record
 
@@ -52,16 +51,6 @@ class TorusGrid:
     def theta_axis(self) -> np.ndarray:
         M = self.points_per_axis
         return 2.0 * np.pi * np.arange(M) / M
-
-    def principal_theta_axis(self) -> np.ndarray:
-        """Angles mapped to (-pi, pi] (for ball membership and |theta| weights)."""
-        th = self.theta_axis()
-        return np.where(th > np.pi, th - 2.0 * np.pi, th)
-
-    def principal_radius(self) -> np.ndarray:
-        """|theta| over the grid with principal-value angles."""
-        axes = np.meshgrid(*([self.principal_theta_axis()] * self.dim), indexing="ij")
-        return np.sqrt(sum(ax**2 for ax in axes))
 
 
 def smallest_grid(bandwidth: int) -> int:
@@ -111,11 +100,11 @@ class FourierConfig:
 
     nu is the Sobolev derivative order max(2, floor(d/2)+1); nu_bar the
     embedding order floor(d/2)+1.  The box radius schedule is
-    r_n = ceil(n^eps) (computed in integer arithmetic, no float powers), and
-    the shrinking ball has radius n^(-(1-eps)/2).  Hard requirement:
-    0 < eps < 1/3.  The sharper bound eps < 1/(2(5 nu + 2 + d/2)) that the
-    decay *proof* needs is exposed as ``eps_proof_bound`` and reported, not
-    enforced: the measured decay is meaningful for any eps below 1/3.
+    r_n = ceil(n^eps) (computed in integer arithmetic, no float powers).
+    Hard requirement: 0 < eps < 1/3.  The sharper bound
+    eps < 1/(2(5 nu + 2 + d/2)) that the decay *proof* needs is exposed as
+    ``eps_proof_bound`` and reported, not enforced: the measured decay is
+    meaningful for any eps below 1/3.
     """
 
     dim: int
@@ -153,9 +142,6 @@ class FourierConfig:
             r += 1
         return r
 
-    def ball_radius(self, n: int) -> float:
-        return float(n) ** (-(1.0 - float(self.eps)) / 2.0)
-
 
 # ---------------------------------------------------------------------------
 # the defect signal p^(n) - q^(r_n) * p^(n) and its norms
@@ -173,16 +159,6 @@ class DefectNorms:
     @property
     def h_total(self) -> float:
         return self.l1_grid + self.sobolev
-
-
-def _derivative_weighted(sig: LatticeSignal, axis: int, order: int) -> LatticeSignal:
-    """Signal with entries (i alpha_axis)^order a_alpha: the transform of d^order a~."""
-    out = {}
-    for s, v in sig.entries.items():
-        w = (1j * s[axis]) ** order
-        if w != 0:
-            out[s] = complex(v) * w
-    return LatticeSignal(sig.dim, out)
 
 
 def _defect(p: WalkDistribution, n: int, r: int) -> LatticeSignal:
@@ -323,47 +299,7 @@ def periodic_pairing(
 
 
 # ---------------------------------------------------------------------------
-# local behavior of p~ and the defect derivatives
-
-
-@record(frozen=True, eq=False)
-class TailRow:
-    n: int
-    ball_radius: float
-    max_modulus_outside: float
-    neg_log_power: float
-    kappa_residual: float
-
-
-@record(frozen=True, eq=False)
-class XiRow:
-    j: int
-    r: int
-    value: Fraction
-
-
-@record(frozen=True, eq=False)
-class DerivativeRow:
-    n: int
-    r: int
-    max_derivative_in_ball: float
-    shape: float
-    ratio: float
-
-
-@record(frozen=True, eq=False)
-class LocalBoundsReport:
-    full_lattice: bool
-    max_modulus_off_zero: float
-    witness: tuple | None  # (theta tuple, modulus) with modulus 1 off the origin
-    quadratic_coefficient: float
-    quadratic_ball: float
-    kappa_hat: float | None
-    tail_rows: tuple[TailRow, ...]
-    xi_rows: tuple[XiRow, ...]
-    derivative_rows: tuple[DerivativeRow, ...]
-    flagged_n: tuple[int, ...]
-    grid_size: int
+# the box kernel's Taylor coefficients
 
 
 def taylor_coefficient(j: int, r: int) -> Fraction:
@@ -378,106 +314,3 @@ def taylor_coefficient(j: int, r: int) -> Fraction:
         return Fraction(1)
     power_sum = 2 * sum(a ** (2 * j) for a in range(1, r + 1))
     return Fraction((-1) ** j * power_sum, factorial(2 * j) * (2 * r + 1))
-
-
-# radius of the ball around 0 on which (a) fits c, the box-kernel Taylor
-# orders j of (c), and the ratio to the median ratio above which (d) flags n
-QUADRATIC_BALL = 0.5
-TAYLOR_ORDERS = (1, 2, 3)
-SHAPE_TOLERANCE = 5.0
-
-
-def local_bounds_report(
-    p: WalkDistribution,
-    n_list,
-    config: FourierConfig,
-    grid_size: int,
-) -> LocalBoundsReport:
-    """Measured versions of the local estimates feeding the decay argument.
-
-    (a) the largest c with |p~| <= 1 - c |theta|^2 on a small ball around 0;
-    (b) the decay of max |p~|^n outside the shrinking ball, with the fitted
-        kappa such that every sampled n obeys max <= exp(-kappa n^eps);
-    (c) exact Taylor coefficients of the box kernel transform;
-    (d) max |d_i^nu g~^(n)| over the shrinking ball against the reference
-        shape r^(2 nu) n^((-2 + 2 eps + nu(1+eps))/2); entries whose ratio to
-        the shape exceeds ``SHAPE_TOLERANCE`` times the median ratio are
-        flagged (asymptotic bounds may be violated at small n; that is a
-        flag, not a failure).
-
-    A walk whose step differences span a proper sublattice has |p~| = 1
-    somewhere off 0; the report then carries the witness grid point.
-    """
-    n_list = sorted(int(n) for n in n_list)
-    M = int(grid_size)
-    verdict = span_check(p)
-    grid = char_function(p.signal(), M)
-    modulus = np.abs(grid.values)
-    radius = grid.principal_radius()
-
-    off_zero = np.ones_like(modulus, dtype=bool)
-    off_zero[(0,) * p.dim] = False
-    max_off = float(np.max(modulus[off_zero]))
-    witness = None
-    if not verdict.full:
-        flat = np.where(off_zero, modulus, -1.0)
-        idx = np.unravel_index(int(np.argmax(flat)), flat.shape)
-        theta = tuple(float(grid.principal_theta_axis()[i]) for i in idx)
-        witness = (theta, float(modulus[idx]))
-
-    in_ball = (radius > 0) & (radius <= QUADRATIC_BALL)
-    c_hat = float(np.min((1.0 - modulus[in_ball]) / radius[in_ball] ** 2)) if in_ball.any() else 0.0
-
-    tail = []  # (n, ball radius, max |p~| outside the ball, -log of its n-th power)
-    for n in n_list:
-        rho = config.ball_radius(n)
-        outside = radius > rho
-        if outside.any():
-            mmax = float(np.max(modulus[outside]))
-            tail.append((n, rho, mmax, -n * np.log(mmax) if mmax > 0 else float("inf")))
-    kappa_hat = min((neg_log / float(n) ** float(config.eps) for n, _, _, neg_log in tail), default=None)
-    tail_rows = [
-        TailRow(n, rho, mmax**n, neg_log, neg_log - kappa_hat * float(n) ** float(config.eps))
-        for n, rho, mmax, neg_log in tail
-    ]
-
-    xi_by_key = {}
-    for n in n_list:
-        r = config.radius(n)
-        for j in TAYLOR_ORDERS:
-            xi_by_key.setdefault((j, r), XiRow(j, r, taylor_coefficient(j, r)))
-    xi_rows = tuple(xi_by_key[k] for k in sorted(xi_by_key))
-
-    deriv_rows = []
-    for n in n_list:
-        r = config.radius(n)
-        g = _defect(p, n, r)
-        rho = config.ball_radius(n)
-        in_b = radius <= rho
-        best = 0.0
-        for axis in range(p.dim):
-            wt = char_function(_derivative_weighted(g, axis, config.nu), M)
-            best = max(best, float(np.max(np.abs(wt.values)[in_b])))
-        exponent = (-2.0 + 2.0 * float(config.eps) + config.nu * (1.0 + float(config.eps))) / 2.0
-        shape = r ** (2 * config.nu) * float(n) ** exponent
-        deriv_rows.append(DerivativeRow(n, r, best, shape, best / shape))
-
-    flagged = []
-    if deriv_rows:
-        ratios = sorted(row.ratio for row in deriv_rows)
-        median = ratios[len(ratios) // 2]
-        flagged = [row.n for row in deriv_rows if median > 0 and row.ratio > SHAPE_TOLERANCE * median]
-
-    return LocalBoundsReport(
-        full_lattice=verdict.full,
-        max_modulus_off_zero=max_off,
-        witness=witness,
-        quadratic_coefficient=c_hat,
-        quadratic_ball=QUADRATIC_BALL,
-        kappa_hat=kappa_hat,
-        tail_rows=tuple(tail_rows),
-        xi_rows=xi_rows,
-        derivative_rows=tuple(deriv_rows),
-        flagged_n=tuple(flagged),
-        grid_size=M,
-    )

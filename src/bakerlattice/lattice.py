@@ -297,20 +297,19 @@ def drift(p: WalkDistribution) -> tuple[Fraction, ...]:
     )
 
 
-def moment(p: WalkDistribution, k: int) -> float:
-    """sum_beta |beta|^k p_beta with the Euclidean norm, reported as float.
+def moment(p: WalkDistribution, k: int) -> Fraction | float:
+    """sum_beta |beta|^k p_beta with the Euclidean norm.
 
-    Even k goes through exact rational |beta|^2 powers before the final
-    conversion; odd k needs one square root per support point.
+    Even k is exact: a ``Fraction`` summed from the rational |beta|^2 powers.
+    Odd k is a float, because |beta| is irrational in general.
     """
     if k < 1:
         raise ValueError("moment order must be >= 1")
     if k % 2 == 0:
-        total = sum(
+        return sum(
             (w * Fraction(sum(c * c for c in s)) ** (k // 2) for s, w in p.support),
             Fraction(0),
         )
-        return float(total)
     return float(sum(float(w) * sqrt(sum(c * c for c in s)) ** k for s, w in p.support))
 
 
@@ -333,6 +332,33 @@ class SpanVerdict:
     @property
     def verdict(self) -> str:
         return "FullLattice" if self.full else "Sublattice"
+
+    @property
+    def witness(self) -> tuple[Fraction, ...] | None:
+        """A torus frequency k, in turns, that the walk leaves invariant.
+
+        k lies in [0, 1)^d, is not 0, and k . b is an integer for every basis
+        row b, hence for every step difference: |p~(2 pi k)| = 1 exactly.
+        None exactly when the span is full.  k comes from back-substitution
+        on the basis B: with a column that has no pivot, k is 1/2 at the first
+        such column, 0 at the others, and B k = 0; otherwise B k = e_i for the
+        first row i whose pivot is above 1.
+        """
+        if self.full:
+            return None
+        dim = len(self.basis[0])
+        pivots = [next(j for j, x in enumerate(row) if x) for row in self.basis]
+        k = [Fraction(0)] * dim
+        rhs = [0] * len(pivots)
+        free = [j for j in range(dim) if j not in pivots]
+        if free:
+            k[free[0]] = Fraction(1, 2)
+        else:
+            rhs[next(i for i, (row, c) in enumerate(zip(self.basis, pivots)) if row[c] > 1)] = 1
+        for row, c, target in reversed(list(zip(self.basis, pivots, rhs))):
+            known = sum((x * y for x, y in zip(row[c + 1 :], k[c + 1 :])), Fraction(0))
+            k[c] = (target - known) / row[c]
+        return tuple(x % 1 for x in k)
 
 
 def _hermite_basis(rows: Iterable[Site], dim: int) -> list[list[int]]:

@@ -36,6 +36,12 @@ def lazy2d():
     return preset("lazy-2d")
 
 
+def nearest_neighbour_2d() -> WalkDistribution:
+    """Steps +-e1, +-e2, weight 1/4 each: the differences span the checkerboard sublattice."""
+    quarter = Fraction(1, 4)
+    return WalkDistribution.from_weights(2, {(1, 0): quarter, (-1, 0): quarter, (0, 1): quarter, (0, -1): quarter})
+
+
 def random_walk(rng: random.Random, dim: int, max_support: int = 4, reach: int = 2) -> WalkDistribution:
     """Random finite-support walk with exact rational weights summing to 1."""
     n = rng.randint(2, max_support)

@@ -657,9 +657,8 @@ AUDIT_2D = {
 }
 
 
-def test_audit_takes_each_average_and_m5_gap_once(tmp_path, capsys, monkeypatch):
-    # 2 globals, 2 locals, 4 times: one average per F and one M5 gap per (F, n);
-    # the M4 gaps and the M2 targets reuse them
+def _count_gap_and_average_calls(monkeypatch) -> Counter:
+    """Count the calls of SiteObservable.sup_deviation and .analytic_average from now on."""
     calls = Counter()
     for name in ("sup_deviation", "analytic_average"):
         def counting(self, arg, _method=getattr(SiteObservable, name), _name=name):
@@ -667,8 +666,50 @@ def test_audit_takes_each_average_and_m5_gap_once(tmp_path, capsys, monkeypatch)
             return _method(self, arg)
 
         monkeypatch.setattr(SiteObservable, name, counting)
+    return calls
+
+
+def test_audit_takes_each_average_and_m5_gap_once(tmp_path, capsys, monkeypatch):
+    # 2 globals, 2 locals, 4 times: one average per F and one M5 gap per (F, n);
+    # the M4 gaps and the M2 targets reuse them
+    calls = _count_gap_and_average_calls(monkeypatch)
     assert run("audit", AUDIT_2D, tmp_path / "out") == 0
     assert calls == {"sup_deviation": 2 * 4, "analytic_average": 2}
+
+
+REPORT_1D = {
+    "walk": {"preset": "third-walk"},
+    "family": "centeredOnly",
+    "observables": [
+        {"kind": "periodic", "period": [2], "table": {"0": "1", "1": "-1"}},
+        {"kind": "sign1d"},
+        {"kind": "constantOutsideBox", "constant": "-3/2", "radius": 2, "table": {"-2": "-3", "0": "2", "1": "-1"}},
+        {"kind": "cell", "m": 2, "values": [
+            {"site": [0], "back": [1, 3], "fwd": [2, 1], "value": "3"},
+            {"site": [1], "back": [3, 3], "fwd": [3, 1], "value": "1"},
+            {"site": [-1], "back": [2, 2], "fwd": [1, 3], "value": "1"},
+        ]},
+    ],
+    "locals": [
+        {"terms": [{"site": [0]}]},
+        {"terms": [{"site": [2], "lo": "1/4", "hi": "1", "weight": "3"},
+                   {"site": [-1], "lo": "3/4", "hi": "1", "weight": "3"}]},
+    ],
+    "schedules": {"n_list": [4, 8, 16, 32], "r_list": [2, 4, 8, 16], "radii": [4, 8, 16]},
+    "mixing_kinds": ["M5", "M4", "M2", "M1"],
+}
+
+
+def test_mixing_report_takes_each_average_and_m5_gap_once(tmp_path, capsys, monkeypatch):
+    # 4 observables (the cell one has depth offset 2), 2 locals, 4 times:
+    # - sup_deviation: one M5 gap per (observable, n), and the offset
+    #   observable's M4 gaps once for both locals;
+    # - analytic_average: one per observable, from estimate_average, which M5,
+    #   M4 and M2 reuse; the other 19 are M1's translation-invariant averages
+    #   (m1_computable on each of the 10 pairs, 3 in each of the 3 m1_reports)
+    calls = _count_gap_and_average_calls(monkeypatch)
+    assert run("mixing-report", REPORT_1D, tmp_path / "out") == 0
+    assert calls == {"sup_deviation": 4 * 4 + 4, "analytic_average": 4 + 10 + 3 * 3}
 
 
 def test_cell_observable_through_cli(tmp_path, capsys):

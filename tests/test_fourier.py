@@ -3,7 +3,7 @@
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import factorial, pi, sqrt
+from math import factorial, lcm, pi, sqrt
 from unittest.mock import patch
 
 import numpy as np
@@ -24,20 +24,29 @@ from bakerlattice import (
     defect_signal,
     drift_removed_char,
     h_norm,
-    local_bounds_report,
     nowak_check,
     nowak_constant,
     periodic_pairing,
     preset,
     smallest_grid,
+    span_check,
     taylor_coefficient,
 )
 from bakerlattice import embedding
 from bakerlattice.embedding import NESTED_TAIL_CONSTANTS
-from bakerlattice.fourier import _derivative_weighted
-from conftest import random_signal, random_walk
+from conftest import nearest_neighbour_2d, random_signal, random_walk
 
 APERY = 1.2020569031595943  # zeta(3)
+
+
+def _derivative_weighted(sig: LatticeSignal, axis: int, order: int) -> LatticeSignal:
+    """Signal with entries (i alpha_axis)^order a_alpha: the transform of d^order a~."""
+    out = {}
+    for s, v in sig.entries.items():
+        w = (1j * s[axis]) ** order
+        if w != 0:
+            out[s] = complex(v) * w
+    return LatticeSignal(sig.dim, out)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +277,6 @@ def test_radius_schedule_is_exact_ceiling():
     assert [fc2.radius(n) for n in (16, 17, 81)] == [2, 3, 3]
 
 
-def test_ball_radius_shrinks():
-    fc = FourierConfig(1, "1/10")
-    assert fc.ball_radius(4) > fc.ball_radius(64) > fc.ball_radius(1024) > 0
-
-
 def test_smallest_grid():
     assert smallest_grid(0) == 4
     assert smallest_grid(10) == 32
@@ -413,27 +417,20 @@ def test_periodic_pairing_random_tables(third):
 
 
 # ---------------------------------------------------------------------------
-# local bounds report
+# the torus witness and the box kernel's Taylor coefficients
 
 
-def test_local_report_third_walk(third):
-    fc = FourierConfig(1, "1/10")
-    rep = local_bounds_report(third, [4, 16, 64], fc, 512)
-    assert rep.full_lattice and rep.witness is None
-    assert rep.max_modulus_off_zero < 1
-    assert rep.quadratic_coefficient == pytest.approx(1 / 3, abs=0.02)
-    assert rep.kappa_hat is not None and rep.kappa_hat > 0
-    assert all(row.kappa_residual >= -1e-12 for row in rep.tail_rows)
-    assert rep.derivative_rows and all(row.ratio > 0 for row in rep.derivative_rows)
-
-
-def test_local_report_reducible_witness(reducible):
-    fc = FourierConfig(1, "1/10")
-    rep = local_bounds_report(reducible, [4, 16], fc, 512)
-    assert not rep.full_lattice
-    theta, modulus = rep.witness
-    assert theta[0] == pytest.approx(pi, abs=1e-12)
-    assert modulus == pytest.approx(1.0, abs=1e-12)
+@pytest.mark.parametrize(
+    "walk",
+    [preset("reducible-1d"), preset("drifted-1d"), nearest_neighbour_2d()],
+    ids=["reducible-1d", "drifted-1d", "nearest-neighbour-2d"],
+)
+def test_span_witness_has_unit_modulus_on_the_grid(walk):
+    """|p~(2 pi k)| = 1 at the grid index k M, with M a multiple of every denominator of k."""
+    k = span_check(walk).witness
+    M = 4 * lcm(*(x.denominator for x in k))
+    index = tuple(int(x * M) for x in k)
+    assert abs(char_function(walk.signal(), M).values[index]) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("r", [1, 2, 5, 10, 100])
@@ -443,15 +440,3 @@ def test_taylor_coefficients(r):
     # second order from the exact power sum
     s4 = 2 * sum(a**4 for a in range(1, r + 1))
     assert taylor_coefficient(2, r) == Fraction(s4, 24 * (2 * r + 1))
-
-
-def test_all_full_presets_have_modulus_below_one():
-    fc = FourierConfig(1, "1/10")
-    rep = local_bounds_report(preset("third-walk"), [4], fc, 256)
-    assert rep.full_lattice and rep.max_modulus_off_zero < 1
-    rep2d = local_bounds_report(preset("lazy-2d"), [4], FourierConfig(2, "1/10"), 64)
-    assert rep2d.full_lattice and rep2d.max_modulus_off_zero < 1
-    # the drifted preset steps on {-1, +1}: differences span 2Z, modulus 1 at pi
-    repd = local_bounds_report(preset("drifted-1d"), [4], fc, 256)
-    assert not repd.full_lattice
-    assert repd.witness[1] == pytest.approx(1.0, abs=1e-12)

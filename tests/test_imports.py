@@ -140,6 +140,16 @@ def test_rate_fit_of_an_m5_report_leaves_numpy_unloaded(tmp_path):
     assert proc.stdout.split() == ["1.098612", "False"]
 
 
+def test_span_witness_leaves_numpy_unloaded(tmp_path):
+    proc = fresh_python(
+        "import sys\n"
+        "from bakerlattice import preset, span_check\n"
+        "print(span_check(preset('reducible-1d')).witness, 'numpy' in sys.modules)\n",
+        tmp_path,
+    )
+    assert proc.stdout.strip() == "(Fraction(1, 2),) False"
+
+
 @pytest.mark.parametrize("command", ["fourier-decay", "simulate"])
 def test_float_commands_import_numpy_themselves(tmp_path, command):
     assert run_command(tmp_path, command) == [0, True]

@@ -29,7 +29,7 @@ from bakerlattice import (
 )
 from bakerlattice import lattice
 from bakerlattice.lattice import _convolve_entries
-from conftest import random_signal, random_walk
+from conftest import nearest_neighbour_2d, random_signal, random_walk
 
 
 def naive_convolve(a: dict, b: dict, dim: int) -> dict:
@@ -233,7 +233,7 @@ def test_moment_half_step():
 
 
 def test_moment_second_third_walk(third):
-    assert moment(third, 2) == pytest.approx(2 / 3, abs=0)
+    assert moment(third, 2) == Fraction(2, 3)
 
 
 def test_moment_always_finite(lazy2d):
@@ -322,6 +322,45 @@ def test_span_reenumeration_invariance(third):
     )
     assert shuffled.support == third.support  # lexicographic normalization
     assert span_check(shuffled) == span_check(third)
+
+
+@pytest.mark.parametrize(
+    "walk,witness",
+    [
+        (preset("reducible-1d"), (Fraction(1, 2),)),
+        (preset("drifted-1d"), (Fraction(1, 2),)),
+        (nearest_neighbour_2d(), (Fraction(1, 2), Fraction(1, 2))),
+        (
+            WalkDistribution.from_weights(2, {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}),
+            (Fraction(1, 2), Fraction(1, 2)),
+        ),
+        (preset("third-walk"), None),
+        (preset("lazy-2d"), None),
+    ],
+    ids=["reducible-1d", "drifted-1d", "nearest-neighbour-2d", "diagonal-2d", "third-walk", "lazy-2d"],
+)
+def test_span_witness_presets(walk, witness):
+    verdict = span_check(walk)
+    assert verdict.witness == witness
+    assert verdict.full == (witness is None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_span_witness_is_exact(seed, dim):
+    """None exactly on the full lattice; otherwise k in [0,1)^d, k != 0, k . (beta - beta0) in Z."""
+    p = random_walk(random.Random(seed), dim)
+    verdict = span_check(p)
+    k = verdict.witness
+    assert (k is None) == verdict.full == minor_gcd_full(p)
+    if k is None:
+        return
+    assert len(k) == dim and all(isinstance(x, Fraction) and 0 <= x < 1 for x in k)
+    assert any(k)
+    base = p.sites[0]
+    for site in p.sites:
+        turns = sum((x * (a - b) for x, a, b in zip(k, site, base)), Fraction(0))
+        assert turns.denominator == 1
 
 
 # ---------------------------------------------------------------------------
