@@ -104,22 +104,18 @@ def _family_from_config(config: dict, dim: int) -> BoxFamily:
         raise ConfigError(str(exc)) from exc
 
 
-def _observables_from_config(config: dict, walk: WalkDistribution, budget: int | None):
+def _observables_from_config(config: dict, walk: WalkDistribution):
     from .observables import CellObservable, observable_from_config, reduce_to_site
-    from .phase import DEFAULT_BUDGET, BudgetExceededError
 
-    budget = DEFAULT_BUDGET if budget is None else budget
     out = []
     for spec in _objects(config.get("observables", []), "observables"):
         try:
             obs = observable_from_config(walk.dim, spec)
             depth = 0
             if isinstance(obs, CellObservable):
-                obs, depth = reduce_to_site(obs, walk, budget), obs.depth
+                obs, depth = reduce_to_site(obs, walk), obs.depth
             if walk.dim > 1 and not obs.tail.uniform:
                 raise ValueError("orthant constants that differ evolve exactly only in dimension 1")
-        except BudgetExceededError as exc:
-            raise ConfigError(str(exc)) from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid observable {spec!r}: {exc}") from exc
         out.append((obs, depth))
@@ -235,7 +231,7 @@ def _cmd_correlate(config, walk, out_dir, args):
     from .observables import evolve_site
 
     family = _family_from_config(config, walk.dim)
-    observables = _observables_from_config(config, walk, args.budget)
+    observables = _observables_from_config(config, walk)
     locals_ = _locals_from_config(config, walk)
     n_list = _schedule(config, "n_list")
     written = []
@@ -254,7 +250,7 @@ def _cmd_mixing_report(config, walk, out_dir, args):
     from .observables import estimate_average, evolve_site
 
     family = _family_from_config(config, walk.dim)
-    observables = _observables_from_config(config, walk, args.budget)
+    observables = _observables_from_config(config, walk)
     locals_ = _locals_from_config(config, walk)
     n_list = _schedule(config, "n_list")
     kinds = config.get("mixing_kinds", ["M5"])
@@ -316,6 +312,9 @@ def _cmd_mixing_report(config, walk, out_dir, args):
                     average=est.value, m5_gaps=m5_gaps,
                 )
                 _write_report(rep, out_dir, f"m4_{i}_{j}", written)
+    if "M1" in kinds:  # M1 reads translation-invariant averages, whatever the config's family
+        invariant = BoxFamily.translation_invariant(walk.dim)
+        m1_values = [obs.analytic_average(invariant) for obs, _ in observables]
     if "M2" in kinds or "M1" in kinds:
         for i, j in itertools.combinations_with_replacement(range(len(observables)), 2):
             f_obs, g_obs = observables[i][0], observables[j][0]
@@ -325,8 +324,11 @@ def _cmd_mixing_report(config, walk, out_dir, args):
                     metadata={**meta, "observables": f"{i},{j}"}, averages=(values[i], values[j]),
                 )
                 _write_report(rep, out_dir, f"m2_{i}_{j}", written)
-            if "M1" in kinds and mixing.m1_computable(f_obs, g_obs):
-                rep = mixing.m1_report(f_obs, g_obs, evs(i), metadata={**meta, "observables": f"{i},{j}"})
+            if "M1" in kinds and mixing.m1_computable(f_obs, g_obs, average=m1_values[j]):
+                rep = mixing.m1_report(
+                    f_obs, g_obs, evs(i), metadata={**meta, "observables": f"{i},{j}"},
+                    averages=(m1_values[i], m1_values[j]),
+                )
                 _write_report(rep, out_dir, f"m1_{i}_{j}", written)
     payload = {**meta, "kinds": kinds, "walk": walk.to_json_dict(), "averages": averages, "artifacts": written}
     return 0, f"mixing-report: kinds={','.join(kinds)}, {len(written)} artifacts", payload
@@ -466,7 +468,7 @@ def _cmd_audit(config, walk, out_dir, args):
     from . import mixing
 
     family = _family_from_config(config, walk.dim)
-    observables = [obs for obs, _ in _observables_from_config(config, walk, args.budget)]
+    observables = [obs for obs, _ in _observables_from_config(config, walk)]
     locals_ = _locals_from_config(config, walk)
     record = mixing.implication_audit(
         walk,
@@ -495,10 +497,10 @@ _BODIES = {
 COMMANDS = tuple(_BODIES)
 
 
-def run(command: str, config: dict, out_dir, seed=None, grid=None, budget=None, plot=False) -> int:
+def run(command: str, config: dict, out_dir, seed=None, grid=None, plot=False) -> int:
     """Validate the config, execute one command, write its artifacts and its
     ``<command>.json`` summary, return the exit code."""
-    args = argparse.Namespace(grid=grid, budget=budget, plot=plot)
+    args = argparse.Namespace(grid=grid, plot=plot)
     try:
         if command not in _BODIES:
             raise ConfigError(f"unknown command {command!r}")
@@ -512,14 +514,26 @@ def run(command: str, config: dict, out_dir, seed=None, grid=None, budget=None, 
         code, summary, payload = _BODIES[command](config, walk, out, args)
         write_json(out / f"{command.replace('-', '_')}.json", payload)
     except ConfigError as exc:
-        print(json.dumps({"error": {"exit": 2, "message": str(exc)}}), file=sys.stderr)
-        return 2
+        return _refuse(str(exc))
     print(summary)
     return code
 
 
+def _refuse(message: str) -> int:
+    """Exit 2: one JSON line naming what was refused."""
+    print(json.dumps({"error": {"exit": 2, "message": message}}), file=sys.stderr)
+    return 2
+
+
+class _Parser(argparse.ArgumentParser):
+    """A command line argparse refuses is a ConfigError, not a usage text."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bakerlattice",
         description="Random-walk baker lattices: mixing estimators and torus diagnostics.",
     )
@@ -529,26 +543,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--plot", action="store_true", help="also emit SVG plots")
     parser.add_argument("--grid", type=int, default=None, help="torus grid points per axis")
-    parser.add_argument("--budget", type=int, default=None, help="itinerary enumeration budget")
-    opts = parser.parse_args(argv)
-
-    config = {}
-    if opts.config is not None:
-        try:
-            config = json.loads(Path(opts.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(json.dumps({"error": {"exit": 2, "message": f"cannot read config: {exc}"}}), file=sys.stderr)
-            return 2
     try:
-        return run(
-            opts.command,
-            config,
-            opts.out,
-            seed=opts.seed,
-            grid=opts.grid,
-            budget=opts.budget,
-            plot=opts.plot,
-        )
+        opts = parser.parse_args(argv)
+        config = {} if opts.config is None else json.loads(Path(opts.config).read_text())
+    except ConfigError as exc:
+        return _refuse(str(exc))
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        return _refuse(f"cannot read config: {exc}")
+    try:
+        return run(opts.command, config, opts.out, seed=opts.seed, grid=opts.grid, plot=opts.plot)
     except Exception as exc:
         import traceback  # only a fault pays for the import
 

@@ -38,6 +38,7 @@ from .observables import (
 )
 from .phase import (
     DEFAULT_BUDGET,
+    BudgetExceededError,
     PartitionTable,
     Strip,
     cylinder_interval,
@@ -133,9 +134,12 @@ def m2_entry(
     return box_average_product(evolve_site(f, p, n), g, box)
 
 
-def m1_computable(f: SiteObservable, g: SiteObservable) -> bool:
-    """M1's rules: F is periodic and G has an exact translation-invariant average."""
-    av_g = g.analytic_average(BoxFamily.translation_invariant(g.dim))
+def m1_computable(f: SiteObservable, g: SiteObservable, *, average=None) -> bool:
+    """M1's rules: F is periodic and G has an exact translation-invariant average.
+
+    ``average`` is G's translation-invariant average, if the caller has it.
+    """
+    av_g = g.analytic_average(BoxFamily.translation_invariant(g.dim)) if average is None else average
     return f.tail.box is None and av_g is not NON_CONVERGENT
 
 
@@ -159,25 +163,27 @@ def itinerary_oracle(
     p: WalkDistribution,
     n: int,
     budget: int = DEFAULT_BUDGET,
-    table: PartitionTable | None = None,
 ):
     """Ground truth mu((F o T^n) 1_Q) by exact enumeration of the N^n strips.
 
     Accepts a site observable or a depth-m cell observable; for the latter
     each image strip is integrated cell by cell (forward digits weight the
     full-width coordinate by cylinder widths, backward digits intersect the
-    strip interval with contracting cylinders).
+    strip interval with contracting cylinders).  Raises BudgetExceededError
+    before anything is pushed when N^(n+2m) would exceed ``budget`` (m = 0
+    for a site observable).
     """
-    if table is None:
-        table = PartitionTable.from_walk(p)
+    if not isinstance(F, (SiteObservable, CellObservable)):
+        raise TypeError("oracle needs a site observable or a cell observable")
+    m = F.depth if isinstance(F, CellObservable) else 0
+    if p.size ** (n + 2 * m) > budget:
+        raise BudgetExceededError(
+            f"N^(n+2m) = {p.size}^{n + 2 * m} exceeds the itinerary budget {budget}"
+        )
+    table = PartitionTable.from_walk(p)
     pushed = push_strip(Q, p, n, budget=budget, table=table)
     if isinstance(F, SiteObservable):
         return sum((c.height * F.value(c.site) for c in pushed.components), Fraction(0))
-    if not isinstance(F, CellObservable):
-        raise TypeError("oracle needs a site observable or a cell observable")
-    m = F.depth
-    if p.size ** (n + 2 * m) > budget:
-        raise ValueError("cell oracle would exceed the enumeration budget")
     by_site: dict = {}
     for (site, word), value in F.values.items():
         by_site.setdefault(site, []).append((word[:m], word[m:], value - F.default))
@@ -360,12 +366,19 @@ def m1_report(
     g: SiteObservable,
     evs: Mapping[int, SiteObservable],
     metadata: dict | None = None,
+    *,
+    averages: tuple | None = None,
 ) -> CorrelationReport:
-    """Av((F o T^n) G) over the evolutions ``evs`` (n -> f evolved n steps)."""
-    if not m1_computable(f, g):
-        raise ValueError("M1 series not computable for these tail models")
+    """Av((F o T^n) G) over the evolutions ``evs`` (n -> f evolved n steps).
+
+    ``averages`` is the pair of translation-invariant averages of f and g, if
+    the caller has it.
+    """
     family = BoxFamily.translation_invariant(f.dim)
-    target = f.analytic_average(family) * g.analytic_average(family)
+    av_f, av_g = averages or (f.analytic_average(family), g.analytic_average(family))
+    if not m1_computable(f, g, average=av_g):
+        raise ValueError("M1 series not computable for these tail models")
+    target = av_f * av_g
     series = {n: product_average([ev, g], family) for n, ev in evs.items()}
     return CorrelationReport("M1", series, target, metadata=metadata or {})
 

@@ -30,7 +30,7 @@ from .lattice import (
     convolve,
     origin,
 )
-from .phase import DEFAULT_BUDGET, BudgetExceededError, PartitionTable, PhasePoint
+from .phase import PartitionTable, PhasePoint
 from .rational import format_rational, parse_integer, parse_integers, parse_rational, record
 
 
@@ -588,31 +588,26 @@ class CellObservable:
     def add(self, other: "CellObservable") -> "CellObservable":
         if (self.dim, self.depth) != (other.dim, other.depth):
             raise ValueError("can only add cell observables of equal dimension and depth")
-        keys = set(self.values) | set(other.values)
-        merged = {}
-        for k in keys:
-            v = self.values.get(k, self.default) + other.values.get(k, other.default)
-            merged[k] = v
+        merged = {k: self.values.get(k, self.default) + other.values.get(k, other.default)
+                  for k in set(self.values) | set(other.values)}
         return CellObservable(self.dim, self.depth, merged, self.default + other.default)
 
     def evaluate(self, x: PhasePoint, p: WalkDistribution) -> object:
         """Value at a phase point, by extracting digits from both coordinates."""
         table = PartitionTable.from_walk(p)
-        fwd, back = [], []
-        y = x.y1
-        for _ in range(self.depth):
-            k = table.locate(y)
-            fwd.append(k + 1)
-            y = (y - table.cumulative[k]) / table.cell_weight(k)
-        y = x.y2
-        for _ in range(self.depth):
-            k = table.locate(y)
-            back.append(k + 1)
-            y = (y - table.cumulative[k]) / table.cell_weight(k)
-        return self.values.get((x.site, tuple(back) + tuple(fwd)), self.default)
+
+        def digits(y) -> tuple:
+            out = []
+            for _ in range(self.depth):
+                k = table.locate(y)
+                out.append(k + 1)
+                y = (y - table.cumulative[k]) / table.cell_weight(k)
+            return tuple(out)
+
+        return self.values.get((x.site, digits(x.y2) + digits(x.y1)), self.default)
 
 
-def reduce_to_site(F: CellObservable, p: WalkDistribution, budget: int = DEFAULT_BUDGET) -> SiteObservable:
+def reduce_to_site(F: CellObservable, p: WalkDistribution) -> SiteObservable:
     """Collapse a depth-m cell observable to the site function of its stable shift.
 
     Composing F with m forward steps clears the backward digits; the result
@@ -620,21 +615,16 @@ def reduce_to_site(F: CellObservable, p: WalkDistribution, budget: int = DEFAULT
     site alpha collects every explicit cell at weight = exact cell measure.
     Correlations of a depth-m pair reduce to depth-0 correlations at time
     n - 2m, so callers pairing the output with shifted local observables
-    must offset indices by 2m.
+    must offset indices by 2m.  The cost is linear in the explicit cells
+    times m, at any depth.
     """
-    if p.size ** (2 * F.depth) > budget:
-        raise BudgetExceededError(
-            f"N^(2m) = {p.size}^{2 * F.depth} exceeds the cell budget {budget}"
-        )
     m = F.depth
     contrib: dict = {}
     for (site, word), val in F.values.items():
         back, fwd = word[:m], word[m:]
         if any(d > p.size for d in word):
             raise ValueError(f"digit out of range for a walk with {p.size} directions")
-        measure = Fraction(1)
-        for d in word:
-            measure *= p.support[d - 1][1]
+        measure = prod((p.support[d - 1][1] for d in word), start=Fraction(1))
         alpha = list(site)
         for d in back:
             step_vec = p.support[d - 1][0]

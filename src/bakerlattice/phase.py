@@ -13,12 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 
-from .lattice import (
-    LatticeSignal,
-    Site,
-    WalkDistribution,
-    convolution_power,
-)
+from .lattice import Site, WalkDistribution, convolution_power
 from .rational import format_rational, parse_rational, record, write_csv
 
 DEFAULT_BUDGET = 10**7
@@ -236,9 +231,6 @@ class SiteHistogram:
     seed: int
     counts: dict  # Site -> int
 
-    def exact_law(self) -> LatticeSignal:
-        return convolution_power(self.walk, self.steps)
-
     def empirical_mean(self) -> tuple[float, ...]:
         total = [0.0] * self.walk.dim
         for site, c in self.counts.items():
@@ -247,7 +239,7 @@ class SiteHistogram:
         return tuple(t / self.samples for t in total)
 
     def write_csv(self, path, metadata: dict | None = None):
-        law = self.exact_law()
+        law = convolution_power(self.walk, self.steps)
         sites = sorted(set(self.counts) | set(law.entries))
         rows = []
         for site in sites:

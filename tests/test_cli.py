@@ -83,17 +83,20 @@ def test_undersized_grid_exit_2(tmp_path, capsys, grid):
     assert run("fourier-decay", config, tmp_path / "o", grid=grid) == 2
 
 
-def test_cell_budget_overflow_exit_2(tmp_path, capsys):
-    config = {
-        "observables": [
-            {"kind": "cell", "m": 12, "values": [{"site": [0], "back": [1] * 12, "fwd": [1] * 12, "value": "1"}]}
-        ]
-    }
-    assert run("mixing-report", config, tmp_path / "o") == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert json.loads(err[0])["error"]["exit"] == 2
-    assert "exceeds the cell budget" in err[0]
+DEPTH_12_CELL = {"kind": "cell", "m": 12, "values": [{"site": [0], "back": [1] * 12, "fwd": [1] * 12, "value": "1"}]}
+
+
+def test_deep_cell_below_the_depth_offset_exit_2(tmp_path, capsys):
+    # any depth reduces; the default n_list starts below 2m = 24
+    assert run("mixing-report", {"observables": [DEPTH_12_CELL]}, tmp_path / "o") == 2
+    assert "time 1 is below the depth offset 2m = 24" in one_error_line(capsys)
+
+
+def test_deep_cell_m5_series_at_the_depth_offset(tmp_path, capsys):
+    config = {"observables": [DEPTH_12_CELL], "schedules": {"n_list": [24, 25]}}
+    assert run("mixing-report", config, tmp_path / "o") == 0
+    rows = (tmp_path / "o" / "m5_0.csv").read_text().splitlines()[2:]
+    assert rows == [f"24,{Fraction(1, 3**24)},0", f"25,{Fraction(1, 3**25)},0"]
 
 
 def one_error_line(capsys):
@@ -412,12 +415,6 @@ def test_json_float_table_values_parse_exactly(tmp_path, capsys):
     assert rows == ["1,1/30,0", "2,1/90,0"]
 
 
-def test_zero_budget_is_not_the_default_exit_2(tmp_path, capsys):
-    cell = {"kind": "cell", "m": 1, "values": [{"site": [0], "back": [1], "fwd": [1], "value": "1"}]}
-    assert run("mixing-report", {"observables": [cell]}, tmp_path / "o", budget=0) == 2
-    assert "exceeds the cell budget 0" in one_error_line(capsys)
-
-
 DEPTH_2_CELL = {"kind": "cell", "m": 2, "values": [{"site": [0], "back": [1, 2], "fwd": [3, 1], "value": "1"}]}
 
 
@@ -705,11 +702,11 @@ def test_mixing_report_takes_each_average_and_m5_gap_once(tmp_path, capsys, monk
     # - sup_deviation: one M5 gap per (observable, n), and the offset
     #   observable's M4 gaps once for both locals;
     # - analytic_average: one per observable, from estimate_average, which M5,
-    #   M4 and M2 reuse; the other 19 are M1's translation-invariant averages
-    #   (m1_computable on each of the 10 pairs, 3 in each of the 3 m1_reports)
+    #   M4 and M2 reuse, and one translation-invariant one per observable,
+    #   which every M1 pair reuses
     calls = _count_gap_and_average_calls(monkeypatch)
     assert run("mixing-report", REPORT_1D, tmp_path / "out") == 0
-    assert calls == {"sup_deviation": 4 * 4 + 4, "analytic_average": 4 + 10 + 3 * 3}
+    assert calls == {"sup_deviation": 4 * 4 + 4, "analytic_average": 4 + 4}
 
 
 def test_cell_observable_through_cli(tmp_path, capsys):
@@ -789,6 +786,28 @@ def test_main_rejects_missing_config_file(tmp_path, capsys):
     )
     assert code == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+def test_main_rejects_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b"\xff\xfe{")
+    assert main(["span-check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert one_error_line(capsys).startswith("cannot read config: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        (["audit", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["audit", "--budget", "5"], "unrecognized arguments: --budget 5"),
+    ],
+)
+def test_refused_command_line_is_one_json_line(tmp_path, capsys, argv, message):
+    # argparse's refusals keep the exit-2 contract: no usage text, one JSON line
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert message in one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

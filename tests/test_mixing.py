@@ -286,20 +286,36 @@ def test_oracle_cell_integral_at_depth_zero(third):
 def test_oracle_cell_observable_matches_reduction(third):
     """mu((F o T^n) 1_Q) for depth-m F equals the reduced correlation at n-m."""
     rng = random.Random(4)
-    for _ in range(8):
-        values = {}
-        for _ in range(rng.randint(1, 5)):
-            key = ((rng.randint(-1, 1),), (rng.randint(1, 3), rng.randint(1, 3)))
-            values[key] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        F = CellObservable(1, 1, values, default=Fraction(rng.randint(-1, 1)))
-        reduced = reduce_to_site(F, third)
-        q = random_strip(rng, 1)
-        for n in (1, 2, 4):
-            oracle = itinerary_oracle(F, q, third, n)
-            engine = correlate_global_local(
-                reduced, LocalObservable.from_strip(q), third, n - 1
-            )
-            assert oracle == engine
+    for m in (1, 2):
+        for _ in range(8):
+            values = {}
+            for _ in range(rng.randint(1, 5)):
+                key = ((rng.randint(-1, 1),), tuple(rng.randint(1, 3) for _ in range(2 * m)))
+                values[key] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            F = CellObservable(1, m, values, default=Fraction(rng.randint(-1, 1)))
+            reduced = reduce_to_site(F, third)
+            q = random_strip(rng, 1)
+            for n in (m, m + 1, m + 3):
+                oracle = itinerary_oracle(F, q, third, n)
+                engine = correlate_global_local(
+                    reduced, LocalObservable.from_strip(q), third, n - m
+                )
+                assert oracle == engine
+
+
+def test_cell_oracle_over_budget_pushes_no_strip(third, monkeypatch):
+    """The cell oracle refuses N^(n+2m) over budget before enumerating anything."""
+    from bakerlattice import BudgetExceededError
+
+    def no_push(*args, **kwargs):
+        raise AssertionError("push_strip called")
+
+    monkeypatch.setattr(mixing, "push_strip", no_push)
+    F = CellObservable(1, 3, {((0,), (1,) * 6): Fraction(1)})
+    q = Strip((0,), Fraction(0), Fraction(1))
+    # N^n = 3^4 is within the budget, N^(n+2m) = 3^10 is not
+    with pytest.raises(BudgetExceededError, match=r"N\^\(n\+2m\) = 3\^10 exceeds the itinerary budget 1000"):
+        itinerary_oracle(F, q, third, 4, budget=1000)
 
 
 def test_depth_one_cells_obey_offset_gap(third, parity):

@@ -225,12 +225,12 @@ def test_reduce_is_linear_and_bound_preserving(third):
         assert reduce_to_site(A, third).bound() <= A.bound()
 
 
-def test_reduce_budget_exceeded(third):
-    from bakerlattice import BudgetExceededError
-
+def test_reduce_deep_cell_exactly(third):
+    # depth 12 reduces in one pass over its one explicit cell: the 24 digits
+    # weigh 3^-24, and 12 backward steps of -1 move site 0 to site 12
     F = CellObservable(1, 12, {((0,), (1,) * 24): Fraction(1)})
-    with pytest.raises(BudgetExceededError):
-        reduce_to_site(F, third, budget=10**6)
+    expected = localized_observable(1, 0, Box.spanning([(12,)], 1), {(12,): Fraction(1, 3**24)})
+    assert reduce_to_site(F, third) == expected
 
 
 def test_cell_evaluate_reads_digits(third):
