@@ -179,12 +179,18 @@ def _schedule(config: dict, name: str, default=None, minimum: int = 0) -> list[i
     return values
 
 
+def _refuse_below_offset(observables, n_list, factor: int) -> None:
+    """Refuse a time n below factor * m for an observable of depth m: a
+    depth-m F correlates at time n as its reduction evolved n - m steps, and
+    M5 pairs it with a depth-m g, which takes m steps more."""
+    for _, m in observables:
+        for n in n_list:
+            if n < factor * m:
+                raise ConfigError(f"time {n} is below the depth offset {'2m' if factor == 2 else 'm'} = {factor * m}")
+
+
 def _meta(config: dict, command: str) -> dict:
-    return {
-        "command": command,
-        "config_hash": _config_hash(config),
-        "seed": config.get("seed", 0),
-    }
+    return {"command": command, "config_hash": _config_hash(config), "seed": config["seed"]}
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +213,7 @@ def _cmd_simulate(config, walk, out_dir, args):
 
     steps = _integer(config, "steps", 4, minimum=0)
     samples = _integer(config, "samples", 100000, minimum=1)
-    seed = _integer(config, "seed", 0, minimum=0)
-    hist = simulate_walk(walk, steps, samples, seed)
+    hist = simulate_walk(walk, steps, samples, config["seed"])
     hist.write_csv(out_dir / "histogram.csv", {"config_hash": _config_hash(config)})
     payload = {
         **_meta(config, "simulate"),
@@ -234,9 +239,10 @@ def _cmd_correlate(config, walk, out_dir, args):
     observables = _observables_from_config(config, walk)
     locals_ = _locals_from_config(config, walk)
     n_list = _schedule(config, "n_list")
+    _refuse_below_offset(observables, n_list, 1)
     written = []
     for i, (obs, offset) in enumerate(observables):
-        evs = {n: evolve_site(obs, walk, n) for n in n_list}
+        evs = {n: evolve_site(obs, walk, n - offset) for n in n_list}
         for j, g in enumerate(locals_):
             meta = {**_meta(config, "correlate"), "observable": i, "local": j, "m_offset": offset}
             report = mixing.m4_report(obs, g, evs, family, metadata=meta)
@@ -260,9 +266,8 @@ def _cmd_mixing_report(config, walk, out_dir, args):
     r_list = _schedule(config, "r_list") if "M2" in kinds else []
     radii = _schedule(config, "radii")
     meta = _meta(config, "mixing-report")
-    below = [(n, 2 * m) for _, m in observables for n in n_list if n < 2 * m]
-    if "M5" in kinds and below:
-        raise ConfigError("time {} is below the depth offset 2m = {}".format(*below[0]))
+    if {"M5", "M4", "M2"} & set(kinds):  # M1 takes a periodic F, of depth 0
+        _refuse_below_offset(observables, n_list, 2 if "M5" in kinds else 1)
     # every report reads the same evolutions: each (observable, time) is evolved once
     evolved = functools.cache(lambda i, n: evolve_site(observables[i][0], walk, n))
 
@@ -271,10 +276,8 @@ def _cmd_mixing_report(config, walk, out_dir, args):
 
     written = []
     averages = []
-    values = []  # each observable's exact average, taken once and passed to every report
     for i, (obs, offset) in enumerate(observables):
         est = estimate_average(obs, family, radii)
-        values.append(est.value)
         averages.append(
             {
                 "observable": i,
@@ -284,13 +287,8 @@ def _cmd_mixing_report(config, walk, out_dir, args):
         )
         if est.non_convergent:
             continue
-        m5_gaps = None  # n -> M5 gap at n of obs evolved n steps, shared by every local's M4 report
         if "M5" in kinds:
-            rep = mixing.m5_report(
-                obs, evs(i, 2 * offset), family, offset, metadata={**meta, "observable": i}, average=est.value
-            )
-            if offset == 0:
-                m5_gaps = rep.series
+            rep = mixing.m5_report(obs, evs(i, 2 * offset), family, offset, metadata={**meta, "observable": i})
             _write_report(rep, out_dir, f"m5_{i}", written)
             if args.plot:
                 from .svgplot import write_loglog_svg
@@ -303,33 +301,18 @@ def _cmd_mixing_report(config, walk, out_dir, args):
                     {"gap": [float(rep.series[n]) for n in xs]},
                 )
                 written.append(f"m5_{i}.svg")
-        if "M4" in kinds and locals_:
-            if m5_gaps is None:
-                m5_gaps = {n: ev.sup_deviation(est.value) for n, ev in evs(i).items()}
+        if "M4" in kinds:
             for j, g in enumerate(locals_):
-                rep = mixing.m4_report(
-                    obs, g, evs(i), family, metadata={**meta, "observable": i, "local": j},
-                    average=est.value, m5_gaps=m5_gaps,
-                )
+                rep = mixing.m4_report(obs, g, evs(i, offset), family, metadata={**meta, "observable": i, "local": j})
                 _write_report(rep, out_dir, f"m4_{i}_{j}", written)
-    if "M1" in kinds:  # M1 reads translation-invariant averages, whatever the config's family
-        invariant = BoxFamily.translation_invariant(walk.dim)
-        m1_values = [obs.analytic_average(invariant) for obs, _ in observables]
-    if "M2" in kinds or "M1" in kinds:
-        for i, j in itertools.combinations_with_replacement(range(len(observables)), 2):
-            f_obs, g_obs = observables[i][0], observables[j][0]
-            if "M2" in kinds:
-                rep = mixing.m2_table(
-                    f_obs, g_obs, evs(i), r_list, family,
-                    metadata={**meta, "observables": f"{i},{j}"}, averages=(values[i], values[j]),
-                )
-                _write_report(rep, out_dir, f"m2_{i}_{j}", written)
-            if "M1" in kinds and mixing.m1_computable(f_obs, g_obs, average=m1_values[j]):
-                rep = mixing.m1_report(
-                    f_obs, g_obs, evs(i), metadata={**meta, "observables": f"{i},{j}"},
-                    averages=(m1_values[i], m1_values[j]),
-                )
-                _write_report(rep, out_dir, f"m1_{i}_{j}", written)
+    for i, j in itertools.combinations_with_replacement(range(len(observables)), 2):
+        (f_obs, offset), g_obs = observables[i], observables[j][0]
+        pair = {**meta, "observables": f"{i},{j}"}
+        if "M2" in kinds:
+            rep = mixing.m2_table(f_obs, g_obs, evs(i, offset), r_list, family, metadata=pair)
+            _write_report(rep, out_dir, f"m2_{i}_{j}", written)
+        if "M1" in kinds and mixing.m1_computable(f_obs, g_obs):  # a periodic F, so no offset
+            _write_report(mixing.m1_report(f_obs, g_obs, evs(i), metadata=pair), out_dir, f"m1_{i}_{j}", written)
     payload = {**meta, "kinds": kinds, "walk": walk.to_json_dict(), "averages": averages, "artifacts": written}
     return 0, f"mixing-report: kinds={','.join(kinds)}, {len(written)} artifacts", payload
 
@@ -405,12 +388,11 @@ def _cmd_nowak_test(config, walk, out_dir, args):
     if not all(1 <= d <= 4 for d in dims):
         raise ConfigError(f"nowak_dims must lie in 1..4 (the tabulated C_d), got {dims}")
     radius = _integer(config, "nowak_radius", 6, minimum=0)
-    seed = _integer(config, "seed", 0, minimum=0)
     import random
 
     from . import embedding
 
-    rng = random.Random(seed)
+    rng = random.Random(config["seed"])
     failures = []
     for d in dims:
         for k in range(count):
@@ -506,11 +488,12 @@ def run(command: str, config: dict, out_dir, seed=None, grid=None, plot=False) -
             raise ConfigError(f"unknown command {command!r}")
         config = _merge_defaults(config)
         if seed is not None:
-            config["seed"] = int(seed)
+            config["seed"] = seed
         walk = _walk_from_config(config)
         _family_from_config(config, walk.dim)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        config["seed"] = _integer(config, "seed", 0, minimum=0)
         code, summary, payload = _BODIES[command](config, walk, out, args)
         write_json(out / f"{command.replace('-', '_')}.json", payload)
     except ConfigError as exc:

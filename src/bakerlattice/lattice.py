@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import comb, lcm, prod, sqrt
 from typing import Iterable, Mapping
 
-from .rational import format_rational, parse_integer, parse_rational, record
+from .rational import format_rational, parse_integer, parse_integers, parse_rational, record
 
 Site = tuple[int, ...]
 
@@ -175,7 +175,7 @@ class WalkDistribution:
     @classmethod
     def from_json_dict(cls, data: Mapping, allow_trivial: bool = False) -> "WalkDistribution":
         dim = parse_integer(data["dim"])
-        weights = {tuple(entry["beta"]): parse_rational(entry["p"]) for entry in data["support"]}
+        weights = {parse_integers(entry["beta"]): parse_rational(entry["p"]) for entry in data["support"]}
         return cls.from_weights(dim, weights, allow_trivial=allow_trivial)
 
 

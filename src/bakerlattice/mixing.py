@@ -134,13 +134,9 @@ def m2_entry(
     return box_average_product(evolve_site(f, p, n), g, box)
 
 
-def m1_computable(f: SiteObservable, g: SiteObservable, *, average=None) -> bool:
-    """M1's rules: F is periodic and G has an exact translation-invariant average.
-
-    ``average`` is G's translation-invariant average, if the caller has it.
-    """
-    av_g = g.analytic_average(BoxFamily.translation_invariant(g.dim)) if average is None else average
-    return f.tail.box is None and av_g is not NON_CONVERGENT
+def m1_computable(f: SiteObservable, g: SiteObservable) -> bool:
+    """M1's rules: F is periodic and G has an exact translation-invariant average."""
+    return f.tail.box is None and g.analytic_average(BoxFamily.translation_invariant(g.dim)) is not NON_CONVERGENT
 
 
 def m1_limit(f: SiteObservable, g: SiteObservable, p: WalkDistribution, n: int):
@@ -261,16 +257,11 @@ def m5_report(
     family: BoxFamily | None = None,
     m_offset: int = 0,
     metadata: dict | None = None,
-    *,
-    average=None,
 ) -> CorrelationReport:
-    """M5 gaps of f over its evolutions ``evs``: time n -> f evolved n - 2m steps.
-
-    ``average`` is f's analytic average for the family, if the caller has it.
-    """
+    """M5 gaps of f over its evolutions ``evs``: time n -> f evolved n - 2m steps."""
     if family is None:
         family = BoxFamily.translation_invariant(f.dim)
-    av = f.analytic_average(family) if average is None else average
+    av = f.analytic_average(family)
     if av is NON_CONVERGENT:
         raise ValueError("M5 gap needs an observable with an analytic average")
     series = {n: ev.sup_deviation(av) for n, ev in evs.items()}
@@ -289,26 +280,19 @@ def m4_report(
     evs: Mapping[int, SiteObservable],
     family: BoxFamily | None = None,
     metadata: dict | None = None,
-    *,
-    average=None,
-    m5_gaps: Mapping | None = None,
 ) -> CorrelationReport:
-    """mu((F o T^n) g) over the evolutions ``evs`` (n -> f evolved n steps).
+    """mu((F o T^n) g) over the evolutions ``evs`` (n -> f evolved n - m steps, m the depth of F).
 
-    The gap at n is the M5 gap of F at n times mu(|g|); ``average`` (f's
-    analytic average) and ``m5_gaps`` (an M5 series over the same times) are
-    taken as given when the caller has them, as the audit does for every g.
+    The gap at n is the M5 gap of the evolution at n times mu(|g|).
     """
     if family is None:
         family = BoxFamily.translation_invariant(f.dim)
-    av = f.analytic_average(family) if average is None else average
+    av = f.analytic_average(family)
     target = None if av is NON_CONVERGENT else av * g.mass()
     series = {n: _pair(ev, g) for n, ev in evs.items()}
     gaps = {}
     if av is not NON_CONVERGENT:
-        if m5_gaps is None:
-            m5_gaps = {n: ev.sup_deviation(av) for n, ev in evs.items()}
-        gaps = {n: m5_gaps[n] * g.abs_mass() for n in evs}
+        gaps = {n: ev.sup_deviation(av) * g.abs_mass() for n, ev in evs.items()}
     return CorrelationReport("M4", series, target, gap_series=gaps, metadata=metadata or {})
 
 
@@ -320,8 +304,6 @@ def m2_table(
     family: BoxFamily | None = None,
     eps_schedule=(Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)),
     metadata: dict | None = None,
-    *,
-    averages: tuple | None = None,
 ) -> CorrelationReport:
     """Matrix of box averages mu_V((F o T^n) G) plus the eps-M certificate scan.
 
@@ -330,12 +312,11 @@ def m2_table(
     computed entry with n >= M and box volume >= M deviates from Av(F) Av(G)
     by less than eps; ``None`` records that no threshold within the scanned
     grid certifies the joint limit (which is how the centered-family sign
-    counterexample shows up).  ``averages`` is the pair of analytic averages
-    of f and g for the family, if the caller has it.
+    counterexample shows up).
     """
     if family is None:
         family = BoxFamily.translation_invariant(f.dim)
-    av_f, av_g = averages or (f.analytic_average(family), g.analytic_average(family))
+    av_f, av_g = f.analytic_average(family), g.analytic_average(family)
     have_target = av_f is not NON_CONVERGENT and av_g is not NON_CONVERGENT
     target = av_f * av_g if have_target else NON_CONVERGENT
     series = {}
@@ -366,19 +347,12 @@ def m1_report(
     g: SiteObservable,
     evs: Mapping[int, SiteObservable],
     metadata: dict | None = None,
-    *,
-    averages: tuple | None = None,
 ) -> CorrelationReport:
-    """Av((F o T^n) G) over the evolutions ``evs`` (n -> f evolved n steps).
-
-    ``averages`` is the pair of translation-invariant averages of f and g, if
-    the caller has it.
-    """
-    family = BoxFamily.translation_invariant(f.dim)
-    av_f, av_g = averages or (f.analytic_average(family), g.analytic_average(family))
-    if not m1_computable(f, g, average=av_g):
+    """Av((F o T^n) G) over the evolutions ``evs`` (n -> f evolved n steps)."""
+    if not m1_computable(f, g):
         raise ValueError("M1 series not computable for these tail models")
-    target = av_f * av_g
+    family = BoxFamily.translation_invariant(f.dim)
+    target = f.analytic_average(family) * g.analytic_average(family)
     series = {n: product_average([ev, g], family) for n, ev in evs.items()}
     return CorrelationReport("M1", series, target, metadata=metadata or {})
 
@@ -551,13 +525,13 @@ def implication_audit(
     for fi in convergent:
         f, av_f = globals_[fi], averages[fi]
         evs = {n: evolve_site(f, p, n) for n in n_list}
-        gaps = m5_report(f, evs, family, average=av_f).series
+        gaps = m5_report(f, evs, family).series
         for gi, g in enumerate(locals_):
-            m4 = m4_report(f, g, evs, family, average=av_f, m5_gaps=gaps)
+            m4 = m4_report(f, g, evs, family)
             devs = m4.deviations()
             m4_rows.extend(M4AuditRow(fi, gi, n, devs[n], m4.gap_series[n], g.mass() == 0) for n in n_list)
         for gi in convergent:
-            m2 = m2_table(f, globals_[gi], evs, r_list, family, eps_schedule=(), averages=(av_f, averages[gi]))
+            m2 = m2_table(f, globals_[gi], evs, r_list, family, eps_schedule=())
             devs = m2.deviations()
             term1 = {r: abs(av_f) * abs(means[gi][r][0] - averages[gi]) for r in r_list}
             m2_rows.extend(

@@ -256,19 +256,31 @@ class SiteObservable:
     def value(self, site):
         return self.tail.value(tuple(int(c) for c in site))
 
+    @cached_property
+    def means(self) -> list:
+        """The mean of each orthant's background over one period cell."""
+        return _orthant_means([self])
+
+    @cached_property
+    def extremes(self) -> tuple[Fraction, Fraction]:
+        """The least and the greatest value, read from the tail's integer form."""
+        tail, den = self.tail.integer_form
+        values = tail.values()
+        return Fraction(min(values), den), Fraction(max(values), den)
+
     def bound(self):
-        return max(abs(v) for v in self.tail.values())
+        lo, hi = self.extremes
+        return max(-lo, hi)
 
     def analytic_average(self, family: BoxFamily):
         """Exact infinite-volume average, or NON_CONVERGENT when the family's
         box averages have no common limit."""
-        return product_average([self], family)
+        return _family_average(self.means, family)
 
     def sup_deviation(self, center):
-        """Exact sup over all sites of |value - center|, on the tail's integer form."""
-        tail, den = self.tail.integer_form
-        c = Fraction(center)
-        return Fraction(max(abs(v * c.denominator - c.numerator * den) for v in tail.values()), den * c.denominator)
+        """Exact sup over all sites of |value - center|."""
+        lo, hi = self.extremes
+        return max(hi - center, center - lo)
 
 
 def _site_table(dim: int, table: Mapping, name: str, owner: str = "walk") -> dict:
@@ -393,13 +405,12 @@ def _box_sum(observables, box: Box):
 
 
 def product_average(observables, family: BoxFamily):
-    """Exact infinite-volume average of the pointwise product, or NON_CONVERGENT.
+    """Exact infinite-volume average of the pointwise product, or NON_CONVERGENT."""
+    return _family_average(_orthant_means(observables), family)
 
-    Box averages tend, on each orthant, to the mean of the product of the
-    backgrounds over one joint period cell.  Translation-invariant boxes can
-    sit inside one orthant, so differing orthant means leave no limit;
-    centered boxes weight every orthant equally.
-    """
+
+def _orthant_means(observables) -> list:
+    """Per orthant, the mean of the product of the backgrounds over one joint period cell."""
     dim = observables[0].dim
     forms, dens = zip(*(o.tail.integer_form for o in observables))
     means = []
@@ -407,6 +418,16 @@ def product_average(observables, family: BoxFamily):
         backgrounds = [t.backgrounds[signs] for t in forms]
         cell = Box(origin(dim), tuple(lcm(*(bg.period[i] for bg in backgrounds)) - 1 for i in range(dim)))
         means.append(Fraction(_periodic_box_sum(backgrounds, cell), prod(dens) * cell.size))
+    return means
+
+
+def _family_average(means, family: BoxFamily):
+    """The limit of the family's box averages, given the orthant means.
+
+    Box averages tend, on each orthant, to that orthant's mean.
+    Translation-invariant boxes can sit inside one orthant, so differing
+    orthant means leave no limit; centered boxes weight every orthant equally.
+    """
     if all(m == means[0] for m in means):
         return means[0]
     if family.translation_invariant_p:

@@ -2,6 +2,8 @@
 
 import contextlib
 import filecmp
+import functools
+import hashlib
 import io
 import itertools
 import json
@@ -455,10 +457,22 @@ def test_2d_orthant_with_differing_constants_exit_2(tmp_path, capsys, command, f
          "needs m = 1 back and fwd digits, got 2 and 0"),
         ("correlate", {"walk": {"preset": "lazy-2d"}, "observables": [{"kind": "periodic", "period": "23", "table": {}}]},
          "period"),
+        # a boolean step is not the step 1, as no boolean is an integer field
+        ("span-check", {"walk": {"dim": 1, "support": [{"beta": [0], "p": "1/2"}, {"beta": [True], "p": "1/2"}]}},
+         "invalid walk: booleans are not rationals"),
     ],
 )
 def test_refused_config_files_exit_2_naming_the_field(tmp_path, capsys, command, config, field):
     assert field in refused(tmp_path, capsys, command, config)
+
+
+@pytest.mark.parametrize("seed", ["abc", 1.5, [1], -3, True])
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_bad_seed_exit_2_on_every_command(tmp_path, capsys, command, seed):
+    # every command writes the seed into its artifacts, so every command reads it
+    assert run(command, {"seed": seed}, tmp_path / "o") == 2
+    assert not any((tmp_path / "o").iterdir())
+    assert one_error_line(capsys).startswith("seed")
 
 
 def test_each_observable_and_time_is_evolved_once(tmp_path, capsys, monkeypatch):
@@ -486,9 +500,10 @@ def test_each_observable_and_time_is_evolved_once(tmp_path, capsys, monkeypatch)
     assert run("mixing-report", config, tmp_path / "report") == 0
     artifacts = set(read_json(tmp_path / "report" / "mixing_report.json")["artifacts"])
     assert {"m5_2.csv", "m4_2_1.csv", "m2_1_2.csv", "m1_0_2.csv"} <= artifacts
-    # the depth-2 cell is also evolved at the M5 times n - 4 = 0, 2, 4
+    # the depth-2 cell is evolved n - 2 = 2, 4, 6 steps for M4 and M2, and
+    # n - 4 = 0, 2, 4 steps for M5
     assert len(set(calls)) == len(calls)
-    assert sorted(Counter(i for i, _ in calls).values()) == [3, 3, 5]
+    assert sorted(Counter(i for i, _ in calls).values()) == [3, 3, 4]
     calls.clear()
     assert run("correlate", config, tmp_path / "correlate") == 0
     assert len(set(calls)) == len(calls) == 3 * 3
@@ -654,24 +669,26 @@ AUDIT_2D = {
 }
 
 
-def _count_gap_and_average_calls(monkeypatch) -> Counter:
-    """Count the calls of SiteObservable.sup_deviation and .analytic_average from now on."""
-    calls = Counter()
-    for name in ("sup_deviation", "analytic_average"):
-        def counting(self, arg, _method=getattr(SiteObservable, name), _name=name):
-            calls[_name] += 1
-            return _method(self, arg)
+def _count_cache_fills(monkeypatch) -> Counter:
+    """Count the fills of SiteObservable's cached ``means`` and ``extremes`` from now on."""
+    fills = Counter()
+    for name in ("means", "extremes"):
+        def counting(self, _fill=getattr(SiteObservable, name).func, _name=name):
+            fills[_name] += 1
+            return _fill(self)
 
-        monkeypatch.setattr(SiteObservable, name, counting)
-    return calls
+        prop = functools.cached_property(counting)
+        prop.__set_name__(SiteObservable, name)
+        monkeypatch.setattr(SiteObservable, name, prop)
+    return fills
 
 
 def test_audit_takes_each_average_and_m5_gap_once(tmp_path, capsys, monkeypatch):
-    # 2 globals, 2 locals, 4 times: one average per F and one M5 gap per (F, n);
-    # the M4 gaps and the M2 targets reuse them
-    calls = _count_gap_and_average_calls(monkeypatch)
+    # 2 globals, 2 locals, 4 times: the means of each F, and the extremes of
+    # each evolution (F, n); the M4 gaps and the M2 targets reuse them
+    fills = _count_cache_fills(monkeypatch)
     assert run("audit", AUDIT_2D, tmp_path / "out") == 0
-    assert calls == {"sup_deviation": 2 * 4, "analytic_average": 2}
+    assert fills == {"means": 2, "extremes": 2 * 4}
 
 
 REPORT_1D = {
@@ -698,15 +715,54 @@ REPORT_1D = {
 
 
 def test_mixing_report_takes_each_average_and_m5_gap_once(tmp_path, capsys, monkeypatch):
-    # 4 observables (the cell one has depth offset 2), 2 locals, 4 times:
-    # - sup_deviation: one M5 gap per (observable, n), and the offset
-    #   observable's M4 gaps once for both locals;
-    # - analytic_average: one per observable, from estimate_average, which M5,
-    #   M4 and M2 reuse, and one translation-invariant one per observable,
-    #   which every M1 pair reuses
-    calls = _count_gap_and_average_calls(monkeypatch)
+    # 4 observables (the cell one, of depth m = 2, evolves n - 2m steps for
+    # M5 and n - m for M4 and M2), 2 locals, 4 times:
+    # - means: one fill per observable, which every family's average, the
+    #   M4, M2 and M1 targets and M1's rules read;
+    # - extremes: one per evolution, 4 * 4 for M5 and 4 more for the cell
+    #   observable's M4 gaps, shared by both locals
+    fills = _count_cache_fills(monkeypatch)
     assert run("mixing-report", REPORT_1D, tmp_path / "out") == 0
-    assert calls == {"sup_deviation": 4 * 4 + 4, "analytic_average": 4 + 4}
+    assert fills == {"means": 4, "extremes": 4 * 4 + 4}
+
+
+def test_correlate_takes_each_average_and_gap_once(tmp_path, capsys, monkeypatch):
+    # 4 observables, 2 locals, 4 times: both locals share each observable's
+    # means and each evolution's extremes
+    fills = _count_cache_fills(monkeypatch)
+    assert run("correlate", REPORT_1D, tmp_path / "out") == 0
+    assert fills == {"means": 4, "extremes": 4 * 4}
+
+
+def _artifact_digest(out: Path) -> str:
+    """sha256 over the sorted (name, bytes) of every file in ``out``."""
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        h.update(f"{path.name}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+REPORT_1D_SITE = {**REPORT_1D, "observables": REPORT_1D["observables"][:3]}
+
+
+@pytest.mark.parametrize(
+    "command, config, digest",
+    [
+        ("correlate", AUDIT_2D, "2dc0db9a6c54381fef857f2810580d80d5b3ca8c89005f7a50a117fda23e02d5"),
+        ("mixing-report", AUDIT_2D, "d32e3294bbfd9b66de9a1fc93650f2b60af48c47b9dc72c26f32cfd7d3e513dc"),
+        ("audit", AUDIT_2D, "4c3566038e1c9113aeeea8065fab42e950311baaf07eb3127b56d3a2fdd6eb12"),
+        ("correlate", REPORT_1D_SITE, "421d9ceed8d0431f1b829383ae807eb66e09829c3cbcd89b91c760cd2f9110c9"),
+        ("mixing-report", REPORT_1D_SITE, "c5aa25b474ed0dfb27511d4943b29b517c496daf0a0e871f6956719bb1421aae"),
+        ("audit", REPORT_1D_SITE, "d4b4284c28d6f2f4749239809336ae77474d751d3476b0b25d6a8ed538c55f68"),
+    ],
+    ids=["correlate-audit2d", "report-audit2d", "audit-audit2d", "correlate-report1d", "report-report1d", "audit-report1d"],
+)
+def test_report_bytes_are_pinned(tmp_path, capsys, command, config, digest):
+    # every artifact of the site-observable reports, byte for byte
+    assert run(command, config, tmp_path / "out") == 0
+    assert _artifact_digest(tmp_path / "out") == digest
 
 
 def test_cell_observable_through_cli(tmp_path, capsys):
@@ -728,6 +784,50 @@ def test_cell_observable_through_cli(tmp_path, capsys):
     assert run("mixing-report", config, out) == 0
     payload = read_json(out / "mixing_report.json")
     assert payload["averages"][0]["value"] == "0"  # box indicator averages to zero
+
+
+DEPTH_1_CELL = {"kind": "cell", "m": 1, "default": "1/2", "values": [
+    {"site": [0], "back": [1], "fwd": [2], "value": "3"},
+    {"site": [1], "back": [3], "fwd": [1], "value": "-2"},
+    {"site": [-1], "back": [2], "fwd": [3], "value": "1"},
+]}
+HALF_STRIP = {"site": [0], "lo": "1/4", "hi": "3/4"}
+
+
+def test_cell_observable_rows_match_the_itinerary_oracle(tmp_path, capsys):
+    # a depth-m F correlates at time n as its reduction evolved n - m steps,
+    # in correlate and in mixing-report's M4 and M2 rows alike
+    from bakerlattice import Strip, itinerary_oracle, preset
+
+    third = preset("third-walk")
+    F = observables.observable_from_config(1, DEPTH_1_CELL)
+    G = {0: 1, 1: -1}  # the parity observable, by residue
+    config = {
+        "observables": [DEPTH_1_CELL, {"kind": "periodic", "period": [2], "table": {"0": "1", "1": "-1"}}],
+        "locals": [{"terms": [HALF_STRIP]}],
+        "schedules": {"n_list": [1, 2, 3], "r_list": [1, 2]},
+        "mixing_kinds": ["M4", "M2"],
+    }
+    strip = Strip((0,), Fraction(1, 4), Fraction(3, 4))
+    oracle = {n: itinerary_oracle(F, strip, third, n) for n in (1, 2, 3)}
+    assert run("correlate", config, tmp_path / "c") == 0
+    assert run("mixing-report", config, tmp_path / "r") == 0
+    for path in (tmp_path / "c" / "correlate_0_0.json", tmp_path / "r" / "m4_0_0.json"):
+        assert {int(n): Fraction(v) for n, v in read_json(path)["series"].items()} == oracle
+    m2 = read_json(tmp_path / "r" / "m2_0_1.json")["series"]
+    for n in (1, 2, 3):
+        for r in (1, 2):
+            box_sum = sum(G[a % 2] * itinerary_oracle(F, Strip.unit((a,)), third, n) for a in range(-r, r + 1))
+            assert Fraction(m2[f"{n},{r}"]) == box_sum / (2 * r + 1)
+
+
+@pytest.mark.parametrize(
+    "command, kinds", [("correlate", ["M5"]), ("mixing-report", ["M4"]), ("mixing-report", ["M2", "M1"])]
+)
+def test_cell_observable_time_below_its_depth_exit_2(tmp_path, capsys, command, kinds):
+    config = {"observables": [DEPTH_1_CELL], "schedules": {"n_list": [0, 1]}, "mixing_kinds": kinds}
+    assert run(command, config, tmp_path / "o") == 2
+    assert one_error_line(capsys) == "time 0 is below the depth offset m = 1"
 
 
 # ---------------------------------------------------------------------------
