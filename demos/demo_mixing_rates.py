@@ -12,9 +12,9 @@ from math import log
 
 from bakerlattice import (
     BoxFamily,
+    Evolution,
     LocalObservable,
     correlate_global_local,
-    evolve_site,
     m1_limit,
     m2_table,
     m5_gap,
@@ -40,14 +40,14 @@ for n in range(9):
     print(f"  {n:>3} {str(corr):>14} {str(gap):>10}")
 print()
 
-fit = rate_profile(m5_report(parity, {n: evolve_site(parity, p, n) for n in range(1, 16)}))
+fit = rate_profile(m5_report(Evolution(parity, p), range(1, 16)))
 print(f"Fitted exponential decay rate: {fit.exponential_rate:.6f} (log 3 = {log(3):.6f})")
 print()
 
 print("M2 (global-global, box-averaged): entries converge jointly in n and r,")
 print("and the eps-M scan certifies the joint limit on the computed grid:")
 other = periodic_observable((3,), {(0,): 1, (1,): 0, (2,): -1})
-report = m2_table(parity, other, {n: evolve_site(parity, p, n) for n in range(1, 13)}, [2, 8, 32, 128], family,
+report = m2_table(Evolution(parity, p), Evolution(other, p), range(1, 13), [2, 8, 32, 128], family,
                   eps_schedule=(Fraction(1, 10), Fraction(1, 1000)))
 for (n, r) in [(1, 2), (4, 8), (8, 32), (12, 128)]:
     print(f"  n={n:>2} r={r:>3}: deviation {float(abs(report.series[(n, r)])):.2e}")

@@ -63,6 +63,7 @@ _EXPORTS = {
         "NOT_COMPUTABLE",
         "AuditRecord",
         "CorrelationReport",
+        "Evolution",
         "LocalObservable",
         "RateFit",
         "correlate_global_local",

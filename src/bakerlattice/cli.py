@@ -14,7 +14,6 @@ identical bytes.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import itertools
 import json
@@ -34,7 +33,7 @@ from .lattice import (
     span_check,
 )
 from .presets import PRESETS, preset
-from .rational import format_rational, parse_integer, parse_integers, parse_rational, write_csv, write_json
+from .rational import ConfigError, format_rational, parse_integer, parse_integers, parse_rational, write_csv, write_json
 
 MIXING_KINDS = ("M5", "M4", "M2", "M1")
 
@@ -55,10 +54,6 @@ _DEFAULT_CONFIG = {
     "steps": 4,
     "mixing_kinds": ["M5"],
 }
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _merge_defaults(config: dict) -> dict:
@@ -95,7 +90,7 @@ def _walk_from_config(config: dict) -> WalkDistribution:
 
 
 def _family_from_config(config: dict, dim: int) -> BoxFamily:
-    fam = config.get("family", "translationInvariant")
+    fam = config["family"]
     if isinstance(fam, dict):
         fam = fam.get("kind")
     try:
@@ -105,20 +100,19 @@ def _family_from_config(config: dict, dim: int) -> BoxFamily:
 
 
 def _observables_from_config(config: dict, walk: WalkDistribution):
-    from .observables import CellObservable, observable_from_config, reduce_to_site
+    """Each observable as it was read, under the walk (``mixing.Evolution``)."""
+    from .mixing import Evolution
+    from .observables import observable_from_config
 
     out = []
-    for spec in _objects(config.get("observables", []), "observables"):
+    for spec in _objects(config["observables"], "observables"):
         try:
-            obs = observable_from_config(walk.dim, spec)
-            depth = 0
-            if isinstance(obs, CellObservable):
-                obs, depth = reduce_to_site(obs, walk), obs.depth
-            if walk.dim > 1 and not obs.tail.uniform:
+            F = Evolution(observable_from_config(walk.dim, spec), walk)
+            if walk.dim > 1 and not F.site.tail.uniform:
                 raise ValueError("orthant constants that differ evolve exactly only in dimension 1")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid observable {spec!r}: {exc}") from exc
-        out.append((obs, depth))
+        out.append(F)
     if not out:
         raise ConfigError("config declares no observables")
     return out
@@ -155,9 +149,9 @@ def _parsed(parse, value, name: str):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _integer(config: dict, name: str, default: int, minimum: int | None = None) -> int:
-    """The integer field ``name`` of the config, at least ``minimum`` when one is given."""
-    value = _parsed(parse_integer, config.get(name, default), name)
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """The integer config field ``name``, at least ``minimum`` when one is given."""
+    value = _parsed(parse_integer, value, name)
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
     return value
@@ -177,16 +171,6 @@ def _schedule(config: dict, name: str, default=None, minimum: int = 0) -> list[i
     if min(values) < minimum:
         raise ConfigError(f"schedules.{name} entries must be >= {minimum}, got {values}")
     return values
-
-
-def _refuse_below_offset(observables, n_list, factor: int) -> None:
-    """Refuse a time n below factor * m for an observable of depth m: a
-    depth-m F correlates at time n as its reduction evolved n - m steps, and
-    M5 pairs it with a depth-m g, which takes m steps more."""
-    for _, m in observables:
-        for n in n_list:
-            if n < factor * m:
-                raise ConfigError(f"time {n} is below the depth offset {'2m' if factor == 2 else 'm'} = {factor * m}")
 
 
 def _meta(config: dict, command: str) -> dict:
@@ -211,8 +195,8 @@ def _cmd_span_check(config, walk, out_dir, args):
 def _cmd_simulate(config, walk, out_dir, args):
     from .phase import simulate_walk
 
-    steps = _integer(config, "steps", 4, minimum=0)
-    samples = _integer(config, "samples", 100000, minimum=1)
+    steps = _integer(config["steps"], "steps", minimum=0)
+    samples = _integer(config["samples"], "samples", minimum=1)
     hist = simulate_walk(walk, steps, samples, config["seed"])
     hist.write_csv(out_dir / "histogram.csv", {"config_hash": _config_hash(config)})
     payload = {
@@ -225,59 +209,69 @@ def _cmd_simulate(config, walk, out_dir, args):
     return 0, f"simulate: {samples} samples, {len(hist.counts)} sites", payload
 
 
-def _write_report(report, out_dir, stem, written):
-    report.write_csv(out_dir / f"{stem}.csv")
-    write_json(out_dir / f"{stem}.json", report.to_json_dict())
-    written.extend([f"{stem}.csv", f"{stem}.json"])
+def _write_reports(reports: dict, out_dir, plot: bool) -> list:
+    """Write each report as <stem>.csv and <stem>.json, with an SVG of each M5
+    series when asked; the names written.  Every report is computed before
+    the first is written, so a refused time writes nothing."""
+    written = []
+    for stem, report in reports.items():
+        report.write_csv(out_dir / f"{stem}.csv")
+        write_json(out_dir / f"{stem}.json", report.to_json_dict())
+        written.extend([f"{stem}.csv", f"{stem}.json"])
+        if plot and report.kind == "M5":
+            from .svgplot import write_loglog_svg
+
+            xs = sorted(report.series)
+            gaps = [float(report.series[n]) for n in xs]
+            title = f"M5 gap, observable {report.metadata['observable']}"
+            write_loglog_svg(out_dir / f"{stem}.svg", title, xs, {"gap": gaps})
+            written.append(f"{stem}.svg")
+    return written
 
 
 def _cmd_correlate(config, walk, out_dir, args):
     from . import mixing
-    from .observables import evolve_site
 
     family = _family_from_config(config, walk.dim)
     observables = _observables_from_config(config, walk)
     locals_ = _locals_from_config(config, walk)
     n_list = _schedule(config, "n_list")
-    _refuse_below_offset(observables, n_list, 1)
-    written = []
-    for i, (obs, offset) in enumerate(observables):
-        evs = {n: evolve_site(obs, walk, n - offset) for n in n_list}
-        for j, g in enumerate(locals_):
-            meta = {**_meta(config, "correlate"), "observable": i, "local": j, "m_offset": offset}
-            report = mixing.m4_report(obs, g, evs, family, metadata=meta)
-            _write_report(report, out_dir, f"correlate_{i}_{j}", written)
-    payload = {**_meta(config, "correlate"), "walk": walk.to_json_dict(), "artifacts": written}
+    meta = _meta(config, "correlate")
+    written = _write_reports(
+        {
+            f"correlate_{i}_{j}": mixing.m4_report(
+                F, g, n_list, family, metadata={**meta, "observable": i, "local": j, "m_offset": F.depth}
+            )
+            for i, F in enumerate(observables)
+            for j, g in enumerate(locals_)
+        },
+        out_dir,
+        args.plot,
+    )
+    payload = {**meta, "walk": walk.to_json_dict(), "artifacts": written}
     return 0, f"correlate: wrote {len(written)} artifacts", payload
 
 
 def _cmd_mixing_report(config, walk, out_dir, args):
     from . import mixing
-    from .observables import estimate_average, evolve_site
+    from .observables import estimate_average
 
     family = _family_from_config(config, walk.dim)
     observables = _observables_from_config(config, walk)
     locals_ = _locals_from_config(config, walk)
     n_list = _schedule(config, "n_list")
-    kinds = config.get("mixing_kinds", ["M5"])
+    kinds = config["mixing_kinds"]
     if not isinstance(kinds, list) or not kinds or not all(isinstance(k, str) and k.upper() in MIXING_KINDS for k in kinds):
         raise ConfigError(f"mixing_kinds must be a nonempty list of kinds among {list(MIXING_KINDS)}, got {kinds!r}")
     kinds = [k.upper() for k in kinds]
     r_list = _schedule(config, "r_list") if "M2" in kinds else []
     radii = _schedule(config, "radii")
     meta = _meta(config, "mixing-report")
-    if {"M5", "M4", "M2"} & set(kinds):  # M1 takes a periodic F, of depth 0
-        _refuse_below_offset(observables, n_list, 2 if "M5" in kinds else 1)
-    # every report reads the same evolutions: each (observable, time) is evolved once
-    evolved = functools.cache(lambda i, n: evolve_site(observables[i][0], walk, n))
-
-    def evs(i, shift=0):
-        return {n: evolved(i, n - shift) for n in n_list}
-
-    written = []
+    # the reports share each observable's Evolution: each (observable, steps) is evolved once
+    reports = {}
     averages = []
-    for i, (obs, offset) in enumerate(observables):
-        est = estimate_average(obs, family, radii)
+    for i, F in enumerate(observables):
+        est = estimate_average(F.marginal, family, radii)
         averages.append(
             {
                 "observable": i,
@@ -288,31 +282,19 @@ def _cmd_mixing_report(config, walk, out_dir, args):
         if est.non_convergent:
             continue
         if "M5" in kinds:
-            rep = mixing.m5_report(obs, evs(i, 2 * offset), family, offset, metadata={**meta, "observable": i})
-            _write_report(rep, out_dir, f"m5_{i}", written)
-            if args.plot:
-                from .svgplot import write_loglog_svg
-
-                xs = sorted(rep.series)
-                write_loglog_svg(
-                    out_dir / f"m5_{i}.svg",
-                    f"M5 gap, observable {i}",
-                    xs,
-                    {"gap": [float(rep.series[n]) for n in xs]},
-                )
-                written.append(f"m5_{i}.svg")
+            reports[f"m5_{i}"] = mixing.m5_report(F, n_list, family, metadata={**meta, "observable": i})
         if "M4" in kinds:
             for j, g in enumerate(locals_):
-                rep = mixing.m4_report(obs, g, evs(i, offset), family, metadata={**meta, "observable": i, "local": j})
-                _write_report(rep, out_dir, f"m4_{i}_{j}", written)
+                meta_ij = {**meta, "observable": i, "local": j}
+                reports[f"m4_{i}_{j}"] = mixing.m4_report(F, g, n_list, family, metadata=meta_ij)
     for i, j in itertools.combinations_with_replacement(range(len(observables)), 2):
-        (f_obs, offset), g_obs = observables[i], observables[j][0]
+        F, G = observables[i], observables[j]
         pair = {**meta, "observables": f"{i},{j}"}
         if "M2" in kinds:
-            rep = mixing.m2_table(f_obs, g_obs, evs(i, offset), r_list, family, metadata=pair)
-            _write_report(rep, out_dir, f"m2_{i}_{j}", written)
-        if "M1" in kinds and mixing.m1_computable(f_obs, g_obs):  # a periodic F, so no offset
-            _write_report(mixing.m1_report(f_obs, g_obs, evs(i), metadata=pair), out_dir, f"m1_{i}_{j}", written)
+            reports[f"m2_{i}_{j}"] = mixing.m2_table(F, G, n_list, r_list, family, metadata=pair)
+        if "M1" in kinds and mixing.m1_computable(F, G):
+            reports[f"m1_{i}_{j}"] = mixing.m1_report(F, G, n_list, metadata=pair)
+    written = _write_reports(reports, out_dir, args.plot)
     payload = {**meta, "kinds": kinds, "walk": walk.to_json_dict(), "averages": averages, "artifacts": written}
     return 0, f"mixing-report: kinds={','.join(kinds)}, {len(written)} artifacts", payload
 
@@ -321,7 +303,7 @@ def _cmd_fourier_decay(config, walk, out_dir, args):
     from . import fourier
 
     sched = config["schedules"]
-    eps = _parsed(parse_rational, sched.get("eps", "1/10"), "schedules.eps")
+    eps = _parsed(parse_rational, sched["eps"], "schedules.eps")
     try:
         fc = fourier.FourierConfig(walk.dim, eps)
     except ValueError as exc:
@@ -382,12 +364,12 @@ def _cmd_fourier_decay(config, walk, out_dir, args):
 
 def _cmd_nowak_test(config, walk, out_dir, args):
     dims = list(_parsed(parse_integers, config.get("nowak_dims", [1, 2, 3]), "nowak_dims"))
-    count = _integer(config, "nowak_count", 200)
+    count = _integer(config.get("nowak_count", 200), "nowak_count")
     if count < 1 or not dims:
         raise ConfigError(f"nowak-test needs nowak_count >= 1 and some nowak_dims, got {count} and {dims}")
     if not all(1 <= d <= 4 for d in dims):
         raise ConfigError(f"nowak_dims must lie in 1..4 (the tabulated C_d), got {dims}")
-    radius = _integer(config, "nowak_radius", 6, minimum=0)
+    radius = _integer(config.get("nowak_radius", 6), "nowak_radius", minimum=0)
     import random
 
     from . import embedding
@@ -450,7 +432,7 @@ def _cmd_audit(config, walk, out_dir, args):
     from . import mixing
 
     family = _family_from_config(config, walk.dim)
-    observables = [obs for obs, _ in _observables_from_config(config, walk)]
+    observables = [F.observable for F in _observables_from_config(config, walk)]
     locals_ = _locals_from_config(config, walk)
     record = mixing.implication_audit(
         walk,
@@ -493,7 +475,7 @@ def run(command: str, config: dict, out_dir, seed=None, grid=None, plot=False) -
         _family_from_config(config, walk.dim)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        config["seed"] = _integer(config, "seed", 0, minimum=0)
+        config["seed"] = _integer(config["seed"], "seed", minimum=0)
         code, summary, payload = _BODIES[command](config, walk, out, args)
         write_json(out / f"{command.replace('-', '_')}.json", payload)
     except ConfigError as exc:

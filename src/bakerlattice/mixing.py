@@ -18,7 +18,6 @@ Notions measured (t the time, V a box of the exhaustive family):
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from math import log
 from numbers import Rational
@@ -33,8 +32,12 @@ from .observables import (
     SiteObservable,
     box_average,
     box_average_product,
+    constant_observable,
     evolve_site,
+    explicit_cells,
     product_average,
+    reduce_to_site,
+    square_marginal,
 )
 from .phase import (
     DEFAULT_BUDGET,
@@ -44,7 +47,7 @@ from .phase import (
     cylinder_interval,
     push_strip,
 )
-from .rational import field, format_rational, record, to_jsonable, write_csv
+from .rational import ConfigError, field, format_rational, record, to_jsonable, write_csv
 
 
 # the requested limit is outside the analytic tail models
@@ -83,6 +86,60 @@ class LocalObservable:
         return cls(((strip, Fraction(weight)),))
 
 
+class Evolution:
+    """An observable as it was read, under the walk p: F o T^n as site functions.
+
+    A site observable has depth 0 and is its own reduction; a depth-m cell
+    observable's reduction is ``reduce_to_site``, the site function of
+    F o T^m.  ``at`` is the one time rule of every report and of the audit.
+
+    As the second observable G of a pair, a cell is read as itself, not as
+    its reduction.  Its box averages, and its average, are those of its
+    ``marginal``, the integral over each square.  Against F o T^n it is its
+    ``base``, the default, plus its ``images``: T^m maps each explicit cell
+    onto a full-width strip at the site its forward digits reach, of height
+    the cell's measure w(back) w(fwd), which F meets m steps earlier.  A
+    site observable is its own marginal and base and has no images.
+    """
+
+    def __init__(self, f, p: WalkDistribution):
+        self.observable, self.p, self.depth = f, p, f.depth
+        self._evolved = {}
+        if isinstance(f, CellObservable):
+            self.site = reduce_to_site(f, p)
+            self.marginal = square_marginal(f, p)
+            self.base = constant_observable(f.dim, f.default)
+            self.images = tuple(
+                (site, Strip(after, 0, w), e) for site, _, after, w, e in explicit_cells(f, p) if e
+            )
+        else:
+            self.site = self.marginal = self.base = f
+            self.images = ()
+
+    def at(self, n: int, partner_depth: int) -> SiteObservable:
+        """F o T^n against a second observable of depth m_G, as a site function:
+        F's reduction evolved n - m_F - m_G steps, each step count once.
+
+        A strip is of depth 0 (``correlate``, M4), M5 pairs F with strips of
+        its own depth, and M2 with the second observable.  A time below
+        m_F + m_G is refused.
+        """
+        steps = n - self.depth - partner_depth
+        if steps < 0:
+            name = "m" if not partner_depth else "2m" if partner_depth == self.depth else "m_F + m_G"
+            raise ConfigError(f"time {n} is below the depth offset {name} = {n - steps}")
+        if steps not in self._evolved:
+            self._evolved[steps] = evolve_site(self.site, self.p, steps)
+        return self._evolved[steps]
+
+    def average(self, family: BoxFamily):
+        return self.marginal.analytic_average(family)
+
+    def images_in(self, box: Box):
+        """The (strip, weight) images of the explicit cells whose site is in the box."""
+        return [(strip, e) for site, strip, e in self.images if box.contains(site)]
+
+
 # ---------------------------------------------------------------------------
 # correlations
 
@@ -96,35 +153,25 @@ def correlate_global_local(
     the strip's site and height, so the correlation is the weighted sum of
     the evolved values at the strip sites.
     """
-    return _pair(evolve_site(f, p, n), g)
+    return _pair(evolve_site(f, p, n), g.terms)
 
 
-def _pair(ev: SiteObservable, g: LocalObservable):
-    """mu(ev g) for a stable site function ev and a strip combination g."""
-    return sum((w * s.height * ev.value(s.site) for s, w in g.terms), Fraction(0))
+def _pair(ev: SiteObservable, terms):
+    """mu(ev g) for a stable site function ev and the (strip, weight) terms of g."""
+    return sum((w * s.height * ev.value(s.site) for s, w in terms), Fraction(0))
 
 
-def m5_gap(
-    f: SiteObservable,
-    p: WalkDistribution,
-    n: int,
-    m_offset: int = 0,
-    family: BoxFamily | None = None,
-):
+def m5_gap(f, p: WalkDistribution, n: int, family: BoxFamily | None = None):
     """Exact sup over unit-mass strip observables of the M4 deviation at time n.
 
     The supremum over weighted strips of |mu((F o T^n) g) - Av(F) mu(g)| /
     mu(|g|) is attained on single strips and equals
     sup_alpha |(evolved f)(alpha) - Av(f)|, which the tail model makes exact.
-    For a depth-m observable pair the gap reported at time n is the depth-0
-    gap at n - 2m (m forward steps absorb the contracting digits of F, m
-    backward steps those of g).
+    f is a site or a cell observable; a depth-m cell pairs with strips of
+    depth m, so its gap at time n is that of its reduction at n - 2m
+    (``Evolution.at``).
     """
-    if m_offset < 0:
-        raise ValueError("depth offset must be nonnegative")
-    if n < 2 * m_offset:
-        raise ValueError(f"time {n} is below the depth offset 2m = {2 * m_offset}")
-    return m5_report(f, {n: evolve_site(f, p, n - 2 * m_offset)}, family, m_offset).series[n]
+    return m5_report(Evolution(f, p), [n], family).series[n]
 
 
 def m2_entry(
@@ -134,23 +181,24 @@ def m2_entry(
     return box_average_product(evolve_site(f, p, n), g, box)
 
 
-def m1_computable(f: SiteObservable, g: SiteObservable) -> bool:
+def m1_computable(F: Evolution, G: Evolution) -> bool:
     """M1's rules: F is periodic and G has an exact translation-invariant average."""
-    return f.tail.box is None and g.analytic_average(BoxFamily.translation_invariant(g.dim)) is not NON_CONVERGENT
+    return F.site.tail.box is None and G.average(BoxFamily.translation_invariant(G.site.dim)) is not NON_CONVERGENT
 
 
-def m1_limit(f: SiteObservable, g: SiteObservable, p: WalkDistribution, n: int):
+def m1_limit(f, g, p: WalkDistribution, n: int):
     """Av((F o T^n) G) for periodic F, from the backgrounds of both tails.
 
     A G without an exact translation-invariant average is NOT_COMPUTABLE (a
     statement about the tail models, not a mixing failure); it is detected
     before anything is evolved.
     """
-    if f.tail.box is not None:
+    F, G = Evolution(f, p), Evolution(g, p)
+    if F.site.tail.box is not None:
         raise ValueError("M1 limit needs a periodic first observable")
-    if not m1_computable(f, g):
+    if not m1_computable(F, G):
         return NOT_COMPUTABLE
-    return m1_report(f, g, {n: evolve_site(f, p, n)}).series[n]
+    return m1_report(F, G, [n]).series[n]
 
 
 def itinerary_oracle(
@@ -252,44 +300,46 @@ def _cell(value):
 
 
 def m5_report(
-    f: SiteObservable,
-    evs: Mapping[int, SiteObservable],
+    F: Evolution,
+    n_list,
     family: BoxFamily | None = None,
-    m_offset: int = 0,
     metadata: dict | None = None,
 ) -> CorrelationReport:
-    """M5 gaps of f over its evolutions ``evs``: time n -> f evolved n - 2m steps."""
+    """M5 gaps of F at the times ``n_list``: F against strips of its own
+    depth m, so its reduction evolved n - 2m steps (``Evolution.at``)."""
     if family is None:
-        family = BoxFamily.translation_invariant(f.dim)
-    av = f.analytic_average(family)
+        family = BoxFamily.translation_invariant(F.site.dim)
+    av = F.average(family)
     if av is NON_CONVERGENT:
         raise ValueError("M5 gap needs an observable with an analytic average")
-    series = {n: ev.sup_deviation(av) for n, ev in evs.items()}
+    series = {n: F.at(n, F.depth).sup_deviation(av) for n in n_list}
     return CorrelationReport(
         "M5",
         series,
         Fraction(0),
         gap_series=dict(series),
-        metadata={"m_offset": m_offset, **(metadata or {})},
+        metadata={"m_offset": F.depth, **(metadata or {})},
     )
 
 
 def m4_report(
-    f: SiteObservable,
+    F: Evolution,
     g: LocalObservable,
-    evs: Mapping[int, SiteObservable],
+    n_list,
     family: BoxFamily | None = None,
     metadata: dict | None = None,
 ) -> CorrelationReport:
-    """mu((F o T^n) g) over the evolutions ``evs`` (n -> f evolved n - m steps, m the depth of F).
+    """mu((F o T^n) g) at the times ``n_list``, for strips g (of depth 0): F's
+    reduction evolved n - m steps, m the depth of F (``Evolution.at``).
 
-    The gap at n is the M5 gap of the evolution at n times mu(|g|).
+    The gap at n is the sup deviation of that evolution times mu(|g|).
     """
     if family is None:
-        family = BoxFamily.translation_invariant(f.dim)
-    av = f.analytic_average(family)
+        family = BoxFamily.translation_invariant(F.site.dim)
+    av = F.average(family)
     target = None if av is NON_CONVERGENT else av * g.mass()
-    series = {n: _pair(ev, g) for n, ev in evs.items()}
+    evs = {n: F.at(n, 0) for n in n_list}
+    series = {n: _pair(ev, g.terms) for n, ev in evs.items()}
     gaps = {}
     if av is not NON_CONVERGENT:
         gaps = {n: ev.sup_deviation(av) * g.abs_mass() for n, ev in evs.items()}
@@ -297,9 +347,9 @@ def m4_report(
 
 
 def m2_table(
-    f: SiteObservable,
-    g: SiteObservable,
-    evs: Mapping[int, SiteObservable],
+    F: Evolution,
+    G: Evolution,
+    n_list,
     r_list,
     family: BoxFamily | None = None,
     eps_schedule=(Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)),
@@ -307,25 +357,31 @@ def m2_table(
 ) -> CorrelationReport:
     """Matrix of box averages mu_V((F o T^n) G) plus the eps-M certificate scan.
 
-    ``evs`` maps each time n to f evolved n steps.  For each eps of the
+    An entry pairs F at time n with G by ``Evolution.at``: a site G through
+    the box sum of its product with F's reduction evolved n - m_F steps; a
+    cell G as itself, its default against that evolution and its in-box
+    image strips against the one m_G steps shorter.  For each eps of the
     schedule, the scan looks for the smallest threshold M such that every
     computed entry with n >= M and box volume >= M deviates from Av(F) Av(G)
     by less than eps; ``None`` records that no threshold within the scanned
     grid certifies the joint limit (which is how the centered-family sign
     counterexample shows up).
     """
+    dim = F.site.dim
     if family is None:
-        family = BoxFamily.translation_invariant(f.dim)
-    av_f, av_g = f.analytic_average(family), g.analytic_average(family)
+        family = BoxFamily.translation_invariant(dim)
+    av_f, av_g = F.average(family), G.average(family)
     have_target = av_f is not NON_CONVERGENT and av_g is not NON_CONVERGENT
     target = av_f * av_g if have_target else NON_CONVERGENT
     series = {}
-    for n in sorted(evs):
+    for n in sorted(n_list):
+        shifted, ev = F.at(n, G.depth), F.at(n, 0)  # the pair's offset is refused first
         for r in sorted(int(r) for r in r_list):
-            series[(n, r)] = box_average_product(evs[n], g, Box.centered(origin(f.dim), r))
+            box = Box.centered(origin(dim), r)
+            series[(n, r)] = box_average_product(ev, G.base, box) + _pair(shifted, G.images_in(box)) / box.size
     scan = {}
     if have_target:
-        volumes = {(2 * r + 1) ** f.dim for _, r in series}
+        volumes = {(2 * r + 1) ** dim for _, r in series}
         thresholds = sorted({n for n, _ in series} | volumes)
         for eps in eps_schedule:
             found = None
@@ -333,7 +389,7 @@ def m2_table(
                 qualifying = [
                     abs(v - target)
                     for (n, r), v in series.items()
-                    if n >= M and (2 * r + 1) ** f.dim >= M
+                    if n >= M and (2 * r + 1) ** dim >= M
                 ]
                 if qualifying and all(d < eps for d in qualifying):
                     found = M
@@ -343,17 +399,20 @@ def m2_table(
 
 
 def m1_report(
-    f: SiteObservable,
-    g: SiteObservable,
-    evs: Mapping[int, SiteObservable],
+    F: Evolution,
+    G: Evolution,
+    n_list,
     metadata: dict | None = None,
 ) -> CorrelationReport:
-    """Av((F o T^n) G) over the evolutions ``evs`` (n -> f evolved n steps)."""
-    if not m1_computable(f, g):
+    """Av((F o T^n) G) at the times ``n_list``, for a periodic F (of depth 0).
+
+    A cell G enters through its marginal: its finite excess has no density.
+    """
+    if not m1_computable(F, G):
         raise ValueError("M1 series not computable for these tail models")
-    family = BoxFamily.translation_invariant(f.dim)
-    target = f.analytic_average(family) * g.analytic_average(family)
-    series = {n: product_average([ev, g], family) for n, ev in evs.items()}
+    family = BoxFamily.translation_invariant(F.site.dim)
+    target = F.average(family) * G.average(family)
+    series = {n: product_average([F.at(n, 0), G.marginal], family) for n in n_list}
     return CorrelationReport("M1", series, target, metadata=metadata or {})
 
 
@@ -442,7 +501,7 @@ class M2AuditRow:
     r: int
     term1: object  # |Av F| * |mu_V(G) - Av G|
     term2: object  # decomposition defect (identically 0 for box families)
-    term3: object  # gap * mu_V(|G|)
+    term3: object  # gap * mu_V(|G|); a cell G's images take the gap m_G steps earlier
     measured: object
 
     @property
@@ -488,7 +547,7 @@ class AuditRecord:
 
 def implication_audit(
     p: WalkDistribution,
-    globals_: list[SiteObservable],
+    globals_: list,
     locals_: list[LocalObservable],
     n_list,
     r_list,
@@ -497,47 +556,58 @@ def implication_audit(
 ) -> AuditRecord:
     """Numerical audit of the implication chain on a suite of observables.
 
-    M5 bounds M4 (and M3 for zero-mean locals): every correlation deviation
-    must sit below gap * mu(|g|).  The M5-to-M2 route decomposes G over the
-    squares of the box: with g_alpha = G 1_{square alpha} the deviation
+    The globals are site or cell observables, each taken as it was read and
+    paired by ``Evolution.at``.  With gap(t) the sup deviation of F o T^t
+    from Av F, every M4 deviation must sit below gap(n) * mu(|g|) (M3 for
+    zero-mean locals).  The M5-to-M2 route decomposes G over the squares of
+    the box: with g_alpha = G 1_{square alpha} the deviation
     |mu_V((F o T^n) G) - Av F Av G| is dominated by
-    |Av F| |mu_V(G) - Av G|  +  0  +  gap * mu_V(|G|),
+    |Av F| |mu_V(G) - Av G|  +  0  +  gap(n) * mu_V(|G|),
     the middle term being exactly zero here because the decomposition is
-    exact on every box.  All comparisons are exact for rational inputs.
-    The rows audit the reports' own numbers: the gaps of ``m5_report``, the
-    deviations and bounds of ``m4_report`` and the deviations of ``m2_table``.
+    exact on every box.  A cell G splits into its default d, met by
+    F o T^n, and its in-box image strips, met by F o T^(n - m_G), so its
+    last term is gap(n) |d| + gap(n - m_G) * (their mass in |G - d|) / |V|.
+    All comparisons are exact for rational inputs.  The rows audit the
+    reports' own numbers: the deviations and bounds of ``m4_report`` and the
+    deviations of ``m2_table``.
     """
     if family is None:
         family = BoxFamily.translation_invariant(p.dim)
     n_list = sorted(int(n) for n in n_list)
     r_list = sorted(int(r) for r in r_list)
     boxes = {r: Box.centered(origin(p.dim), r) for r in r_list}
-    averages = [G.analytic_average(family) for G in globals_]
+    evolutions = [Evolution(g, p) for g in globals_]
+    averages = [G.average(family) for G in evolutions]
     convergent = [i for i, av in enumerate(averages) if av is not NON_CONVERGENT]
-    # mu_V(G) and mu_V(|G|) depend on neither F nor n
+    # mu_V(G), mu_V(|base of G|) and the images' mass in |G| / |V| depend on neither F nor n
     means = {}
     for gi in convergent:
-        G = globals_[gi]
-        abs_G = SiteObservable(G.dim, G.tail.map(abs))
-        means[gi] = {r: (box_average(G, box), box_average(abs_G, box)) for r, box in boxes.items()}
+        G = evolutions[gi]
+        abs_base = SiteObservable(G.base.dim, G.base.tail.map(abs))
+        means[gi] = {
+            r: (
+                box_average(G.marginal, box),
+                box_average(abs_base, box),
+                sum((abs(e) * s.height for s, e in G.images_in(box)), Fraction(0)) / box.size,
+            )
+            for r, box in boxes.items()
+        }
     m4_rows = []
     m2_rows = []
     for fi in convergent:
-        f, av_f = globals_[fi], averages[fi]
-        evs = {n: evolve_site(f, p, n) for n in n_list}
-        gaps = m5_report(f, evs, family).series
+        F, av_f = evolutions[fi], averages[fi]
         for gi, g in enumerate(locals_):
-            m4 = m4_report(f, g, evs, family)
+            m4 = m4_report(F, g, n_list, family)
             devs = m4.deviations()
             m4_rows.extend(M4AuditRow(fi, gi, n, devs[n], m4.gap_series[n], g.mass() == 0) for n in n_list)
         for gi in convergent:
-            m2 = m2_table(f, globals_[gi], evs, r_list, family, eps_schedule=())
-            devs = m2.deviations()
-            term1 = {r: abs(av_f) * abs(means[gi][r][0] - averages[gi]) for r in r_list}
-            m2_rows.extend(
-                M2AuditRow(fi, gi, n, r, term1[r], Fraction(0), gaps[n] * means[gi][r][1], devs[(n, r)])
-                for n in n_list
-                for r in r_list
-            )
+            G = evolutions[gi]
+            devs = m2_table(F, G, n_list, r_list, family, eps_schedule=()).deviations()
+            for n in n_list:
+                gap, image_gap = F.at(n, 0).sup_deviation(av_f), F.at(n, G.depth).sup_deviation(av_f)
+                for r in r_list:
+                    mu_g, mu_base, mu_images = means[gi][r]
+                    term1, term3 = abs(av_f) * abs(mu_g - averages[gi]), gap * mu_base + image_gap * mu_images
+                    m2_rows.append(M2AuditRow(fi, gi, n, r, term1, Fraction(0), term3, devs[(n, r)]))
     return AuditRecord(tuple(m4_rows), tuple(m2_rows), metadata or {})
 

@@ -253,6 +253,8 @@ class SiteObservable:
     dim: int
     tail: Tail
 
+    depth = 0  # a site function has no digits: it is its own reduction
+
     def value(self, site):
         return self.tail.value(tuple(int(c) for c in site))
 
@@ -568,12 +570,16 @@ def estimate_average(f: SiteObservable, family: BoxFamily, radii) -> AverageEsti
 
 @record(frozen=True)
 class CellObservable:
-    """Function of (site, m backward digits, m forward digits).
+    """Function of (site, m backward digits, m forward digits), m = ``depth``.
 
     Words are tuples of 1-based cell indices: the first ``depth`` entries are
     the contracting-coordinate digits (most recent arrival first), the last
     ``depth`` the expanding-coordinate digits (next departure first).  Keys
-    absent from ``values`` take ``default``.
+    absent from ``values`` take ``default``.  A cell observable stays a cell
+    in every report: as the first observable F it is read through its
+    reduction (``reduce_to_site``), as the second observable G through its
+    square marginal (``square_marginal``) and the strips its cells map onto
+    (``explicit_cells``); ``mixing.Evolution`` holds all three.
     """
 
     dim: int
@@ -628,32 +634,55 @@ class CellObservable:
         return self.values.get((x.site, digits(x.y2) + digits(x.y1)), self.default)
 
 
-def reduce_to_site(F: CellObservable, p: WalkDistribution) -> SiteObservable:
-    """Collapse a depth-m cell observable to the site function of its stable shift.
-
-    Composing F with m forward steps clears the backward digits; the result
-    depends on the expanding coordinate only, and its square integral at
-    site alpha collects every explicit cell at weight = exact cell measure.
-    Correlations of a depth-m pair reduce to depth-0 correlations at time
-    n - 2m, so callers pairing the output with shifted local observables
-    must offset indices by 2m.  The cost is linear in the explicit cells
-    times m, at any depth.
-    """
+def explicit_cells(F: CellObservable, p: WalkDistribution):
+    """Each explicit cell of F as (site, before, after, measure, excess):
+    before is the site its m backward steps start from, after the site its m
+    forward steps reach, measure its square measure w(back) w(fwd), and
+    excess its value minus the default."""
     m = F.depth
-    contrib: dict = {}
     for (site, word), val in F.values.items():
-        back, fwd = word[:m], word[m:]
         if any(d > p.size for d in word):
             raise ValueError(f"digit out of range for a walk with {p.size} directions")
         measure = prod((p.support[d - 1][1] for d in word), start=Fraction(1))
-        alpha = list(site)
-        for d in back:
-            step_vec = p.support[d - 1][0]
-            alpha = [a - b for a, b in zip(alpha, step_vec)]
-        key = tuple(alpha)
-        contrib[key] = contrib.get(key, Fraction(0)) + measure * (val - F.default)
+        yield site, _walked(site, word[:m], p, -1), _walked(site, word[m:], p, 1), measure, val - F.default
+
+
+def _walked(site: Site, digits, p: WalkDistribution, sign: int) -> Site:
+    """site moved by sign times the steps of the digits."""
+    for d in digits:
+        site = tuple(a + sign * b for a, b in zip(site, p.support[d - 1][0]))
+    return site
+
+
+def _default_plus(F: CellObservable, masses) -> SiteObservable:
+    """The site function F.default plus each (site, mass) of ``masses``."""
+    contrib: dict = {}
+    for site, mass in masses:
+        contrib[site] = contrib.get(site, Fraction(0)) + mass
     table = {s: F.default + v for s, v in contrib.items() if v != 0}
     return localized_observable(F.dim, F.default, Box.spanning(table.keys(), F.dim), table)
+
+
+def reduce_to_site(F: CellObservable, p: WalkDistribution) -> SiteObservable:
+    """The site function of F o T^m, for F of depth m: F's reduction, the role it plays as F.
+
+    Composing F with m forward steps clears the backward digits; the result
+    depends on the expanding coordinate only, and its square integral at
+    site alpha collects every explicit cell whose m backward steps start at
+    alpha, weighted by the cell's measure.  It is F's reduction, not F:
+    evolved n - m steps it stands for F o T^n against a strip
+    (``mixing.Evolution.at``), and its square integrals are not F's
+    (``square_marginal``).  The cost is linear in the explicit cells times
+    m, at any depth.
+    """
+    return _default_plus(F, ((before, w * e) for _, before, _, w, e in explicit_cells(F, p)))
+
+
+def square_marginal(F: CellObservable, p: WalkDistribution) -> SiteObservable:
+    """The site function alpha -> the integral of F over the square at alpha:
+    the default, plus each explicit cell's excess times its measure at the
+    cell's own site.  Its box averages are F's."""
+    return _default_plus(F, ((site, w * e) for site, _, _, w, e in explicit_cells(F, p)))
 
 
 # ---------------------------------------------------------------------------

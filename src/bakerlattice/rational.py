@@ -16,6 +16,11 @@ from operator import attrgetter
 from pathlib import Path
 
 
+class ConfigError(ValueError):
+    """An input the program refuses; the command line exits 2 with one JSON
+    line naming it."""
+
+
 class FrozenRecordError(AttributeError):
     """Assignment to, or deletion of, an attribute of a frozen record."""
 

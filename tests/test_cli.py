@@ -500,10 +500,12 @@ def test_each_observable_and_time_is_evolved_once(tmp_path, capsys, monkeypatch)
     assert run("mixing-report", config, tmp_path / "report") == 0
     artifacts = set(read_json(tmp_path / "report" / "mixing_report.json")["artifacts"])
     assert {"m5_2.csv", "m4_2_1.csv", "m2_1_2.csv", "m1_0_2.csv"} <= artifacts
-    # the depth-2 cell is evolved n - 2 = 2, 4, 6 steps for M4 and M2, and
-    # n - 4 = 0, 2, 4 steps for M5
+    # a pair at time n evolves F's reduction n - m_F - m_G steps: the depth-2
+    # cell n - 2 = 2, 4, 6 steps for M4 and M2 against a site G, and
+    # n - 4 = 0, 2, 4 steps for M5 and for M2 against itself; each site
+    # observable n = 4, 6, 8 steps, and n - 2 = 2 more for M2 against the cell
     assert len(set(calls)) == len(calls)
-    assert sorted(Counter(i for i, _ in calls).values()) == [3, 3, 4]
+    assert sorted(Counter(i for i, _ in calls).values()) == [4, 4, 4]
     calls.clear()
     assert run("correlate", config, tmp_path / "correlate") == 0
     assert len(set(calls)) == len(calls) == 3 * 3
@@ -536,7 +538,7 @@ def test_a_fault_that_escapes_a_command_exits_3(tmp_path, capsys, monkeypatch):
     def failing(*args, **kwargs):
         raise ZeroDivisionError("injected fault")
 
-    monkeypatch.setattr(observables, "evolve_site", failing)
+    monkeypatch.setattr(mixing, "evolve_site", failing)
     assert main(["correlate", "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("Traceback (most recent call last):")
@@ -715,12 +717,17 @@ REPORT_1D = {
 
 
 def test_mixing_report_takes_each_average_and_m5_gap_once(tmp_path, capsys, monkeypatch):
-    # 4 observables (the cell one, of depth m = 2, evolves n - 2m steps for
-    # M5 and n - m for M4 and M2), 2 locals, 4 times:
-    # - means: one fill per observable, which every family's average, the
-    #   M4, M2 and M1 targets and M1's rules read;
-    # - extremes: one per evolution, 4 * 4 for M5 and 4 more for the cell
-    #   observable's M4 gaps, shared by both locals
+    # 4 observables, 2 locals, 4 times; a pair at time n evolves F's
+    # reduction n - m_F - m_G steps, so the cell one, of depth m = 2, evolves
+    # n - 2m steps for M5 (strips of its own depth), n - m for M4 and for M2
+    # against a site G, and n - 2m for M2 against itself; each site F evolves
+    # n steps, and n - m for M2 against the cell:
+    # - means: one fill per observable, read from its marginal (a site
+    #   observable's is itself), which every family's average, the M4, M2
+    #   and M1 targets and M1's rules read;
+    # - extremes: one per evolution whose gap a report takes, 4 * 4 for M5
+    #   and 4 more for the cell observable's M4 gaps, shared by both locals;
+    #   the 3 * 4 evolutions M2 adds against the cell take no gap
     fills = _count_cache_fills(monkeypatch)
     assert run("mixing-report", REPORT_1D, tmp_path / "out") == 0
     assert fills == {"means": 4, "extremes": 4 * 4 + 4}
@@ -796,7 +803,8 @@ HALF_STRIP = {"site": [0], "lo": "1/4", "hi": "3/4"}
 
 def test_cell_observable_rows_match_the_itinerary_oracle(tmp_path, capsys):
     # a depth-m F correlates at time n as its reduction evolved n - m steps,
-    # in correlate and in mixing-report's M4 and M2 rows alike
+    # in correlate and in mixing-report's M4 and M2 rows alike; mixing-report
+    # also pairs the cell with itself in M2, which refuses n = 1 < 2m
     from bakerlattice import Strip, itinerary_oracle, preset
 
     third = preset("third-walk")
@@ -811,23 +819,74 @@ def test_cell_observable_rows_match_the_itinerary_oracle(tmp_path, capsys):
     strip = Strip((0,), Fraction(1, 4), Fraction(3, 4))
     oracle = {n: itinerary_oracle(F, strip, third, n) for n in (1, 2, 3)}
     assert run("correlate", config, tmp_path / "c") == 0
+    assert run("mixing-report", config, tmp_path / "refused") == 2
+    assert one_error_line(capsys) == "time 1 is below the depth offset 2m = 2"
+    assert not (tmp_path / "refused" / "m4_0_0.json").exists()
+    config["schedules"]["n_list"] = [2, 3]
     assert run("mixing-report", config, tmp_path / "r") == 0
-    for path in (tmp_path / "c" / "correlate_0_0.json", tmp_path / "r" / "m4_0_0.json"):
-        assert {int(n): Fraction(v) for n, v in read_json(path)["series"].items()} == oracle
+    assert {int(n): Fraction(v) for n, v in read_json(tmp_path / "c" / "correlate_0_0.json")["series"].items()} == oracle
+    assert {int(n): Fraction(v) for n, v in read_json(tmp_path / "r" / "m4_0_0.json")["series"].items()} == {
+        n: oracle[n] for n in (2, 3)
+    }
     m2 = read_json(tmp_path / "r" / "m2_0_1.json")["series"]
-    for n in (1, 2, 3):
+    for n in (2, 3):
         for r in (1, 2):
             box_sum = sum(G[a % 2] * itinerary_oracle(F, Strip.unit((a,)), third, n) for a in range(-r, r + 1))
             assert Fraction(m2[f"{n},{r}"]) == box_sum / (2 * r + 1)
+
+
+def test_audit_m4_rows_of_a_cell_match_the_itinerary_oracle(tmp_path, capsys):
+    # the audit pairs a depth-1 F with the strip at n - 1 steps, and with
+    # itself in M2 at n - 2, so n = 1 is refused
+    from bakerlattice import Strip, itinerary_oracle, preset
+
+    F = observables.observable_from_config(1, DEPTH_1_CELL)
+    strip = Strip((0,), Fraction(1, 4), Fraction(3, 4))
+    config = {"observables": [DEPTH_1_CELL], "locals": [{"terms": [HALF_STRIP]}], "schedules": {"n_list": [2, 3], "r_list": [0, 1]}}
+    assert run("audit", config, tmp_path / "o") == 0
+    rows = read_json(tmp_path / "o" / "audit.json")["m4"]
+    deviations = {n: abs(itinerary_oracle(F, strip, preset("third-walk"), n) - Fraction(1, 2) * strip.height) for n in (2, 3)}
+    assert {row["n"]: Fraction(row["deviation"]) for row in rows} == deviations
+    config["schedules"]["n_list"] = [1, 2]
+    assert run("audit", config, tmp_path / "refused") == 2
+    assert one_error_line(capsys) == "time 1 is below the depth offset 2m = 2"
+
+
+def test_a_cell_read_as_g_is_the_cell_itself(tmp_path, capsys):
+    # mu_V(G) over the unit square at 0: the default 1/2 plus the excess
+    # 3 - 1/2 of the one cell there, times its measure 1/9
+    config = {
+        "observables": [{"kind": "periodic", "period": [1], "table": {"0": "1"}}, DEPTH_1_CELL],
+        "schedules": {"n_list": [2, 3], "r_list": [0]},
+        "mixing_kinds": ["M2"],
+    }
+    assert run("mixing-report", config, tmp_path / "o") == 0
+    series = read_json(tmp_path / "o" / "m2_0_1.json")["series"]
+    assert series == {"2,0": "7/9", "3,0": "7/9"}
+    assert Fraction(7, 9) == Fraction(1, 2) + (3 - Fraction(1, 2)) / 9
+
+
+def test_a_cell_s_uniformity_defect_comes_from_its_square_marginal(tmp_path, capsys):
+    # each cell's square holds 1 * 1/9; the reduction would put both at site 1 (2/9)
+    two_cells = {"kind": "cell", "m": 1, "values": [
+        {"site": [0], "back": [1], "fwd": [2], "value": "1"},
+        {"site": [2], "back": [3], "fwd": [2], "value": "1"},
+    ]}
+    config = {"observables": [two_cells], "schedules": {"n_list": [2], "radii": [0]}}
+    assert run("mixing-report", config, tmp_path / "o") == 0
+    averages = read_json(tmp_path / "o" / "mixing_report.json")["averages"]
+    assert averages == [{"observable": 0, "value": "0", "uniformity_defect": "1/9"}]
 
 
 @pytest.mark.parametrize(
     "command, kinds", [("correlate", ["M5"]), ("mixing-report", ["M4"]), ("mixing-report", ["M2", "M1"])]
 )
 def test_cell_observable_time_below_its_depth_exit_2(tmp_path, capsys, command, kinds):
+    # M2 pairs the cell with itself: the pair's offset is m_F + m_G = 2m
     config = {"observables": [DEPTH_1_CELL], "schedules": {"n_list": [0, 1]}, "mixing_kinds": kinds}
     assert run(command, config, tmp_path / "o") == 2
-    assert one_error_line(capsys) == "time 0 is below the depth offset m = 1"
+    offset = "2m = 2" if "M2" in kinds else "m = 1"
+    assert one_error_line(capsys) == f"time 0 is below the depth offset {offset}"
 
 
 # ---------------------------------------------------------------------------
@@ -977,7 +1036,8 @@ def test_fuzzed_configs_end_in_an_exit_code(command, config):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = run(command, config, out)  # an exception escaping run fails the test here
-        assert code in (0, 1, 2)
+        # each audit row is a triangle inequality: exit 1 there could only mean a wrong bound
+        assert code in ((0, 2) if command == "audit" else (0, 1, 2))
         if code == 2:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and json.loads(lines[0])["error"]["exit"] == 2

@@ -131,9 +131,9 @@ def test_exact_commands_leave_dataclasses_unloaded(tmp_path, command, config):
 def test_rate_fit_of_an_m5_report_leaves_numpy_unloaded(tmp_path):
     proc = fresh_python(
         "import sys\n"
-        "from bakerlattice import evolve_site, m5_report, periodic_observable, preset, rate_profile\n"
+        "from bakerlattice import Evolution, m5_report, periodic_observable, preset, rate_profile\n"
         "parity, p = periodic_observable((2,), {(0,): 1, (1,): -1}), preset('third-walk')\n"
-        "fit = rate_profile(m5_report(parity, {n: evolve_site(parity, p, n) for n in range(1, 10)}))\n"
+        "fit = rate_profile(m5_report(Evolution(parity, p), range(1, 10)))\n"
         "print(round(fit.exponential_rate, 6), 'numpy' in sys.modules)\n",
         tmp_path,
     )

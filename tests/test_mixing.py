@@ -11,6 +11,7 @@ from bakerlattice import (
     Box,
     BoxFamily,
     CellObservable,
+    Evolution,
     LocalObservable,
     Strip,
     WalkDistribution,
@@ -101,9 +102,11 @@ def test_m5_gap_monotone_for_third_walk(third, parity):
 
 
 def test_m5_gap_offset_bookkeeping(third, parity):
-    assert m5_gap(parity, third, 10, m_offset=2) == m5_gap(parity, third, 6)
+    # a depth-2 cell pairs with depth-2 strips: its gap at n is its reduction's at n - 4
+    F = CellObservable(1, 2, {((0,), (1, 3, 2, 1)): Fraction(3), ((1,), (2, 2, 3, 3)): Fraction(-1)})
+    assert m5_gap(F, third, 10) == m5_gap(reduce_to_site(F, third), third, 6)
     with pytest.raises(ValueError, match="below the depth offset"):
-        m5_gap(parity, third, 3, m_offset=2)
+        m5_gap(F, third, 3)
 
 
 def test_m5_gap_requires_analytic_average(third):
@@ -162,7 +165,7 @@ def test_m5_strip_value_independent_of_interval(third, parity):
 def test_m2_constants_factor(third):
     f = constant_observable(1, Fraction(2))
     g = constant_observable(1, Fraction(5, 2))
-    rep = m2_table(f, g, {n: evolve_site(f, third, n) for n in (0, 1, 2)}, [1, 2], TI(1))
+    rep = m2_table(Evolution(f, third), Evolution(g, third), (0, 1, 2), [1, 2], TI(1))
     assert all(v == Fraction(5) for v in rep.series.values())
     assert rep.target == Fraction(5)
 
@@ -177,7 +180,7 @@ def test_m2_sign_counterexample_lower_bound(third, n):
 
 def test_m2_sign_scan_finds_no_certificate(third):
     sign = sign_observable()
-    rep = m2_table(sign, sign, {n: evolve_site(sign, third, n) for n in (1, 2, 3)}, [2, 8, 32], CENTERED(1))
+    rep = m2_table(Evolution(sign, third), Evolution(sign, third), (1, 2, 3), [2, 8, 32], CENTERED(1))
     assert rep.target == 0
     assert rep.eps_scan["1/1000"] is None
 
@@ -185,9 +188,9 @@ def test_m2_sign_scan_finds_no_certificate(third):
 def test_m2_periodic_pair_certificate(third, parity):
     other = periodic_observable((3,), {(0,): 1, (1,): 0, (2,): -1})
     rep = m2_table(
-        parity,
-        other,
-        {n: evolve_site(parity, third, n) for n in range(1, 16)},
+        Evolution(parity, third),
+        Evolution(other, third),
+        range(1, 16),
         [2, 8, 32, 128, 512],
         TI(1),
         eps_schedule=(Fraction(1, 10), Fraction(1, 1000)),
@@ -407,7 +410,7 @@ def test_rate_profile_needs_points():
 
 
 def test_rate_profile_accepts_report(third, parity):
-    rep = m5_report(parity, {n: evolve_site(parity, third, n) for n in range(1, 10)})
+    rep = m5_report(Evolution(parity, third), range(1, 10))
     fit = rate_profile(rep)
     assert fit.exponential_rate == pytest.approx(1.0986122886681098, abs=1e-6)
 
@@ -495,15 +498,17 @@ def test_reports_match_their_single_point_functions(dim, seed):
     f, g, periodic = random_site_observable(rng, dim), random_site_observable(rng, dim), random_periodic(rng, dim)
     local = LocalObservable(((random_strip(rng, dim), Fraction(2)), (random_strip(rng, dim), Fraction(-1, 3))))
     times = range(4)
-    evs = {n: evolve_site(f, p, n) for n in times}
-    m5 = m5_report(f, evs)
-    shifted = m5_report(f, {n: evolve_site(f, p, n - 2) for n in range(2, 6)}, m_offset=1)
-    m4 = m4_report(f, local, evs)
-    m2 = m2_table(f, g, evs, [1, 3])
-    m1 = m1_report(periodic, g, {n: evolve_site(periodic, p, n) for n in times})
+    F = Evolution(f, p)
+    m5 = m5_report(F, times)
+    # a depth-1 cell carries its offset: its M5 series at n + 2 is its reduction's at n
+    cell = CellObservable(dim, 1, {(random_strip(rng, dim).site, (rng.randint(1, p.size), rng.randint(1, p.size))): Fraction(2)})
+    shifted = m5_report(Evolution(cell, p), range(2, 6))
+    m4 = m4_report(F, local, times)
+    m2 = m2_table(F, Evolution(g, p), times, [1, 3])
+    m1 = m1_report(Evolution(periodic, p), Evolution(g, p), times)
     for n in times:
         assert m5.series[n] == m5_gap(f, p, n)
-        assert shifted.series[n + 2] == m5_gap(f, p, n + 2, m_offset=1)
+        assert shifted.series[n + 2] == m5_gap(cell, p, n + 2) == m5_gap(reduce_to_site(cell, p), p, n)
         assert m4.series[n] == correlate_global_local(f, local, p, n)
         for r in (1, 3):
             assert m2.series[(n, r)] == m2_entry(f, g, p, n, Box.centered((0,) * dim, r))
@@ -515,7 +520,7 @@ def test_reports_match_their_single_point_functions(dim, seed):
 
 
 def test_m5_report_csv(tmp_path, third, parity):
-    rep = m5_report(parity, {n: evolve_site(parity, third, n) for n in range(1, 6)}, metadata={"seed": 0})
+    rep = m5_report(Evolution(parity, third), range(1, 6), metadata={"seed": 0})
     path = tmp_path / "m5.csv"
     rep.write_csv(path)
     rows = [l for l in path.read_text().splitlines() if not l.startswith("#")]
@@ -525,7 +530,7 @@ def test_m5_report_csv(tmp_path, third, parity):
 
 
 def test_m2_report_csv_and_json(tmp_path, third, parity):
-    rep = m2_table(parity, parity, {n: evolve_site(parity, third, n) for n in (1, 2)}, [1, 2], TI(1))
+    rep = m2_table(Evolution(parity, third), Evolution(parity, third), (1, 2), [1, 2], TI(1))
     path = tmp_path / "m2.csv"
     rep.write_csv(path)
     header = [l for l in path.read_text().splitlines() if not l.startswith("#")][0]
@@ -537,7 +542,7 @@ def test_m2_report_csv_and_json(tmp_path, third, parity):
 
 def test_m4_report_series(tmp_path, third, parity):
     g = LocalObservable.unit_square((0,))
-    rep = m4_report(parity, g, {n: evolve_site(parity, third, n) for n in (0, 1, 2)}, TI(1))
+    rep = m4_report(Evolution(parity, third), g, (0, 1, 2), TI(1))
     assert rep.series[1] == Fraction(-1, 3)
     assert rep.target == 0
     path = tmp_path / "m4.csv"
@@ -547,7 +552,7 @@ def test_m4_report_series(tmp_path, third, parity):
 
 
 def test_m1_report(third, parity):
-    rep = m1_report(parity, parity, {n: evolve_site(parity, third, n) for n in (1, 2, 3)})
+    rep = m1_report(Evolution(parity, third), Evolution(parity, third), (1, 2, 3))
     assert rep.kind == "M1"
     assert rep.series[2] == Fraction(1, 9)
     assert rep.target == 0
