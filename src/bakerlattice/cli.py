@@ -6,9 +6,9 @@ one-line summary.  Exit codes: 0 success, 1 a checked assertion failed
 (e.g. a norm inequality violated), 2 a ConfigError, reported as one JSON
 line naming the field; 3 any other exception, which is a bug: ``run`` lets
 it propagate, and ``main`` prints its traceback and then one JSON line
-naming its type.
-Artifacts embed the config hash and seed so identical inputs give
-identical bytes.
+naming its type.  Each input has one way in, a config key, and an unknown,
+misspelled or conflicting key exits 2.  So the config hash and seed that
+every artifact embeds identify every input: identical inputs, identical bytes.
 """
 
 from __future__ import annotations
@@ -33,70 +33,94 @@ from .lattice import (
     span_check,
 )
 from .presets import PRESETS, preset
-from .rational import ConfigError, format_rational, parse_integer, parse_integers, parse_rational, write_csv, write_json
+from .rational import ConfigError, check_keys, format_rational, parse_integer, parse_integers, parse_rational
+from .rational import write_csv, write_json
 
 MIXING_KINDS = ("M5", "M4", "M2", "M1")
 
-_DEFAULT_CONFIG = {
-    "walk": {"preset": "third-walk"},
-    "observables": [
-        {"kind": "periodic", "period": [2], "table": {"0": "1", "1": "-1"}}
-    ],
-    "family": "translationInvariant",
-    "schedules": {
-        "n_list": [1, 2, 3, 4, 5, 6, 8, 10, 12],
-        "r_list": [1, 2, 4, 8, 16, 32],
-        "radii": [4, 8, 16, 32],
-        "eps": "1/10",
-    },
-    "seed": 0,
-    "samples": 100000,
-    "steps": 4,
-    "mixing_kinds": ["M5"],
+
+def _integers(value) -> list[int]:
+    return list(parse_integers(value))
+
+
+def _kinds(value) -> list[str]:
+    if not isinstance(value, list) or not value or not all(isinstance(k, str) and k.upper() in MIXING_KINDS for k in value):
+        raise ValueError(f"must be a nonempty list of kinds among {list(MIXING_KINDS)}, got {value!r}")
+    return [k.upper() for k in value]
+
+
+# Every key of a config and of its `schedules`: its default, its parser (None:
+# the value goes to its own reader below) and its least value, or a list's
+# least entry (such a list must not be empty).  A default of None is worked
+# out by the command that reads the key.
+_KEYS = {
+    "walk": ({"preset": "third-walk"}, None, None),
+    "observables": ([{"kind": "periodic", "period": [2], "table": {"0": "1", "1": "-1"}}], None, None),
+    "family": ("translationInvariant", None, None),
+    "locals": ([], None, None),
+    "seed": (0, parse_integer, 0),
+    "samples": (100000, parse_integer, 1),
+    "steps": (4, parse_integer, 0),
+    "mixing_kinds": (["M5"], _kinds, None),
+    "nowak_dims": ([1, 2, 3], _integers, None),
+    "nowak_count": (200, parse_integer, None),
+    "nowak_radius": (6, parse_integer, 0),
+    "schedules.n_list": ([1, 2, 3, 4, 5, 6, 8, 10, 12], _integers, 0),
+    "schedules.r_list": ([1, 2, 4, 8, 16, 32], _integers, 0),
+    "schedules.radii": ([4, 8, 16, 32], _integers, 0),
+    "schedules.eps": ("1/10", parse_rational, None),
+    "schedules.decay_n_list": (None, _integers, 1),
+    "schedules.a1_r_list": ([10, 100, 1000], _integers, 1),
+    "schedules.grid": (None, parse_integer, None),
 }
+# the keys whose defaults the config hash leaves out, as it always has
+_UNHASHED = {"locals", "nowak_dims", "nowak_count", "nowak_radius", "schedules.decay_n_list", "schedules.a1_r_list",
+             "schedules.grid"}
 
 
-def _merge_defaults(config: dict) -> dict:
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    if not isinstance(config.get("schedules", {}), dict):
-        raise ConfigError("schedules must be a JSON object")
-    merged = json.loads(json.dumps(_DEFAULT_CONFIG))
-    merged.update(config)
-    sched = dict(_DEFAULT_CONFIG["schedules"])
-    sched.update(config.get("schedules", {}))
-    merged["schedules"] = sched
+def _merged(config) -> dict:
+    """``config``, its keys checked, over the defaults that its hash covers."""
+    check_keys(config, "", {name.partition(".")[0] for name in _KEYS})
+    check_keys(config.get("schedules", {}), "schedules", {name[10:] for name in _KEYS if name.startswith("schedules.")})
+    merged = {**config, "schedules": dict(config.get("schedules", {}))}
+    for name, (default, _, _) in _KEYS.items():
+        head, _, key = name.rpartition(".")
+        if name not in _UNHASHED:
+            (merged[head] if head else merged).setdefault(key, json.loads(json.dumps(default)))
     return merged
 
 
-def _config_hash(config: dict) -> str:
-    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+def _get(config: dict, name: str):
+    """The value of key ``name`` (``schedules.<key>`` for a schedule) of the
+    merged config: parsed and at least its least value, or its default."""
+    default, parse, least = _KEYS[name]
+    head, _, key = name.rpartition(".")
+    level = config[head] if head else config
+    if key not in level and default is None:
+        return None
+    value = level.get(key, default)
+    if parse is None:
+        return value
+    value = _parsed(parse, value, name)
+    if least is None:
+        return value
+    if isinstance(value, list):
+        if not value:
+            raise ConfigError(f"{name} is empty")
+        if min(value) < least:
+            raise ConfigError(f"{name} entries must be >= {least}, got {value}")
+    elif value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
-def _walk_from_config(config: dict) -> WalkDistribution:
-    spec = config.get("walk")
-    if not isinstance(spec, dict):
-        raise ConfigError("config needs a 'walk' object")
-    if "preset" in spec:
-        name = spec["preset"]
-        if name not in PRESETS:
-            raise ConfigError(f"unknown preset {name!r}")
-        return preset(name)
-    try:
-        return WalkDistribution.from_json_dict(spec)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid walk: {exc}") from exc
-
-
-def _family_from_config(config: dict, dim: int) -> BoxFamily:
-    fam = config["family"]
-    if isinstance(fam, dict):
-        fam = fam.get("kind")
-    try:
-        return BoxFamily(dim, fam)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _walk_from_config(spec) -> WalkDistribution:
+    check_keys(spec, "walk", (), {"preset"}, {"dim", "support"})
+    if "preset" not in spec:
+        return _parsed(WalkDistribution.from_json_dict, spec, "invalid walk")
+    if spec["preset"] not in PRESETS:
+        raise ConfigError(f"unknown preset {spec['preset']!r}")
+    return preset(spec["preset"])
 
 
 def _observables_from_config(config: dict, walk: WalkDistribution):
@@ -106,12 +130,10 @@ def _observables_from_config(config: dict, walk: WalkDistribution):
 
     out = []
     for spec in _objects(config["observables"], "observables"):
-        try:
-            F = Evolution(observable_from_config(walk.dim, spec), walk)
-            if walk.dim > 1 and not F.site.tail.uniform:
-                raise ValueError("orthant constants that differ evolve exactly only in dimension 1")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid observable {spec!r}: {exc}") from exc
+        name = f"invalid observable {spec!r}"
+        F = _parsed(lambda cfg: Evolution(observable_from_config(walk.dim, cfg), walk), spec, name)
+        if walk.dim > 1 and not F.site.tail.uniform:
+            raise ConfigError(f"{name}: orthant constants that differ evolve exactly only in dimension 1")
         out.append(F)
     if not out:
         raise ConfigError("config declares no observables")
@@ -122,17 +144,19 @@ def _locals_from_config(config: dict, walk: WalkDistribution):
     from . import mixing
     from .phase import Strip
 
-    specs = _objects(config.get("locals", []), "locals")
+    specs = _objects(_get(config, "locals"), "locals")
     if not specs:
         return [mixing.LocalObservable.unit_square(origin(walk.dim))]
     out = []
     for j, spec in enumerate(specs):
+        check_keys(spec, f"locals[{j}]", {"terms"})
         terms = []
         for k, term in enumerate(_objects(spec.get("terms"), f"locals[{j}].terms")):
-            site = _parsed(parse_integers, term.get("site", origin(walk.dim)), f"locals[{j}] site")
-            if len(site) != walk.dim:
-                raise ConfigError(f"local site {list(site)} has dimension {len(site)}, the walk has dimension {walk.dim}")
             name = f"locals[{j}].terms[{k}]"
+            check_keys(term, name, {"site", "lo", "hi", "weight"})
+            site = _parsed(parse_integers, term.get("site", origin(walk.dim)), f"{name}.site")
+            if len(site) != walk.dim:
+                raise ConfigError(f"{name}.site: {list(site)} has dimension {len(site)}, the walk has dimension {walk.dim}")
             lo = _parsed(parse_rational, term.get("lo", 0), f"{name}.lo")
             hi = _parsed(parse_rational, term.get("hi", 1), f"{name}.hi")
             weight = _parsed(parse_rational, term.get("weight", 1), f"{name}.weight")
@@ -145,16 +169,8 @@ def _parsed(parse, value, name: str):
     """parse(value), with a malformed value reported as a ConfigError naming its field."""
     try:
         return parse(value)
-    except (TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
-
-
-def _integer(value, name: str, minimum: int | None = None) -> int:
-    """The integer config field ``name``, at least ``minimum`` when one is given."""
-    value = _parsed(parse_integer, value, name)
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-    return value
 
 
 def _objects(value, name: str) -> list:
@@ -164,24 +180,17 @@ def _objects(value, name: str) -> list:
     return value
 
 
-def _schedule(config: dict, name: str, default=None, minimum: int = 0) -> list[int]:
-    values = list(_parsed(parse_integers, config["schedules"].get(name, default), f"schedules.{name}"))
-    if not values:
-        raise ConfigError(f"schedules.{name} is empty")
-    if min(values) < minimum:
-        raise ConfigError(f"schedules.{name} entries must be >= {minimum}, got {values}")
-    return values
-
-
 def _meta(config: dict, command: str) -> dict:
-    return {"command": command, "config_hash": _config_hash(config), "seed": config["seed"]}
+    """What every artifact embeds: the command, the hash of the merged config and the seed."""
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    return {"command": command, "config_hash": digest[:16], "seed": config["seed"]}
 
 
 # ---------------------------------------------------------------------------
 # command bodies (each returns (exit_code, summary line, payload of <command>.json))
 
 
-def _cmd_span_check(config, walk, out_dir, args):
+def _cmd_span_check(config, walk, family, out_dir, plot):
     verdict = span_check(walk)
     payload = {
         **_meta(config, "span-check"),
@@ -192,15 +201,15 @@ def _cmd_span_check(config, walk, out_dir, args):
     return 0, json.dumps({"verdict": verdict.verdict}), payload
 
 
-def _cmd_simulate(config, walk, out_dir, args):
+def _cmd_simulate(config, walk, family, out_dir, plot):
     from .phase import simulate_walk
 
-    steps = _integer(config["steps"], "steps", minimum=0)
-    samples = _integer(config["samples"], "samples", minimum=1)
+    steps, samples = _get(config, "steps"), _get(config, "samples")
     hist = simulate_walk(walk, steps, samples, config["seed"])
-    hist.write_csv(out_dir / "histogram.csv", {"config_hash": _config_hash(config)})
+    meta = _meta(config, "simulate")
+    hist.write_csv(out_dir / "histogram.csv", {"config_hash": meta["config_hash"]})
     payload = {
-        **_meta(config, "simulate"),
+        **meta,
         "steps": steps,
         "samples": samples,
         "empirical_mean": list(hist.empirical_mean()),
@@ -229,13 +238,12 @@ def _write_reports(reports: dict, out_dir, plot: bool) -> list:
     return written
 
 
-def _cmd_correlate(config, walk, out_dir, args):
+def _cmd_correlate(config, walk, family, out_dir, plot):
     from . import mixing
 
-    family = _family_from_config(config, walk.dim)
     observables = _observables_from_config(config, walk)
     locals_ = _locals_from_config(config, walk)
-    n_list = _schedule(config, "n_list")
+    n_list = _get(config, "schedules.n_list")
     meta = _meta(config, "correlate")
     written = _write_reports(
         {
@@ -246,26 +254,22 @@ def _cmd_correlate(config, walk, out_dir, args):
             for j, g in enumerate(locals_)
         },
         out_dir,
-        args.plot,
+        plot,
     )
     payload = {**meta, "walk": walk.to_json_dict(), "artifacts": written}
     return 0, f"correlate: wrote {len(written)} artifacts", payload
 
 
-def _cmd_mixing_report(config, walk, out_dir, args):
+def _cmd_mixing_report(config, walk, family, out_dir, plot):
     from . import mixing
     from .observables import estimate_average
 
-    family = _family_from_config(config, walk.dim)
     observables = _observables_from_config(config, walk)
     locals_ = _locals_from_config(config, walk)
-    n_list = _schedule(config, "n_list")
-    kinds = config["mixing_kinds"]
-    if not isinstance(kinds, list) or not kinds or not all(isinstance(k, str) and k.upper() in MIXING_KINDS for k in kinds):
-        raise ConfigError(f"mixing_kinds must be a nonempty list of kinds among {list(MIXING_KINDS)}, got {kinds!r}")
-    kinds = [k.upper() for k in kinds]
-    r_list = _schedule(config, "r_list") if "M2" in kinds else []
-    radii = _schedule(config, "radii")
+    n_list = _get(config, "schedules.n_list")
+    kinds = _get(config, "mixing_kinds")
+    r_list = _get(config, "schedules.r_list") if "M2" in kinds else []
+    radii = _get(config, "schedules.radii")
     meta = _meta(config, "mixing-report")
     # the reports share each observable's Evolution: each (observable, steps) is evolved once
     reports = {}
@@ -294,28 +298,27 @@ def _cmd_mixing_report(config, walk, out_dir, args):
             reports[f"m2_{i}_{j}"] = mixing.m2_table(F, G, n_list, r_list, family, metadata=pair)
         if "M1" in kinds and mixing.m1_computable(F, G):
             reports[f"m1_{i}_{j}"] = mixing.m1_report(F, G, n_list, metadata=pair)
-    written = _write_reports(reports, out_dir, args.plot)
+    written = _write_reports(reports, out_dir, plot)
     payload = {**meta, "kinds": kinds, "walk": walk.to_json_dict(), "averages": averages, "artifacts": written}
     return 0, f"mixing-report: kinds={','.join(kinds)}, {len(written)} artifacts", payload
 
 
-def _cmd_fourier_decay(config, walk, out_dir, args):
+def _cmd_fourier_decay(config, walk, family, out_dir, plot):
     from . import fourier
 
-    sched = config["schedules"]
-    eps = _parsed(parse_rational, sched["eps"], "schedules.eps")
+    eps = _get(config, "schedules.eps")
     try:
         fc = fourier.FourierConfig(walk.dim, eps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # exact d-dimensional convolution powers grow fast; keep the default
     # schedule short above one dimension
-    default_n = [4, 16, 64, 256] if walk.dim == 1 else [4, 16, 64]
-    n_list = sorted(_schedule(config, "decay_n_list", default_n, minimum=1))
+    n_list = sorted(_get(config, "schedules.decay_n_list") or ([4, 16, 64, 256] if walk.dim == 1 else [4, 16, 64]))
     n_max = n_list[-1]
     bandwidth = n_max * walk.max_step + fc.radius(n_max)
-    grid = args.grid if args.grid is not None else sched.get("grid")
-    grid = fourier.smallest_grid(bandwidth) if grid is None else _parsed(parse_integer, grid, "schedules.grid")
+    grid = _get(config, "schedules.grid")
+    if grid is None:
+        grid = fourier.smallest_grid(bandwidth)
     if grid <= 2 * bandwidth:
         raise ConfigError(
             f"grid {grid} is below the bandwidth {2 * bandwidth + 1} required for n_max={n_max}"
@@ -345,7 +348,7 @@ def _cmd_fourier_decay(config, walk, out_dir, args):
         ),
         "embedding_ok": embedding_ok,
     }
-    if args.plot:
+    if plot:
         from .svgplot import write_loglog_svg
 
         write_loglog_svg(
@@ -362,14 +365,10 @@ def _cmd_fourier_decay(config, walk, out_dir, args):
     return code, f"fourier-decay: monotone={payload['monotone']} embedding_ok={payload['embedding_ok']}", payload
 
 
-def _cmd_nowak_test(config, walk, out_dir, args):
-    dims = list(_parsed(parse_integers, config.get("nowak_dims", [1, 2, 3]), "nowak_dims"))
-    count = _integer(config.get("nowak_count", 200), "nowak_count")
-    if count < 1 or not dims:
-        raise ConfigError(f"nowak-test needs nowak_count >= 1 and some nowak_dims, got {count} and {dims}")
-    if not all(1 <= d <= 4 for d in dims):
-        raise ConfigError(f"nowak_dims must lie in 1..4 (the tabulated C_d), got {dims}")
-    radius = _integer(config.get("nowak_radius", 6), "nowak_radius", minimum=0)
+def _cmd_nowak_test(config, walk, family, out_dir, plot):
+    dims, count, radius = (_get(config, name) for name in ("nowak_dims", "nowak_count", "nowak_radius"))
+    if count < 1 or not dims or not all(1 <= d <= 4 for d in dims):
+        raise ConfigError(f"nowak-test needs nowak_count >= 1 and some nowak_dims in 1..4, got {count} and {dims}")
     import random
 
     from . import embedding
@@ -402,8 +401,8 @@ def _random_signal(rng, dim: int, radius: int) -> LatticeSignal:
     return LatticeSignal.from_entries(dim, entries)
 
 
-def _cmd_a1_check(config, walk, out_dir, args):
-    r_list = _schedule(config, "a1_r_list", [10, 100, 1000], minimum=1)
+def _cmd_a1_check(config, walk, family, out_dir, plot):
+    r_list = _get(config, "schedules.a1_r_list")
     constant = a1_boundary_constant(walk)
     rows = []
     ok = True
@@ -428,18 +427,17 @@ def _cmd_a1_check(config, walk, out_dir, args):
     return (0 if ok else 1), f"a1-check: ok={ok} over r={r_list}", payload
 
 
-def _cmd_audit(config, walk, out_dir, args):
+def _cmd_audit(config, walk, family, out_dir, plot):
     from . import mixing
 
-    family = _family_from_config(config, walk.dim)
     observables = [F.observable for F in _observables_from_config(config, walk)]
     locals_ = _locals_from_config(config, walk)
     record = mixing.implication_audit(
         walk,
         observables,
         locals_,
-        _schedule(config, "n_list"),
-        _schedule(config, "r_list"),
+        _get(config, "schedules.n_list"),
+        _get(config, "schedules.r_list"),
         family,
         metadata=_meta(config, "audit"),
     )
@@ -461,22 +459,24 @@ _BODIES = {
 COMMANDS = tuple(_BODIES)
 
 
-def run(command: str, config: dict, out_dir, seed=None, grid=None, plot=False) -> int:
+def run(command: str, config: dict, out_dir, seed=None, plot=False) -> int:
     """Validate the config, execute one command, write its artifacts and its
     ``<command>.json`` summary, return the exit code."""
-    args = argparse.Namespace(grid=grid, plot=plot)
     try:
         if command not in _BODIES:
             raise ConfigError(f"unknown command {command!r}")
-        config = _merge_defaults(config)
+        config = _merged(config)
         if seed is not None:
             config["seed"] = seed
-        walk = _walk_from_config(config)
-        _family_from_config(config, walk.dim)
+        walk = _walk_from_config(config["walk"])
+        try:
+            family = BoxFamily(walk.dim, config["family"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        config["seed"] = _integer(config["seed"], "seed", minimum=0)
-        code, summary, payload = _BODIES[command](config, walk, out, args)
+        config["seed"] = _get(config, "seed")
+        code, summary, payload = _BODIES[command](config, walk, family, out, plot)
         write_json(out / f"{command.replace('-', '_')}.json", payload)
     except ConfigError as exc:
         return _refuse(str(exc))
@@ -507,7 +507,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=Path("artifacts"), help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--plot", action="store_true", help="also emit SVG plots")
-    parser.add_argument("--grid", type=int, default=None, help="torus grid points per axis")
     try:
         opts = parser.parse_args(argv)
         config = {} if opts.config is None else json.loads(Path(opts.config).read_text())
@@ -516,7 +515,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         return _refuse(f"cannot read config: {exc}")
     try:
-        return run(opts.command, config, opts.out, seed=opts.seed, grid=opts.grid, plot=opts.plot)
+        return run(opts.command, config, opts.out, seed=opts.seed, plot=opts.plot)
     except Exception as exc:
         import traceback  # only a fault pays for the import
 

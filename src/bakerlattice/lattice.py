@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import comb, lcm, prod, sqrt
 from typing import Iterable, Mapping
 
-from .rational import format_rational, parse_integer, parse_integers, parse_rational, record
+from .rational import check_keys, format_rational, parse_integer, parse_integers, parse_rational, record
 
 Site = tuple[int, ...]
 
@@ -174,8 +174,13 @@ class WalkDistribution:
 
     @classmethod
     def from_json_dict(cls, data: Mapping, allow_trivial: bool = False) -> "WalkDistribution":
+        """The walk ``to_json_dict`` writes; a key it does not write is a ConfigError."""
+        check_keys(data, "", {"dim", "support"})
         dim = parse_integer(data["dim"])
-        weights = {parse_integers(entry["beta"]): parse_rational(entry["p"]) for entry in data["support"]}
+        weights = {}
+        for k, entry in enumerate(data["support"]):
+            check_keys(entry, f"support[{k}]", {"beta", "p"})
+            weights[parse_integers(entry["beta"])] = parse_rational(entry["p"])
         return cls.from_weights(dim, weights, allow_trivial=allow_trivial)
 
 

@@ -31,7 +31,7 @@ from .lattice import (
     origin,
 )
 from .phase import PartitionTable, PhasePoint
-from .rational import format_rational, parse_integer, parse_integers, parse_rational, record
+from .rational import check_keys, format_rational, parse_integer, parse_integers, parse_rational, record
 
 
 class Sentinel:
@@ -714,9 +714,12 @@ def av_invariance_check(f: SiteObservable, p: WalkDistribution, n: int, family: 
 # config (de)serialization
 
 
-def _box_from_config(dim: int, cfg: Mapping) -> Box:
-    """``box: {lo, hi}`` as written by observable_to_config, else ``center``/``radius``."""
+def _box_from_config(dim: int, cfg: Mapping, background: str) -> Box:
+    """The window of an observable whose background is ``cfg[background]``: ``box:
+    {lo, hi}`` as written by observable_to_config, or ``center``/``radius``, not both."""
+    check_keys(cfg, "", {"kind", background, "table"}, {"box"}, {"center", "radius"})
     if "box" in cfg:
+        check_keys(cfg["box"], "box", {"lo", "hi"})
         box = Box(parse_integers(cfg["box"]["lo"]), parse_integers(cfg["box"]["hi"]))
     else:
         center = parse_integers(cfg.get("center", origin(dim)))
@@ -727,24 +730,33 @@ def _box_from_config(dim: int, cfg: Mapping) -> Box:
 
 
 def observable_from_config(dim: int, cfg: Mapping):
+    """The observable of a config object, the form observable_to_config
+    writes; a key its kind does not read is a ConfigError that starts with
+    the key's path within ``cfg``."""
     kind = cfg.get("kind")
     if kind == "periodic":
+        check_keys(cfg, "", {"kind", "period", "table"})
         period = parse_integers(cfg["period"])
         if len(period) != dim:
             raise ValueError(f"period {list(period)} has dimension {len(period)}, the walk has dimension {dim}")
         return periodic_observable(period, cfg["table"])
     if kind == "constantOutsideBox":
-        return localized_observable(dim, cfg["constant"], _box_from_config(dim, cfg), cfg.get("table", {}))
+        box = _box_from_config(dim, cfg, "constant")
+        return localized_observable(dim, cfg["constant"], box, cfg.get("table", {}))
     if kind == "orthant":
-        return orthant_observable(dim, cfg["constants"], _box_from_config(dim, cfg), cfg.get("table", {}))
+        box = _box_from_config(dim, cfg, "constants")
+        return orthant_observable(dim, cfg["constants"], box, cfg.get("table", {}))
     if kind == "sign1d":
+        check_keys(cfg, "", {"kind"})
         if dim != 1:
             raise ValueError("sign1d needs a one-dimensional walk")
         return sign_observable()
     if kind == "cell":
+        check_keys(cfg, "", {"kind", "m", "values", "default"})
         depth = parse_integer(cfg["m"])
         values = {}
-        for rec in cfg["values"]:
+        for k, rec in enumerate(cfg["values"]):
+            check_keys(rec, f"values[{k}]", {"site", "back", "fwd", "value"})
             site = parse_integers(rec["site"])
             back, fwd = parse_integers(rec.get("back", ())), parse_integers(rec.get("fwd", ()))
             if not len(back) == len(fwd) == depth:

@@ -21,6 +21,28 @@ class ConfigError(ValueError):
     line naming it."""
 
 
+def check_keys(cfg, path: str, known, *forms) -> None:
+    """Refuse ``cfg``, the config object at ``path`` ("" at the top), unless it
+    is a JSON object whose keys lie in ``known`` or in one of ``forms``, key
+    sets that each give one input another way, with at most one form used.
+    The ConfigError starts with the key's path, and for an unknown key lists
+    the known ones and names the closest if difflib finds one close."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path or 'config'} must be a JSON object")
+    keys = set(known).union(*forms)
+    where = (path + ".") if path else ""
+    for key in cfg:
+        if key not in keys:
+            import difflib  # only a refusal pays for the import
+
+            near = difflib.get_close_matches(str(key), sorted(keys), n=1)
+            hint = f", did you mean {near[0]!r}?" if near else ""
+            raise ConfigError(f"{where}{key}: unknown key{hint} (known keys: {', '.join(sorted(keys))})")
+    given = [next(k for k in cfg if k in form) for form in forms if not form.isdisjoint(cfg)]
+    if len(given) > 1:
+        raise ConfigError(f"{where}{given[1]}: conflicts with {given[0]!r}, give one or the other")
+
+
 class FrozenRecordError(AttributeError):
     """Assignment to, or deletion of, an attribute of a frozen record."""
 

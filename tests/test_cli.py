@@ -20,6 +20,7 @@ from bakerlattice import cli, evolve_site, mixing, observables
 from bakerlattice.cli import main, run
 from bakerlattice.embedding import nowak_constant
 from bakerlattice.observables import SiteObservable
+from bakerlattice.presets import PRESETS
 from bakerlattice.rational import parse_integers
 
 
@@ -81,8 +82,8 @@ def test_bad_eps_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("grid", [64, 0])
 def test_undersized_grid_exit_2(tmp_path, capsys, grid):
     # an explicit 0 is a grid, not a request for the automatic one
-    config = {"schedules": {"decay_n_list": [64]}}
-    assert run("fourier-decay", config, tmp_path / "o", grid=grid) == 2
+    config = {"schedules": {"decay_n_list": [64], "grid": grid}}
+    assert run("fourier-decay", config, tmp_path / "o") == 2
 
 
 DEPTH_12_CELL = {"kind": "cell", "m": 12, "values": [{"site": [0], "back": [1] * 12, "fwd": [1] * 12, "value": "1"}]}
@@ -311,7 +312,7 @@ CELL_RECORD = {"site": [0], "back": [1], "fwd": [1], "value": "1"}
         ("fourier-decay", {"schedules": {"decay_n_list": "48"}}, "schedules.decay_n_list: expected a list of integers"),
         ("correlate", {"walk": {"preset": "lazy-2d"}, "observables": [{"kind": "periodic", "period": "23", "table": {}}]},
          "expected a list of integers, got '23'"),
-        ("correlate", {"locals": [{"terms": [{"site": "10"}]}]}, "locals[0] site: expected a list of integers, got '10'"),
+        ("correlate", {"locals": [{"terms": [{"site": "10"}]}]}, "locals[0].terms[0].site: expected a list of integers, got '10'"),
         ("correlate", {"observables": [{"kind": "constantOutsideBox", "constant": "0", "center": "0", "radius": 1}]},
          "expected a list of integers, got '0'"),
         ("correlate", {"observables": [{"kind": "constantOutsideBox", "constant": "0", "box": {"lo": "0", "hi": [1]}}]},
@@ -466,6 +467,89 @@ def test_refused_config_files_exit_2_naming_the_field(tmp_path, capsys, command,
     assert field in refused(tmp_path, capsys, command, config)
 
 
+PERIODIC = {"kind": "periodic", "period": [2], "table": {"0": "1", "1": "-1"}}
+BOXED = {"kind": "constantOutsideBox", "constant": "0", "box": {"lo": [0], "hi": [1]}, "table": {"0": "1"}}
+
+
+@pytest.mark.parametrize(
+    "command, config, key, hint",
+    [
+        ("correlate", {"schedules": {"n_lsit": [99]}}, "schedules.n_lsit", "did you mean 'n_list'?"),
+        ("mixing-report", {"mixing_kind": ["M2"]}, "mixing_kind", "did you mean 'mixing_kinds'?"),
+        ("mixing-report", {"famly": "centeredOnly"}, "famly", "did you mean 'family'?"),
+        ("mixing-report", {"locals": [{"terms": [{"hgh": "1/2"}]}]}, "locals[0].terms[0].hgh",
+         "(known keys: hi, lo, site, weight)"),
+        ("mixing-report", {"locals": [{"terms": [{}, {"wieght": "2"}]}]}, "locals[0].terms[1].wieght",
+         "did you mean 'weight'?"),
+        ("mixing-report", {"locals": [{"terms": [{}], "term": [{}]}]}, "locals[0].term", "did you mean 'terms'?"),
+        ("mixing-report", {"observables": [{**PERIODIC, "colour": "red"}]}, "colour", "(known keys: kind, period, table)"),
+        ("correlate", {"observables": [{"kind": "sign1d", "period": [2]}]}, "period", "(known keys: kind)"),
+        ("correlate", {"observables": [{"kind": "cell", "m": 1, "values": [{**CELL_RECORD, "valeu": "2"}]}]},
+         "values[0].valeu", "did you mean 'value'?"),
+        ("correlate", {"observables": [{**BOXED, "box": {"lo": [0], "hi": [1], "high": [2]}}]}, "box.high",
+         "(known keys: hi, lo)"),
+        ("span-check", {"walk": {"dim": 1, "support": [{"beta": [0], "p": "1/2"}, {"beta": [1], "q": "1/2"}]}},
+         "support[1].q", "(known keys: beta, p)"),
+        ("span-check", {"walk": {"presett": "lazy-2d"}}, "walk.presett", "did you mean 'preset'?"),
+        # the grid belongs in `schedules`
+        ("fourier-decay", {"grid": 1024}, "grid", "schedules"),
+    ],
+)
+def test_an_unknown_key_exit_2_naming_it(tmp_path, capsys, command, config, key, hint):
+    # most of these once ran with exit 0 on the defaults; none named the key
+    message = refused(tmp_path, capsys, command, config)
+    assert f"{key}: unknown key" in message and hint in message
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("span-check", {"walk": {"preset": "lazy-2d", "dim": 1}}, "walk.dim: conflicts with 'preset'"),
+        ("span-check", {"walk": {"support": [], "preset": "lazy-2d"}}, "walk.support: conflicts with 'preset'"),
+        ("correlate", {"observables": [{**BOXED, "radius": 2}]}, "radius: conflicts with 'box'"),
+        ("correlate", {"observables": [{"kind": "orthant", "constants": {"1": "1", "-1": "-1"}, "center": [0],
+                                        "box": {"lo": [0], "hi": [1]}}]}, "center: conflicts with 'box'"),
+    ],
+)
+def test_two_forms_of_one_input_exit_2(tmp_path, capsys, command, config, message):
+    # the preset, and the box, once won silently over the other form
+    assert message in refused(tmp_path, capsys, command, config)
+
+
+def test_the_dict_form_of_family_exit_2(tmp_path, capsys):
+    # {"kind": ...} was a second, undocumented way to name the family
+    message = refused(tmp_path, capsys, "correlate", {"family": {"kind": "centeredOnly"}})
+    assert message == "unknown family kind {'kind': 'centeredOnly'}"
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_the_default_config_hash_is_pinned(tmp_path, capsys, command):
+    # the hash covers the config merged over the same defaults as it always has
+    assert run(command, {}, tmp_path) == 0
+    payload = read_json(tmp_path / f"{command.replace('-', '_')}.json")
+    assert payload.get("metadata", payload)["config_hash"] == "482dd339c6505bf2"
+
+
+def test_the_grid_enters_the_config_hash(tmp_path, capsys):
+    hashes = set()
+    for grid in (1024, 4096):
+        assert run("fourier-decay", {"schedules": {"decay_n_list": [4, 16], "grid": grid}}, tmp_path / str(grid)) == 0
+        payload = read_json(tmp_path / str(grid) / "fourier_decay.json")
+        assert payload["grid"] == grid
+        hashes.add(payload["config_hash"])
+    assert len(hashes) == 2
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_a_written_walk_reads_back_as_a_config_walk(tmp_path, capsys, name):
+    # the package's own output never trips the key check
+    assert run("span-check", {"walk": {"preset": name}}, tmp_path / "a") == 0
+    walk = read_json(tmp_path / "a" / "span_check.json")["walk"]
+    assert run("span-check", {"walk": walk}, tmp_path / "b") == 0
+    assert read_json(tmp_path / "b" / "span_check.json")["walk"] == walk
+
+
 @pytest.mark.parametrize("seed", ["abc", 1.5, [1], -3, True])
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_bad_seed_exit_2_on_every_command(tmp_path, capsys, command, seed):
@@ -615,9 +699,9 @@ def test_correlate_artifacts(tmp_path, capsys):
 
 
 def test_fourier_decay_artifacts_and_plot(tmp_path, capsys):
-    config = {"schedules": {"decay_n_list": [4, 16, 64], "eps": "1/10"}}
+    config = {"schedules": {"decay_n_list": [4, 16, 64], "eps": "1/10", "grid": 512}}
     out = tmp_path / "out"
-    assert run("fourier-decay", config, out, grid=512, plot=True) == 0
+    assert run("fourier-decay", config, out, plot=True) == 0
     payload = read_json(out / "fourier_decay.json")
     assert payload["monotone"] and payload["embedding_ok"]
     assert payload["eps_within_proof_bound"] is False
@@ -960,6 +1044,7 @@ def test_main_rejects_a_config_file_that_is_not_utf8(tmp_path, capsys):
         (["frobnicate"], "invalid choice: 'frobnicate'"),
         (["audit", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
         (["audit", "--budget", "5"], "unrecognized arguments: --budget 5"),
+        (["fourier-decay", "--grid", "64"], "unrecognized arguments: --grid 64"),
     ],
 )
 def test_refused_command_line_is_one_json_line(tmp_path, capsys, argv, message):
@@ -1016,7 +1101,7 @@ def fuzzed_configs(draw):
     )
     term = st.fixed_dictionaries({}, optional={"site": sites, "lo": BOUNDS, "hi": BOUNDS, "weight": NUMBERS})
     schedule = st.lists(st.integers(-1, 4), max_size=3)
-    return draw(st.fixed_dictionaries(
+    config = draw(st.fixed_dictionaries(
         {"walk": st.just({"preset": walk}), "observables": st.lists(observable, min_size=1, max_size=2)},
         optional={
             "locals": st.lists(st.fixed_dictionaries({"terms": st.lists(term, max_size=2)}), max_size=2),
@@ -1025,6 +1110,34 @@ def fuzzed_configs(draw):
             "mixing_kinds": usually(st.lists(st.sampled_from(["M5", "M4", "M2", "M1", "m4", "M3"]), max_size=3), st.just("M5")),
         },
     ))
+    # half the time one near-miss key, at a level drawn among those the config has
+    dicts = [o for o in config["observables"] if isinstance(o, dict)]
+    levels = {
+        "top": [config],
+        "schedules": [config["schedules"]] if "schedules" in config else [],
+        "observable": dicts,
+        "cell record": [r for o in dicts if o.get("kind") == "cell" for r in o["values"]],
+        "local": config.get("locals", []),
+        "term": [t for local in config.get("locals", []) for t in local["terms"]],
+    }
+    level = draw(pick(st.none(), st.sampled_from([level for level, places in levels.items() if places])))
+    if level is not None:
+        draw(st.sampled_from(levels[level]))[NEAR_MISSES[level]] = draw(NUMBERS)
+    return config
+
+
+# a misspelled key of each level, as a typo would give it
+NEAR_MISSES = {"top": "famly", "schedules": "n_lsit", "observable": "tabel", "cell record": "valeu", "local": "term",
+               "term": "wieght"}
+
+
+def near_miss_keys(value):
+    """The keys of NEAR_MISSES found at any depth of a config."""
+    if isinstance(value, dict):
+        return {k for k in value if k in NEAR_MISSES.values()} | {k for v in value.values() for k in near_miss_keys(v)}
+    if isinstance(value, list):
+        return {k for v in value for k in near_miss_keys(v)}
+    return set()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1038,6 +1151,8 @@ def test_fuzzed_configs_end_in_an_exit_code(command, config):
         code = run(command, config, out)  # an exception escaping run fails the test here
         # each audit row is a triangle inequality: exit 1 there could only mean a wrong bound
         assert code in ((0, 2) if command == "audit" else (0, 1, 2))
+        # a near-miss key is refused wherever it sits, before any work
+        assert code == 2 or not near_miss_keys(config)
         if code == 2:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and json.loads(lines[0])["error"]["exit"] == 2

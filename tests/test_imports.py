@@ -128,6 +128,19 @@ def test_exact_commands_leave_dataclasses_unloaded(tmp_path, command, config):
     assert proc.stdout.splitlines()[-2:] == ["0", "False"]
 
 
+# prints whether difflib is loaded: the config key check imports it only to
+# name the known key nearest a refused one
+DIFFLIB = "import sys\nprint('difflib' in sys.modules)\n"
+
+
+@pytest.mark.parametrize("config, code, loaded", [(None, "0", "False"), ({"schedules": {"n_lsit": [99]}}, "2", "True")])
+def test_difflib_loads_only_for_a_refused_key(tmp_path, config, code, loaded):
+    statement = command_statement(tmp_path, "correlate", config)
+    proc = fresh_python(f"import bakerlattice.cli\n{DIFFLIB}{statement}\n{DIFFLIB}", tmp_path)
+    lines = proc.stdout.splitlines()
+    assert [lines[0], *lines[-2:]] == ["False", code, loaded]
+
+
 def test_rate_fit_of_an_m5_report_leaves_numpy_unloaded(tmp_path):
     proc = fresh_python(
         "import sys\n"

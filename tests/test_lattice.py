@@ -29,6 +29,7 @@ from bakerlattice import (
 )
 from bakerlattice import lattice
 from bakerlattice.lattice import _convolve_entries
+from bakerlattice.rational import ConfigError
 from conftest import nearest_neighbour_2d, random_signal, random_walk
 
 
@@ -444,6 +445,11 @@ def test_walk_json_round_trip(lazy2d):
     data = lazy2d.to_json_dict()
     assert data["support"][0]["p"] == "1/5"
     assert WalkDistribution.from_json_dict(data) == lazy2d
+    # it reads what to_json_dict writes and nothing else
+    with pytest.raises(ConfigError, match=r"^dims: unknown key, did you mean 'dim'\?"):
+        WalkDistribution.from_json_dict({**data, "dims": 2})
+    with pytest.raises(ConfigError, match=r"^support\[1\]\.weight: unknown key \(known keys: beta, p\)$"):
+        WalkDistribution.from_json_dict({**data, "support": [data["support"][0], {**data["support"][1], "weight": "1"}]})
 
 
 def test_cached_law_is_shared_and_never_mutated(third):
