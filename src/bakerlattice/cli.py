@@ -118,7 +118,7 @@ def _walk_from_config(spec) -> WalkDistribution:
     check_keys(spec, "walk", (), {"preset"}, {"dim", "support"})
     if "preset" not in spec:
         return _parsed(WalkDistribution.from_json_dict, spec, "invalid walk")
-    if spec["preset"] not in PRESETS:
+    if not isinstance(spec["preset"], str) or spec["preset"] not in PRESETS:
         raise ConfigError(f"unknown preset {spec['preset']!r}")
     return preset(spec["preset"])
 
@@ -311,8 +311,9 @@ def _cmd_fourier_decay(config, walk, family, out_dir, plot):
         fc = fourier.FourierConfig(walk.dim, eps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # exact d-dimensional convolution powers grow fast; keep the default
-    # schedule short above one dimension
+    # the defect's support grows like (2n+1)^d and the torus grid like M^d
+    # with M above twice the bandwidth; keep the default schedule short
+    # above one dimension
     n_list = sorted(_get(config, "schedules.decay_n_list") or ([4, 16, 64, 256] if walk.dim == 1 else [4, 16, 64]))
     n_max = n_list[-1]
     bandwidth = n_max * walk.max_step + fc.radius(n_max)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, isqrt, sqrt
 
-from .lattice import LatticeSignal, _integer_form, origin
+from .lattice import LatticeSignal, origin
 
 # Upper bounds for the nested sum over 0 < |b_1| <= ... <= |b_d| of
 # b_d^(-2 nu_bar).  Collapsing the ordered tuples gives
@@ -33,26 +33,22 @@ NESTED_TAIL_CONSTANTS = {
 def a_norm(a: LatticeSignal) -> Fraction:
     """Exact l^1 norm of the coefficients (the absolutely-convergent-series norm),
     summed over the integer numerators: one Fraction, not one per site."""
-    nums, den = _integer_form(a)
-    return Fraction(sum(map(abs, nums.values())), den)
+    return Fraction(sum(map(abs, a.nums.values())), a.den)
 
 
-def _sobolev_sums(a: LatticeSignal, order: int) -> tuple[dict, int, list[int]]:
-    """Numerators n_alpha of an exact signal over the common denominator den, and
-    T_i = sum_alpha alpha_i^(2 order) n_alpha^2, so that S_i = T_i / den^2."""
+def _sobolev_sums(a: LatticeSignal, order: int) -> list[int]:
+    """T_i = sum_alpha alpha_i^(2 order) n_alpha^2 over the numerators n_alpha
+    of the signal, so that S_i = T_i / den^2."""
     if order < 1:
         raise ValueError("derivative order must be >= 1")
-    nums, den = _integer_form(a)
-    squares = {s: v * v for s, v in nums.items()}
-    sums = [sum(v * s[i] ** (2 * order) for s, v in squares.items()) for i in range(a.dim)]
-    return nums, den, sums
+    squares = {s: v * v for s, v in a.nums.items()}
+    return [sum(v * s[i] ** (2 * order) for s, v in squares.items()) for i in range(a.dim)]
 
 
 def sobolev_part(a: LatticeSignal, order: int) -> float:
     """sum_i ||d_i^order a~||_{L^2} = sum_i sqrt(S_i), from the exact S_i."""
-    _, den, sums = _sobolev_sums(a, order)
-    den2 = den * den
-    return sum(sqrt(t / den2) for t in sums)
+    den2 = a.den * a.den
+    return sum(sqrt(t / den2) for t in _sobolev_sums(a, order))
 
 
 def h_norm(a: LatticeSignal, nu_bar: int) -> float:
@@ -79,9 +75,9 @@ def nowak_check(a: LatticeSignal, order: int | None = None) -> bool:
     the first round; any other case differs by a nonzero amount, which
     doubling k resolves in finitely many rounds.
     """
-    nums, _, sums = _sobolev_sums(a, a.dim // 2 + 1 if order is None else order)
+    sums = _sobolev_sums(a, a.dim // 2 + 1 if order is None else order)
     p, q = nowak_constant(a.dim).as_integer_ratio()
-    gap = q * sum(abs(v) for v in nums.values()) - p * abs(nums.get(origin(a.dim), 0))
+    gap = q * sum(map(abs, a.nums.values())) - p * abs(a.nums.get(origin(a.dim), 0))
     k = 64
     while True:
         low = sum(isqrt(t << (2 * k)) for t in sums)

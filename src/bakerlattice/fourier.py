@@ -71,9 +71,10 @@ def char_function(a: LatticeSignal, grid_size: int) -> TorusGrid:
     if M < 3:
         raise ValueError("grid needs at least 3 points per axis")
     arr = np.zeros((M,) * a.dim, dtype=complex)
-    for site, v in a.entries.items():
+    den = a.den
+    for site, v in a.nums.items():
         idx = tuple(c % M for c in site)
-        arr[idx] += complex(v)
+        arr[idx] += complex(v / den)  # int / int rounds once, as float(Fraction) does
     values = np.fft.ifftn(arr) * (M**a.dim)
     return TorusGrid(a.dim, M, values)
 
@@ -86,8 +87,7 @@ def box_signal(dim: int, r: int) -> LatticeSignal:
     """Uniform probability (2r+1)^-d on the centered box of radius r."""
     if r < 1:
         raise ValueError("box radius must be >= 1")
-    weight = Fraction(1, (2 * r + 1) ** dim)
-    return LatticeSignal(dim, dict.fromkeys(itertools.product(range(-r, r + 1), repeat=dim), weight))
+    return LatticeSignal(dim, dict.fromkeys(itertools.product(range(-r, r + 1), repeat=dim), 1), (2 * r + 1) ** dim)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +184,7 @@ def defect_signal(
         raise ValueError("n must be >= 1")
     r = config.radius(n)
     g = _defect(p, n, r)
-    radius = max(g.support_radius()) if g.entries else 0
+    radius = max(g.support_radius())
     M = int(grid_size) if grid_size else smallest_grid(radius)
     if M <= 2 * radius:
         raise AliasingError(f"grid {M} below the defect bandwidth {2 * radius + 1}")

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, lcm, prod, sqrt
+from functools import cached_property, lru_cache
+from math import gcd, lcm, prod, sqrt
 from typing import Iterable, Mapping
 
 from .rational import check_keys, format_rational, parse_integer, parse_integers, parse_rational, record
@@ -38,77 +38,77 @@ def origin(dim: int) -> Site:
 
 @record(frozen=True, eq=True)
 class LatticeSignal:
-    """Finitely supported function on Z^d; exact zeros are never stored."""
+    """Finitely supported rational function on Z^d: integer numerators over
+    one positive denominator, reduced (no zero stored, and the denominator
+    and the numerators have gcd 1), so equal signals are equal records.
+    ``entries`` (site -> Fraction) is a view built on first read."""
 
     dim: int
-    entries: dict
+    nums: dict  # site -> nonzero int
+    den: int = 1
+
+    @classmethod
+    def reduced(cls, dim: int, nums: Mapping, den: int) -> "LatticeSignal":
+        nums = {s: v for s, v in nums.items() if v}
+        g = gcd(den, *nums.values())
+        return cls(dim, {s: v // g for s, v in nums.items()} if g > 1 else nums, den // g)
 
     @classmethod
     def from_entries(cls, dim: int, entries: Mapping) -> "LatticeSignal":
-        clean = {}
-        for coords, value in entries.items():
-            if value == 0:
-                continue
-            clean[_as_site(coords, dim)] = value
-        return cls(dim, clean)
+        """Rational values keyed by site, over their least common denominator, which leaves them reduced."""
+        values = {_as_site(coords, dim): Fraction(v) for coords, v in entries.items() if v != 0}
+        den = lcm(*(v.denominator for v in values.values()))
+        return cls(dim, {s: v.numerator * (den // v.denominator) for s, v in values.items()}, den)
 
     @classmethod
     def delta(cls, dim: int) -> "LatticeSignal":
-        return cls(dim, {origin(dim): Fraction(1)})
+        return cls(dim, {origin(dim): 1})
 
-    def __getitem__(self, coords) -> object:
-        return self.entries.get(_as_site(coords, self.dim), 0)
+    @cached_property
+    def entries(self) -> dict:
+        return {s: Fraction(v, self.den) for s, v in self.nums.items()}
+
+    def __getitem__(self, coords) -> Fraction:
+        return Fraction(self.nums.get(_as_site(coords, self.dim), 0), self.den)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.nums)
 
-    def mass(self):
-        return sum(self.entries.values())
+    def mass(self) -> Fraction:
+        return Fraction(sum(self.nums.values()), self.den)
 
     def support_radius(self) -> tuple[int, ...]:
         """Per-axis bound max |alpha_i| over the support (0 if empty)."""
-        if not self.entries:
-            return (0,) * self.dim
-        return tuple(max(abs(s[i]) for s in self.entries) for i in range(self.dim))
+        return tuple(max((abs(s[i]) for s in self.nums), default=0) for i in range(self.dim))
 
     def shift(self, gamma) -> "LatticeSignal":
         g = _as_site(gamma, self.dim)
-        return LatticeSignal(
-            self.dim,
-            {tuple(a + b for a, b in zip(s, g)): v for s, v in self.entries.items()},
-        )
+        return LatticeSignal(self.dim, {tuple(a + b for a, b in zip(s, g)): v for s, v in self.nums.items()}, self.den)
 
     def reflect(self) -> "LatticeSignal":
         """alpha -> a_{-alpha}: convolving with the reflection correlates."""
-        return LatticeSignal(self.dim, {tuple(-c for c in s): v for s, v in self.entries.items()})
+        return LatticeSignal(self.dim, {tuple(-c for c in s): v for s, v in self.nums.items()}, self.den)
 
     def fold(self, period) -> "LatticeSignal":
         """Sum of the entries per residue class, keyed by residues in [0, period)."""
         out: dict = {}
-        for s, v in self.entries.items():
+        for s, v in self.nums.items():
             key = tuple(c % l for c, l in zip(s, period))
             out[key] = out.get(key, 0) + v
-        return LatticeSignal.from_entries(self.dim, out)
-
-    def scale(self, factor) -> "LatticeSignal":
-        if factor == 0:
-            return LatticeSignal(self.dim, {})
-        return LatticeSignal(self.dim, {s: factor * v for s, v in self.entries.items()})
+        return LatticeSignal.reduced(self.dim, out, self.den)
 
     def __add__(self, other: "LatticeSignal") -> "LatticeSignal":
         if self.dim != other.dim:
             raise DimensionMismatchError("signal dimensions differ")
-        out = dict(self.entries)
-        for s, v in other.entries.items():
-            w = out.get(s, 0) + v
-            if w == 0:
-                out.pop(s, None)
-            else:
-                out[s] = w
-        return LatticeSignal(self.dim, out)
+        den = lcm(self.den, other.den)
+        mine, theirs = den // self.den, den // other.den
+        out = {s: v * mine for s, v in self.nums.items()}
+        for s, v in other.nums.items():
+            out[s] = out.get(s, 0) + v * theirs
+        return LatticeSignal.reduced(self.dim, out, den)
 
     def __sub__(self, other: "LatticeSignal") -> "LatticeSignal":
-        return self + other.scale(-1)
+        return self + LatticeSignal(other.dim, {s: -v for s, v in other.nums.items()}, other.den)
 
 
 @record(frozen=True)
@@ -153,16 +153,12 @@ class WalkDistribution:
         return tuple(s for s, _ in self.support)
 
     @property
-    def weights(self) -> tuple[Fraction, ...]:
-        return tuple(w for _, w in self.support)
-
-    @property
     def max_step(self) -> int:
         """max |beta|_inf over the support."""
         return max(max(abs(c) for c in s) for s in self.sites)
 
     def signal(self) -> LatticeSignal:
-        return LatticeSignal(self.dim, dict(self.support))
+        return LatticeSignal.from_entries(self.dim, dict(self.support))
 
     def to_json_dict(self) -> dict:
         return {
@@ -185,27 +181,14 @@ class WalkDistribution:
 
 
 # ---------------------------------------------------------------------------
-# convolution
-#
-# Signals are multiplied in integer form: integer numerators over one
-# common denominator, with Fractions built once, for the result.
-
-
-def _integer_form(sig: LatticeSignal) -> tuple[dict, int]:
-    """Common-denominator form (integer numerators, positive denominator)."""
-    den = lcm(*{int(v.denominator) for v in sig.entries.values()})
-    return {s: int(v.numerator) * (den // int(v.denominator)) for s, v in sig.entries.items()}, den
-
-
-def _from_integer_form(dim: int, nums: dict, den: int) -> LatticeSignal:
-    return LatticeSignal(dim, {s: Fraction(v, den) for s, v in nums.items() if v})
+# convolution: the numerators multiply, and so do the denominators.  Kronecker
+# substitution (Harvey, J. Symb. Comput. 2009) packs integer coefficients into
+# one int, a byte-aligned slot of k bytes per site of a box, row-major.
 
 
 def _convolve_entries(a: dict, b: dict) -> dict:
     """site -> sum over sa + sb = site of a[sa] * b[sb], as a double loop."""
     out: dict = {}
-    if len(a) > len(b):  # iterate the smaller outer dict
-        a, b = b, a
     for sa, va in a.items():
         for sb, vb in b.items():
             key = tuple(x + y for x, y in zip(sa, sb))
@@ -213,64 +196,92 @@ def _convolve_entries(a: dict, b: dict) -> dict:
     return out
 
 
-def _kronecker(a: dict, b: dict, n: int = 1) -> dict:
-    """Integer numerators of a^(*n) * b for nonempty integer-valued a and b.
-
-    Kronecker substitution (Harvey, J. Symb. Comput. 2009): each operand
-    becomes one int with a byte-aligned slot of k bytes per site of the
-    result's bounding box (row-major, last axis fastest), so the product is
-    one multiply and the power one ``**``.  k bytes hold twice the bound
-    (sum|a|)^n sum|b| on every |coefficient|, so no slot carries over.
-    Negative entries are packed as a positive part minus a negative part;
-    adding half a slot to every slot makes each result digit nonnegative
-    before the bytes are read back.  The result is keyed lexicographically.
-
-    Sparse operands, whose box has more slots than the double loop forms
-    products (len(a) len(b) for n = 1, at most len(a) len(b) C(n+|a|-1, |a|)
-    in n passes), go through _convolve_entries instead; n = 0 always does.
-    """
-    dim = len(next(iter(a)))
-    lo = [n * min(s[i] for s in a) + min(s[i] for s in b) for i in range(dim)]
-    hi = [n * max(s[i] for s in a) + max(s[i] for s in b) for i in range(dim)]
+def _slots(lo, hi) -> tuple[list[int], int]:
+    """Row-major strides, last axis fastest, and slot count of the box [lo, hi]."""
     widths = [h - l + 1 for l, h in zip(lo, hi)]
-    slots = prod(widths)
-    if slots > len(a) * len(b) * comb(n + len(a) - 1, len(a)):
-        for _ in range(n):
-            b = _convolve_entries(b, a)
-        return b
-    strides = [prod(widths[i + 1 :]) for i in range(dim)]
-    k = (sum(map(abs, a.values())) ** n * sum(map(abs, b.values()))).bit_length() // 8 + 1
+    return [prod(widths[i + 1 :]) for i in range(len(widths))], prod(widths)
 
-    def pack(x: dict) -> int:
-        corner = [min(s[i] for s in x) for i in range(dim)]
-        size = k * (1 + sum((max(s[i] for s in x) - corner[i]) * strides[i] for i in range(dim)))
-        pos, neg = bytearray(size), bytearray(size)
-        for s, v in x.items():
-            o = k * sum((c - m) * w for c, m, w in zip(s, corner, strides))
-            (pos if v > 0 else neg)[o : o + k] = abs(v).to_bytes(k, "little")
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
+def _pack(x: dict, k: int, corner, strides) -> int:
+    """x packed from the corner: positive entries minus negative ones."""
+    offset = {s: k * sum((c - m) * w for c, m, w in zip(s, corner, strides)) for s in x}
+    pos, neg = bytearray(k + max(offset.values())), bytearray(k + max(offset.values()))
+    for s, v in x.items():
+        (pos if v > 0 else neg)[offset[s] : offset[s] + k] = abs(v).to_bytes(k, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack(data: bytes, k: int, sites, bias: int = 0) -> dict:
+    """site -> its k-byte slot of data less bias, for the sites in slot order; zeros left out."""
+    zero, slots = bias.to_bytes(k, "little"), range(0, len(data), k)
+    return {s: int.from_bytes(d, "little") - bias for s, o in zip(sites, slots) if (d := data[o : o + k]) != zero}
+
+
+def _kronecker(a: dict, b: dict) -> dict:
+    """Integer numerators of a * b (nonempty, integer-valued), keyed
+    lexicographically: one multiply of the packed operands.  k bytes hold
+    twice sum|a| sum|b|, and half a slot added to each makes every digit
+    nonnegative.  Sparse operands, whose box has more slots than the double
+    loop forms products, take that loop."""
+    a, b = sorted((a, b), key=len)
+    dim = len(next(iter(a)))
+    lo = [min(s[i] for s in a) + min(s[i] for s in b) for i in range(dim)]
+    hi = [max(s[i] for s in a) + max(s[i] for s in b) for i in range(dim)]
+    strides, slots = _slots(lo, hi)
+    if slots > len(a) * len(b):
+        return _convolve_entries(a, b)
+    k = (sum(map(abs, a.values())) * sum(map(abs, b.values()))).bit_length() // 8 + 1
+    product = prod(_pack(x, k, [min(s[i] for s in x) for i in range(dim)], strides) for x in (a, b))
     bias = 1 << (8 * k - 1)
-    zero = bias.to_bytes(k, "little")
-    data = (pack(a) ** n * pack(b) + int.from_bytes(zero * slots, "little")).to_bytes(k * slots, "little")
-    out = {}
-    sites = itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
-    for site, o in zip(sites, range(0, k * slots, k)):
-        digit = data[o : o + k]
-        if digit != zero:
-            out[site] = int.from_bytes(digit, "little") - bias
-    return out
+    data = (product + int.from_bytes(bias.to_bytes(k, "little") * slots, "little")).to_bytes(k * slots, "little")
+    return _unpack(data, k, itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))), bias)
 
 
 def convolve(a: LatticeSignal, b: LatticeSignal) -> LatticeSignal:
     """(a * b)_alpha = sum_beta a_beta b_{alpha-beta}, exactly."""
     if a.dim != b.dim:
         raise DimensionMismatchError("cannot convolve signals of different dimension")
-    if not (a.entries and b.entries):
+    if not (a.nums and b.nums):
         return LatticeSignal(a.dim, {})
-    na, da = _integer_form(a)
-    nb, db = _integer_form(b)
-    return _from_integer_form(a.dim, _kronecker(na, nb), da * db)
+    return LatticeSignal.reduced(a.dim, _kronecker(a.nums, b.nums), a.den * b.den)
+
+
+def _power(a: dict, n: int) -> dict:
+    """Integer numerators of a^(*n) for positive integer a, by J.C.P. Miller's
+    recurrence (Knuth, TAOCP vol. 2, 4.7; Zeilberger 1995) along axis 0.
+
+    With a = sum_k x^(lo + k) R_k over the other axes y, and B_j row lo n + j
+    of the power, P (P^n)' = n P' P^n in x gives B_0 = R_0^n, the power of
+    the lowest face one dimension down, and j R_0 B_j = sum_{k >= 1}
+    ((n + 1) k - j) R_k B_{j-k}.  A row is one int packed over the power's
+    box in y (a plain int in one dimension), so it evaluates B_j at
+    y = 2^(8k stride): a term of R_k is a shift and a small multiply, sums
+    are exact whatever their slots hold, and dividing by j R_0 is exact.  k
+    bytes hold (sum a)^n, which bounds every coefficient, so rows read back.
+    """
+    lo0, dim = min(s[0] for s in a), len(next(iter(a)))
+    lo, hi = ([n * f(s[i] for s in a) for i in range(1, dim)] for f in (min, max))
+    strides, slots = _slots(lo, hi)
+    k = (sum(a.values()) ** n).bit_length() // 8 + 1
+    offset = {s: 8 * k * sum(c * w for c, w in zip(s[1:], strides)) for s in a}
+    face = {s: v for s, v in a.items() if s[0] == lo0}
+    low, base = min(offset.values()), min(offset[s] for s in face)
+    r0 = sum(v << offset[s] - base for s, v in face.items())  # R_0 from its lowest slot
+    terms: dict = {}  # step -> [(a_beta, shift of its monomial in R_step from the lowest)]
+    for s, v in a.items():
+        terms.setdefault(s[0] - lo0, []).append((v, offset[s] - low))
+    del terms[0]
+    rows = [_pack(_power({s[1:]: v for s, v in face.items()}, n) if dim > 1 else {(): r0**n}, k, lo, strides)]
+    for j in range(1, n * max(s[0] - lo0 for s in a) + 1):
+        total = 0
+        for step, row_terms in terms.items():
+            if step <= j and (prev := rows[j - step]):
+                total += ((n + 1) * step - j) * sum(v * (prev << shift) for v, shift in row_terms)
+        rows.append((total >> base - low) // (j * r0))
+    if dim == 1:
+        return {(n * lo0 + j,): b for j, b in enumerate(rows) if b}
+    data = b"".join(row.to_bytes(k * slots, "little") for row in rows)
+    return _unpack(data, k, itertools.product(range(n * lo0, n * lo0 + len(rows)), *map(range, lo, [h + 1 for h in hi])))
 
 
 # Laws kept by convolution_power: the reports ask for the same (walk, n) once
@@ -280,15 +291,14 @@ LAW_CACHE_SIZE = 64
 
 @lru_cache(maxsize=LAW_CACHE_SIZE)
 def convolution_power(p: WalkDistribution, n: int) -> LatticeSignal:
-    """n-step law p^(n) (p^(0) = delta_0), exact: one packed power.
-
-    The LAW_CACHE_SIZE most recent laws are cached and shared between
-    callers, so callers must not mutate the returned ``entries``.
-    """
+    """n-step law p^(n) (p^(0) = delta_0), exact: _power of the numerators of
+    p, over den^n, reduced already (the numerators of p have content prime to
+    den, and by Gauss's lemma so do those of p^(n)).  The LAW_CACHE_SIZE most
+    recent laws are cached and shared, so callers must not mutate one."""
     if n < 0:
         raise ValueError("power must be nonnegative")
-    nums, den = _integer_form(p.signal())
-    return _from_integer_form(p.dim, _kronecker(nums, {origin(p.dim): 1}, n), den**n)
+    step = p.signal()
+    return LatticeSignal(p.dim, _power(step.nums, n), step.den**n)
 
 
 # ---------------------------------------------------------------------------

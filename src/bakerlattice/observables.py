@@ -497,13 +497,17 @@ def _box_average_range(f: SiteObservable, r: int):
             cell = {c: sum(n * cell[(*c[:i], (c[i] + k) % l, *c[i + 1 :])] for k, n in enumerate(counts)) for c in cell}
         if not deviation:
             return Fraction(min(cell.values()), den), Fraction(max(cell.values()), den)
-    # prefix sums of the deviations over the grid of their coordinates, indexed by rank
-    coords = [sorted({s[i] for s in deviation}) for i in range(f.dim)]
-    grid = itertools.product(*(range(len(cs)) for cs in coords))
-    prefix = {ranks: deviation.get(tuple(cs[j] for cs, j in zip(coords, ranks)), 0) for ranks in grid}
-    for i in range(f.dim):
-        for ranks in prefix:  # lexicographic: ranks - e_i comes first
-            prefix[ranks] += prefix.get((*ranks[:i], ranks[i] - 1, *ranks[i + 1 :]), 0)
+    # The box of center c lies in bucket (c - r) // (2r + 1): the sites whose
+    # cell s // (2r + 1) is that bucket or the next one on every axis.  So
+    # the deviations a box reaches have prefix sums over the grid of their
+    # bucket's coordinates, and spread sites build no grid between them.
+    side = 2 * r + 1
+    buckets: dict = {}
+    for s, d in deviation.items():
+        for key in itertools.product(*((c // side - 1, c // side) for c in s)):
+            buckets.setdefault(key, {})[s] = d
+    grids = {key: _prefix_grid(sites) for key, sites in buckets.items()}
+    signs = [prod(corner) for corner in itertools.product((1, -1), repeat=f.dim)]
     periods = [lcm(*(bg.period[i] for bg in backgrounds.values())) for i in range(f.dim)]
     totals = []
     for c in _candidate_centers(list(deviation), r, periods, [] if tail.uniform else [0]):
@@ -511,12 +515,26 @@ def _box_average_range(f: SiteObservable, r: int):
             total = cell[tuple(v % l for v, l in zip(c, period))]
         else:
             total = sum(_periodic_box_sum([backgrounds[g]], part) for g, part in _orthant_parts(Box.centered(c, r)))
-        # the signed ranks of the last deviation coordinates up to each box face
-        faces = [((bisect_right(cs, v + r) - 1, 1), (bisect_right(cs, v - r - 1) - 1, -1)) for cs, v in zip(coords, c)]
-        for corner in itertools.product(*faces):
-            total += prod(sign for _, sign in corner) * prefix.get(tuple(j for j, _ in corner), 0)
+        grid = grids.get(tuple((v - r) // side for v in c))
+        if grid:
+            coords, prefix = grid
+            # the ranks of the last deviation coordinates up to each box face, upper face first
+            faces = [(bisect_right(cs, v + r) - 1, bisect_right(cs, v - r - 1) - 1) for cs, v in zip(coords, c)]
+            total += sum(sign * prefix.get(corner, 0) for sign, corner in zip(signs, itertools.product(*faces)))
         totals.append(total)
     return Fraction(min(totals), den), Fraction(max(totals), den)
+
+
+def _prefix_grid(deviation: dict) -> tuple[list, dict]:
+    """The sorted coordinates of the sites on each axis, and the prefix sums of
+    the deviations over the grid of those coordinates, indexed by rank."""
+    coords = [sorted({s[i] for s in deviation}) for i in range(len(next(iter(deviation))))]
+    grid = itertools.product(*(range(len(cs)) for cs in coords))
+    prefix = {ranks: deviation.get(tuple(cs[j] for cs, j in zip(coords, ranks)), 0) for ranks in grid}
+    for i in range(len(coords)):
+        for ranks in prefix:  # lexicographic: ranks - e_i comes first
+            prefix[ranks] += prefix.get((*ranks[:i], ranks[i] - 1, *ranks[i + 1 :]), 0)
+    return coords, prefix
 
 
 def _candidate_centers(sites, r: int, periods, extra, i: int = 0) -> list[tuple[int, ...]]:

@@ -240,7 +240,7 @@ class SiteHistogram:
 
     def write_csv(self, path, metadata: dict | None = None):
         law = convolution_power(self.walk, self.steps)
-        sites = sorted(set(self.counts) | set(law.entries))
+        sites = sorted(set(self.counts) | set(law.nums))
         rows = []
         for site in sites:
             count = self.counts.get(site, 0)

@@ -1,6 +1,7 @@
 """Command line front end: exit codes, artifacts, determinism."""
 
 import contextlib
+import copy
 import filecmp
 import functools
 import hashlib
@@ -13,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from bakerlattice import cli, evolve_site, mixing, observables
@@ -368,6 +369,13 @@ def test_degenerate_numbers_in_the_config_exit_2(tmp_path, capsys, command, conf
     assert run(command, config, tmp_path / "o") == 2
     assert message in one_error_line(capsys)
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+@pytest.mark.parametrize("name", [[1, 2], {}, 3])
+def test_a_preset_that_names_no_preset_exit_2(tmp_path, capsys, name):
+    # a list or an object once escaped as TypeError: unhashable type
+    assert run("span-check", {"walk": {"preset": name}}, tmp_path / "o") == 2
+    assert f"unknown preset {name!r}" in one_error_line(capsys)
 
 
 FRACTIONAL_PERIOD = {"observables": [{"kind": "periodic", "period": [2.7], "table": {"0": "1", "1": "-1"}}]}
@@ -1055,106 +1063,171 @@ def test_refused_command_line_is_one_json_line(tmp_path, capsys, argv, message):
 
 
 # ---------------------------------------------------------------------------
-# fuzzed configs: an exit code, never an exception
+# fuzzed configs: an accepted config runs, a malformed value in it ends in an
+# exit code, and a near-miss key in it is refused
 
-# mostly well-formed values, now and then a malformed one
-NUMBERS = st.sampled_from(["0", "1", "-1", "1/2", "3/4", "-2/3", "+1", "1.0", 0, 1, -1, 2, -2, "1/0", "abc", None])
-BOUNDS = st.sampled_from(["0", "1/4", "1/2", "3/4", "1", "1/3", 0, 1, "2/3", "5/4", "x", None])
-
-
-def pick(*strategies):
-    """One of the strategies, each as likely (st.one_of favours the simpler ones)."""
-    return st.sampled_from(strategies).flatmap(lambda s: s)
+VALUES = st.sampled_from(["0", "1", "-1", "1/2", "3/4", "-2/3", 0, 1, -1, 2, -2])
+STRIP_BOUNDS = ["0", "1/4", "1/3", "1/2", 1, "3/4", 0, "2/3"]
 
 
-def usually(strategy, other):
-    return pick(strategy, strategy, strategy, other)
+def subset(draw, items: dict) -> dict:
+    """The items whose keys are drawn, each half the time: optional keys left out."""
+    return {k: v for k, v in items.items() if draw(st.booleans())}
 
 
 @st.composite
-def fuzzed_configs(draw):
-    walk = draw(st.sampled_from(["third-walk", "drifted-1d", "lazy-2d"]))
-    dim = 2 if walk == "lazy-2d" else 1
+def accepted_configs(draw):
+    """A config that correlate, mixing-report and audit all accept, over each
+    form a key takes: a preset or a written walk, every observable kind, a
+    box given as {lo, hi} or by center and radius, optional keys left out."""
+    name = draw(st.sampled_from(sorted(PRESETS)))
+    walk = PRESETS[name]()
+    dim = walk.dim
+    sites = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
 
-    def sized(size, elements):  # lists of the given size, now and then of another
-        return usually(st.lists(elements, min_size=size, max_size=size), st.lists(elements, max_size=size + 1))
+    def key(site):
+        return ",".join(map(str, site))
 
-    sites = sized(dim, st.integers(-2, 2))
-    keys = usually(sites.map(lambda s: ",".join(map(str, s))), st.sampled_from(["+1", "1.0", "-0", "x", ""]))
-    tables = usually(st.dictionaries(keys, NUMBERS, max_size=4), st.sampled_from([[1, 2], "0", None]))
-    signs = [",".join(map(str, s)) for s in itertools.product((-1, 1), repeat=dim)]
-    constants = usually(st.fixed_dictionaries(dict.fromkeys(signs, NUMBERS)), tables)
-    box = {"radius": st.integers(-1, 2), "center": sites}
-    cell_values = st.integers(-1, 2).flatmap(lambda m: st.fixed_dictionaries({
-        "m": st.just(m),
-        "values": st.lists(st.fixed_dictionaries({
-            "site": sites, "back": sized(max(m, 0), st.integers(0, 4)), "fwd": sized(max(m, 0), st.integers(0, 4)), "value": NUMBERS
-        }), max_size=2),
-    }))
-    observable = pick(
-        st.fixed_dictionaries({"kind": st.just("periodic"), "period": sized(dim, usually(st.integers(1, 3), st.just(0))), "table": tables}),
-        st.fixed_dictionaries({"kind": st.just("constantOutsideBox"), "constant": NUMBERS, "table": tables}, optional=box),
-        st.fixed_dictionaries({"kind": st.just("orthant"), "constants": constants, "table": tables}, optional=box),
-        st.tuples(cell_values, st.fixed_dictionaries({"kind": st.just("cell")}, optional={"default": NUMBERS}))
-        .map(lambda parts: {**parts[0], **parts[1]}),
-        st.sampled_from([{"kind": "sign1d"}, {"kind": "mystery"}, {}, 5]),
-    )
-    term = st.fixed_dictionaries({}, optional={"site": sites, "lo": BOUNDS, "hi": BOUNDS, "weight": NUMBERS})
-    schedule = st.lists(st.integers(-1, 4), max_size=3)
-    config = draw(st.fixed_dictionaries(
-        {"walk": st.just({"preset": walk}), "observables": st.lists(observable, min_size=1, max_size=2)},
-        optional={
-            "locals": st.lists(st.fixed_dictionaries({"terms": st.lists(term, max_size=2)}), max_size=2),
-            "family": usually(st.sampled_from(["translationInvariant", "centeredOnly"]), st.just("bogus")),
-            "schedules": st.fixed_dictionaries({}, optional={"n_list": schedule, "r_list": schedule, "radii": schedule}),
-            "mixing_kinds": usually(st.lists(st.sampled_from(["M5", "M4", "M2", "M1", "m4", "M3"]), max_size=3), st.just("M5")),
-        },
-    ))
-    # half the time one near-miss key, at a level drawn among those the config has
-    dicts = [o for o in config["observables"] if isinstance(o, dict)]
-    levels = {
-        "top": [config],
-        "schedules": [config["schedules"]] if "schedules" in config else [],
-        "observable": dicts,
-        "cell record": [r for o in dicts if o.get("kind") == "cell" for r in o["values"]],
-        "local": config.get("locals", []),
-        "term": [t for local in config.get("locals", []) for t in local["terms"]],
+    def boxed(kind, background):
+        center, radius = draw(sites), draw(st.integers(0, 2))
+        form = draw(st.sampled_from(["box", "center and radius", "center", "radius", "neither"]))
+        if form == "box":
+            where = {"box": {"lo": [c - radius for c in center], "hi": [c + radius for c in center]}}
+        else:
+            center, radius = (center if "center" in form else [0] * dim), (radius if "radius" in form else 0)
+            where = {k: v for k, v in (("center", center), ("radius", radius)) if k in form}
+        box = list(itertools.product(*(range(c - radius, c + radius + 1) for c in center)))
+        table = {key(s): draw(VALUES) for s in draw(st.lists(st.sampled_from(box), max_size=3, unique=True))}
+        if kind == "orthant":  # constants that differ evolve exactly only in dimension 1
+            shared = draw(VALUES)
+            value = {key(signs): shared if dim > 1 else draw(VALUES) for signs in itertools.product((-1, 1), repeat=dim)}
+        else:
+            value = draw(VALUES)
+        return {"kind": kind, background: value, **where, **subset(draw, {"table": table})}
+
+    def periodic():
+        period = draw(st.lists(st.integers(1, 3), min_size=dim, max_size=dim))
+        return {"kind": "periodic", "period": period,
+                "table": {key(r): draw(VALUES) for r in itertools.product(*map(range, period))}}
+
+    def cell():
+        m = draw(st.integers(0, 1))
+        digits = st.lists(st.integers(1, walk.size), min_size=m, max_size=m)
+        records = [{"site": draw(sites), **{k: draw(digits) for k in ("back", "fwd") if m or draw(st.booleans())},
+                    "value": draw(VALUES)} for _ in range(draw(st.integers(0, 2)))]
+        return {"kind": "cell", "m": m, "values": records, **subset(draw, {"default": draw(VALUES)})}
+
+    makers = [periodic, cell, lambda: boxed("constantOutsideBox", "constant"), lambda: boxed("orthant", "constants")]
+    if dim == 1:
+        makers.append(lambda: {"kind": "sign1d"})
+    observables = [draw(st.sampled_from(makers))() for _ in range(draw(st.integers(1, 2)))]
+
+    def term():
+        lo, hi = sorted(draw(st.lists(st.sampled_from(STRIP_BOUNDS), min_size=2, max_size=2, unique_by=Fraction)), key=Fraction)
+        return subset(draw, {"site": draw(sites), "lo": lo, "hi": hi, "weight": draw(VALUES.filter(lambda v: Fraction(v)))})
+
+    schedule = st.lists(st.integers(0, 8), min_size=1, max_size=3)
+    # times from 2 on: the depth offsets of two depth-1 cells add up to 2, and
+    # the default times start at 1
+    times = {"n_list": draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))}
+    deep = any(o.get("m") for o in observables)
+    schedules = {**(times if deep else subset(draw, times)), **subset(draw, {"r_list": draw(schedule), "radii": draw(schedule)})}
+    return {
+        "walk": draw(st.sampled_from([{"preset": name}, walk.to_json_dict()])),
+        "observables": observables,
+        **({"schedules": schedules} if deep else subset(draw, {"schedules": schedules})),
+        **subset(draw, {
+            "locals": [{"terms": [term() for _ in range(draw(st.integers(1, 2)))]} for _ in range(draw(st.integers(1, 2)))],
+            "family": draw(st.sampled_from(["translationInvariant", "centeredOnly"])),
+            "mixing_kinds": draw(st.lists(st.sampled_from(["M5", "M4", "M2", "M1", "m4"]), min_size=1, max_size=3)),
+            "seed": draw(st.integers(0, 2**32)),
+        }),
     }
-    level = draw(pick(st.none(), st.sampled_from([level for level, places in levels.items() if places])))
-    if level is not None:
-        draw(st.sampled_from(levels[level]))[NEAR_MISSES[level]] = draw(NUMBERS)
-    return config
 
 
 # a misspelled key of each level, as a typo would give it
-NEAR_MISSES = {"top": "famly", "schedules": "n_lsit", "observable": "tabel", "cell record": "valeu", "local": "term",
-               "term": "wieght"}
+NEAR_MISSES = {"top": "famly", "schedules": "n_lsit", "walk": "supprt", "support": "pp", "observable": "tabel",
+               "cell record": "valeu", "box": "hgih", "local": "term", "term": "wieght"}
 
 
-def near_miss_keys(value):
-    """The keys of NEAR_MISSES found at any depth of a config."""
-    if isinstance(value, dict):
-        return {k for k in value if k in NEAR_MISSES.values()} | {k for v in value.values() for k in near_miss_keys(v)}
-    if isinstance(value, list):
-        return {k for v in value for k in near_miss_keys(v)}
-    return set()
+def near_miss_places(config: dict) -> list:
+    """(level, object) for every object of the config at each level."""
+    observables, locals_ = config["observables"], config.get("locals", [])
+    places = {
+        "top": [config],
+        "schedules": [config["schedules"]] if "schedules" in config else [],
+        "walk": [config["walk"]],
+        "support": config["walk"].get("support", []),
+        "observable": observables,
+        "cell record": [r for o in observables if o["kind"] == "cell" for r in o["values"]],
+        "box": [o["box"] for o in observables if "box" in o],
+        "local": locals_,
+        "term": [t for local in locals_ for t in local["terms"]],
+    }
+    return [(level, place) for level, objects in places.items() for place in objects]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.sampled_from(["correlate", "mixing-report", "audit"]), fuzzed_configs())
-@example("correlate", ORTHANT_2D_CONFIG)
-@example("mixing-report", ORTHANT_2D_CONFIG)
-@example("audit", ORTHANT_2D_CONFIG)
-def test_fuzzed_configs_end_in_an_exit_code(command, config):
+def run_quietly(command, config):
+    """(exit code, stderr lines, files written) of ``run`` on the config."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = run(command, config, out)  # an exception escaping run fails the test here
-        # each audit row is a triangle inequality: exit 1 there could only mean a wrong bound
-        assert code in ((0, 2) if command == "audit" else (0, 1, 2))
-        # a near-miss key is refused wherever it sits, before any work
-        assert code == 2 or not near_miss_keys(config)
-        if code == 2:
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and json.loads(lines[0])["error"]["exit"] == 2
-        else:
-            assert Path(out, f"{command.replace('-', '_')}.json").exists()
+        return code, err.getvalue().splitlines(), {p.name for p in Path(out).iterdir()}
+
+
+# values a typo or a wrong type would give, each refused or read at any place,
+# and keys a typo would give a table (or any object)
+MALFORMED = st.sampled_from(["abc", "1/0", "", "+1", "1.0", None, [1, 2], [1, 2, 3], [], {}, {"x": 1}, -1, 0, 1.5, True])
+BAD_KEYS = st.sampled_from(["+1", "1.0", "-0", "x", "", "1,", "1,2,3"])
+
+
+def node_paths(value, path=()):
+    """The paths (keys and indices) to every value of a config, objects and lists included, the config first."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from node_paths(item, (*path, key))
+
+
+def plant_malformed(config: dict, data) -> dict:
+    """A copy of the config with one drawn value (a leaf, an object or a list)
+    replaced by a malformed one, or one key of a drawn object renamed."""
+    planted = copy.deepcopy(config)
+    paths = list(node_paths(config))
+    objects = [path for path in paths if isinstance(functools.reduce(lambda v, k: v[k], path, config), dict)]
+    if data.draw(st.booleans()):
+        node = functools.reduce(lambda v, k: v[k], data.draw(st.sampled_from(objects)), planted)
+        if node:
+            node[data.draw(BAD_KEYS)] = node.pop(data.draw(st.sampled_from(sorted(node))))
+            event("malformed: a renamed key")
+            return planted
+    *path, last = data.draw(st.sampled_from(paths[1:]))
+    parent = functools.reduce(lambda v, k: v[k], path, planted)
+    event(f"malformed: {'an object or list' if isinstance(parent[last], (dict, list)) else 'a leaf'} replaced")
+    parent[last] = data.draw(MALFORMED)
+    return planted
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(["correlate", "mixing-report", "audit"]), accepted_configs(), st.data())
+def test_fuzzed_configs_end_in_an_exit_code(command, config, data):
+    code, lines, written = run_quietly(command, config)
+    # each audit row is a triangle inequality: exit 1 there could only mean a wrong bound
+    assert code in ((0,) if command == "audit" else (0, 1)), lines
+    assert f"{command.replace('-', '_')}.json" in written
+    # a malformed value or key anywhere ends in an exit code too, and a refusal in one JSON line
+    code, lines, written = run_quietly(command, plant_malformed(config, data))
+    assert code in ((0, 2) if command == "audit" else (0, 1, 2))
+    if code == 2:
+        assert len(lines) == 1 and json.loads(lines[0])["error"]["exit"] == 2
+    else:
+        assert f"{command.replace('-', '_')}.json" in written
+    # a near-miss key is refused wherever it sits, before any work, in one JSON line naming it
+    for i, (level, _) in enumerate(near_miss_places(config)):
+        planted = copy.deepcopy(config)
+        near_miss_places(planted)[i][1][NEAR_MISSES[level]] = "1"
+        code, lines, written = run_quietly(command, planted)
+        assert code == 2 and len(lines) == 1 and not written
+        error = json.loads(lines[0])["error"]
+        assert error["exit"] == 2 and f"{NEAR_MISSES[level]}: unknown key" in error["message"]
+        event(f"near-miss: {level}")

@@ -40,13 +40,11 @@ APERY = 1.2020569031595943  # zeta(3)
 
 
 def _derivative_weighted(sig: LatticeSignal, axis: int, order: int) -> LatticeSignal:
-    """Signal with entries (i alpha_axis)^order a_alpha: the transform of d^order a~."""
-    out = {}
-    for s, v in sig.entries.items():
-        w = (1j * s[axis]) ** order
-        if w != 0:
-            out[s] = complex(v) * w
-    return LatticeSignal(sig.dim, out)
+    """Signal with entries (i alpha_axis)^order a_alpha, rational for even order:
+    the transform of d^order a~."""
+    assert order % 2 == 0
+    sign = (-1) ** (order // 2)
+    return LatticeSignal.reduced(sig.dim, {s: sign * s[axis] ** order * v for s, v in sig.nums.items()}, sig.den)
 
 
 # ---------------------------------------------------------------------------

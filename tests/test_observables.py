@@ -802,6 +802,31 @@ def test_uniformity_defect_of_spread_sites_takes_linearly_many_box_sums(monkeypa
     assert 5 * counts[100] < 11 * counts[50]
 
 
+def test_prefix_grids_of_spread_sites_grow_linearly(monkeypatch):
+    """n table sites at (13s, -13s), r = 32: the deviations' prefix sums span
+    only the buckets a box can lie in, so their cells grow like n, where one
+    grid over every coordinate pair holds n^2."""
+    prefix_grid = observables._prefix_grid
+    cells = []
+
+    def counted(sites):
+        grid = prefix_grid(sites)
+        cells.append(len(grid[1]))
+        return grid
+
+    monkeypatch.setattr(observables, "_prefix_grid", counted)
+    totals = {}
+    for n in (100, 400):
+        sites = {(13 * s, -13 * s): 1 + s % 3 for s in range(1, n + 1)}
+        f = localized_observable(2, 0, Box.spanning(sites, 2), sites)
+        cells.clear()
+        est = estimate_average(f, TI(2), [32])
+        totals[n] = sum(cells)
+        # a box holds at most five consecutive sites, at most 2 + 3 + 1 + 2 + 3
+        assert est.uniformity_defect == Fraction(11, 65**2)
+    assert totals[400] < 5 * totals[100]
+
+
 def test_box_sum_of_huge_2d_box_is_closed_form():
     c = Fraction(2, 3)
     table = {(0, 0): Fraction(5), (-1, 2): Fraction(-1, 2), (3, -4): c}
