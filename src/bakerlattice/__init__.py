@@ -44,7 +44,6 @@ _EXPORTS = {
         "Box",
         "CellObservable",
         "SiteObservable",
-        "av_invariance_check",
         "box_average",
         "box_average_product",
         "constant_observable",

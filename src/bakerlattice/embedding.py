@@ -36,13 +36,21 @@ def a_norm(a: LatticeSignal) -> Fraction:
     return Fraction(sum(map(abs, a.nums.values())), a.den)
 
 
-def _sobolev_sums(a: LatticeSignal, order: int) -> list[int]:
+# the last (signal, order, sums), the signal held so that no other object takes
+# its id: fourier-decay reads each defect's sums for sobolev_part and nowak_check
+_last_sums: tuple = (None, 0, ())
+
+
+def _sobolev_sums(a: LatticeSignal, order: int) -> tuple[int, ...]:
     """T_i = sum_alpha alpha_i^(2 order) n_alpha^2 over the numerators n_alpha
     of the signal, so that S_i = T_i / den^2."""
+    global _last_sums
     if order < 1:
         raise ValueError("derivative order must be >= 1")
-    squares = {s: v * v for s, v in a.nums.items()}
-    return [sum(v * s[i] ** (2 * order) for s, v in squares.items()) for i in range(a.dim)]
+    if _last_sums[0] is not a or _last_sums[1] != order:
+        squares = {s: v * v for s, v in a.nums.items()}
+        _last_sums = (a, order, tuple(sum(v * s[i] ** (2 * order) for s, v in squares.items()) for i in range(a.dim)))
+    return _last_sums[2]
 
 
 def sobolev_part(a: LatticeSignal, order: int) -> float:

@@ -583,7 +583,7 @@ def implication_audit(
     means = {}
     for gi in convergent:
         G = evolutions[gi]
-        abs_base = SiteObservable(G.base.dim, G.base.tail.map(abs))
+        abs_base = SiteObservable(G.base.dim, abs(G.base.tail))
         means[gi] = {
             r: (
                 box_average(G.marginal, box),

@@ -1,8 +1,8 @@
 """Global and local observables with exactly computable infinite-volume data.
 
 A global observable here is a bounded site function carrying a *tail model*:
-a periodic background on each orthant plus a finite table of sites where
-the function departs from it (periodic: one background and no table;
+a periodic background on each orthant plus a finite deviation from it,
+nonzero at finitely many sites (periodic: one background and no deviation;
 constant outside a box: one constant background; orthant: a constant per
 orthant).  The tail model is what makes suprema, box averages and
 infinite-volume averages exact instead of sampled.  Cell observables refine
@@ -117,47 +117,46 @@ class Box:
 
 @record(frozen=True)
 class PeriodicTail:
-    """A periodic site function, by its values on one period cell."""
+    """A periodic site function, by its values on one period cell: a signal
+    keyed by residues, so a residue of value 0 is absent from it."""
 
     period: tuple[int, ...]
-    cell: dict  # residue tuple -> value
+    cell: LatticeSignal
 
-    def value(self, site):
-        return self.cell[tuple(map(mod, site, self.period))]
+    def numerator(self, site) -> int:
+        """The value at the site, over ``cell.den``."""
+        return self.cell.nums.get(tuple(map(mod, site, self.period)), 0)
 
-    def map(self, fn):
-        return PeriodicTail(self.period, {k: fn(v) for k, v in self.cell.items()})
+    def value(self, site) -> Fraction:
+        return Fraction(self.numerator(site), self.cell.den)
+
+    def __abs__(self) -> "PeriodicTail":
+        cell = self.cell
+        return PeriodicTail(self.period, LatticeSignal(cell.dim, {r: abs(v) for r, v in cell.nums.items()}, cell.den))
 
     def evolve(self, pn):
         """The function alpha -> sum_beta pn_beta f(alpha + beta), on the cell;
         a constant is its own evolution, since a law has mass 1."""
-        if len(self.cell) == 1:
+        if prod(self.period) == 1:
             return self
-        cell = LatticeSignal.from_entries(len(self.period), self.cell)
-        evolved = convolve(cell, pn.fold(self.period).reflect()).fold(self.period).entries
-        return PeriodicTail(self.period, {r: evolved.get(r, Fraction(0)) for r in self.cell})
+        return PeriodicTail(self.period, convolve(self.cell, pn.fold(self.period).reflect()).fold(self.period))
 
 
 @record(frozen=True)
 class Tail:
-    """A whole site function: a periodic background on each orthant plus a finite table.
+    """A whole site function: a periodic background on each orthant plus a finite deviation.
 
     ``backgrounds`` maps each sign pattern in {-1,+1}^d (coordinate 0 counts
     as positive) to the PeriodicTail the function equals on that orthant
-    away from the table; ``box`` is None exactly for a periodic function;
-    ``table`` holds the finitely many sites, inside ``box``, where the
-    function may depart from its background.  Exact sums run on
-    ``integer_form``, built once per tail through ``map``.
+    away from the deviation; ``box`` is None exactly for a periodic
+    function; ``table`` is the deviation, the function minus its background,
+    a signal supported in ``box`` that stores no site where the two agree.
+    Exact sums read the numerators over the tail's common denominator ``den``.
     """
 
     backgrounds: dict
     box: Box | None
-    table: dict
-
-    def __post_init__(self):
-        for s in self.table:
-            if self.box is None or not self.box.contains(s):
-                raise ValueError(f"table site {s} outside the declared box")
+    table: LatticeSignal
 
     @cached_property
     def uniform(self) -> bool:
@@ -175,64 +174,52 @@ class Tail:
         done = {k: fn(bg) for k, bg in self._distinct.items()}
         return {signs: done[id(bg)] for signs, bg in self.backgrounds.items()}
 
-    def value(self, site):
-        v = self.table.get(site)
-        if v is None:  # a uniform tail reads its one background
-            return self.backgrounds[(1,) * len(site) if self.uniform else _signs(site)].value(site)
-        return v
-
-    def values(self):
-        """The finite set of values taken."""
-        return [*(v for bg in self._distinct.values() for v in bg.cell.values()), *self.table.values()]
-
-    def map(self, fn):
-        """This tail for fn applied pointwise."""
-        return Tail(self._mapped(lambda bg: bg.map(fn)), self.box, {k: fn(v) for k, v in self.table.items()})
-
     @cached_property
-    def integer_form(self):
-        """(tail, den): this tail with every value v as the integer v * den,
-        den the least common denominator of the values."""
-        den = lcm(*(Fraction(v).denominator for v in self.values()))
-        return self.map(lambda v: _scaled(v, den)), den
+    def den(self) -> int:
+        """The least common denominator of the backgrounds and the deviation."""
+        return lcm(self.table.den, *(bg.cell.den for bg in self._distinct.values()))
+
+    def numerators(self, site) -> tuple[int, int]:
+        """The background and the deviation at the site, over ``den``."""
+        bg, table = self.backgrounds[(1,) * len(site) if self.uniform else _signs(site)], self.table
+        return bg.numerator(site) * (self.den // bg.cell.den), table.nums.get(site, 0) * (self.den // table.den)
+
+    def value(self, site) -> Fraction:
+        return Fraction(sum(self.numerators(site)), self.den)
+
+    def __abs__(self) -> "Tail":
+        """|f|: each background's absolute value, and the deviation that makes up the rest."""
+        deviation = {s: abs(b + d) - abs(b) for s in self.table.nums for b, d in [self.numerators(s)]}
+        return Tail(self._mapped(abs), self.box, LatticeSignal.reduced(self.table.dim, deviation, self.den))
 
     def evolve(self, pn):
         """The tail of alpha -> sum_beta pn_beta f(alpha + beta).
 
-        Each background evolves on its cell, and the deviation, table minus
-        background, goes through convolve(., pn.reflect()), which widens the
-        box by the law's reach.  Differing backgrounds evolve exactly only as
-        constants in d = 1, where the step between them adds the jump times
-        the law's CDF.
+        Each background evolves on its cell, and the deviation goes through
+        convolve(., pn.reflect()), which widens the box by the law's reach.
+        Differing backgrounds evolve exactly only as constants in d = 1,
+        where the step between them adds the jump times the law's CDF.
         """
         backgrounds = self._mapped(lambda bg: bg.evolve(pn))
         if self.box is None:
-            return Tail(backgrounds, None, {})
-        dim = self.box.dim
-        if not self.uniform and (dim != 1 or any(len(bg.cell) > 1 for bg in self.backgrounds.values())):
+            return Tail(backgrounds, None, self.table)
+        if not self.uniform and (self.box.dim != 1 or any(bg.period != (1,) for bg in self.backgrounds.values())):
             raise ValueError("differing backgrounds evolve exactly only as orthant constants in dimension 1")
         reach, law = max(pn.support_radius()), pn.reflect()
-        deviation = {s: v - self.backgrounds[_signs(s)].value(s) for s, v in self.table.items()}
-        deviation = LatticeSignal.from_entries(dim, deviation)
-        evolved = convolve(deviation, law).entries if deviation.entries else {}
+        table = convolve(self.table, law) if self.table.nums else self.table
         if self.uniform:
-            bg = backgrounds[(1,) * dim]
-            return Tail(backgrounds, self.box.dilate(reach), {s: bg.value(s) + v for s, v in evolved.items()})
-        # the step c_neg + (c_pos - c_neg) [alpha >= 0] evolves to the jump times
-        # P(alpha + X >= 0), the CDF of the law of -X at alpha; the box starts
-        # left of -reach, so a running sum over its sites is that CDF
-        c_neg, c_pos = self.backgrounds[(-1,)].value((0,)), self.backgrounds[(1,)].value((0,))
+            return Tail(backgrounds, self.box.dilate(reach), table)
+        # the step c_neg + (c_pos - c_neg) [alpha >= 0] evolves to c_neg plus the
+        # jump times P(alpha + X >= 0), the CDF of the law of -X at alpha; the box
+        # starts left of -reach, so a running sum of the law's numerators over
+        # its sites is that CDF, and less the step it is the step's deviation
+        jump = self.backgrounds[(1,)].value((0,)) - self.backgrounds[(-1,)].value((0,))
         box = Box((min(self.box.lo[0], 0),), (max(self.box.hi[0], -1),)).dilate(reach)
-        table, mass = {}, 0
+        step, mass = {}, 0
         for s in box.sites():
-            mass += law.entries.get(s, 0)
-            table[s] = c_neg + (c_pos - c_neg) * mass + evolved.get(s, 0)
-        return Tail(self.backgrounds, box, table)
-
-
-def _scaled(v, den: int) -> int:
-    q = Fraction(v)
-    return q.numerator * (den // q.denominator)
+            mass += law.nums.get(s, 0)
+            step[s] = jump.numerator * (mass - law.den * (s[0] >= 0))
+        return Tail(self.backgrounds, box, table + LatticeSignal.reduced(1, step, jump.denominator * law.den))
 
 
 def _signs(site: Site) -> tuple[int, ...]:
@@ -240,12 +227,21 @@ def _signs(site: Site) -> tuple[int, ...]:
 
 
 def _constant_tail(dim: int, value) -> PeriodicTail:
-    return PeriodicTail((1,) * dim, {origin(dim): value})
+    return PeriodicTail((1,) * dim, LatticeSignal.from_entries(dim, {origin(dim): value}))
 
 
-def _one_background(background: PeriodicTail, box: Box | None = None, table: dict | None = None) -> Tail:
-    """The tail with ``background`` on every orthant."""
-    return Tail(dict.fromkeys(itertools.product((-1, 1), repeat=len(background.period)), background), box, table or {})
+def _everywhere(background: PeriodicTail) -> dict:
+    """``background`` on every orthant."""
+    return dict.fromkeys(itertools.product((-1, 1), repeat=len(background.period)), background)
+
+
+def _tail(backgrounds: dict, box: Box | None, table: Mapping) -> Tail:
+    """The tail over the backgrounds that takes the table's rational values at its sites, each inside the box."""
+    for s in table:
+        if box is None or not box.contains(s):
+            raise ValueError(f"table site {s} outside the declared box")
+    deviation = {s: v - backgrounds[_signs(s)].value(s) for s, v in table.items()}
+    return Tail(backgrounds, box, LatticeSignal.from_entries(len(next(iter(backgrounds))), deviation))
 
 
 @record(frozen=True)
@@ -265,10 +261,15 @@ class SiteObservable:
 
     @cached_property
     def extremes(self) -> tuple[Fraction, Fraction]:
-        """The least and the greatest value, read from the tail's integer form."""
-        tail, den = self.tail.integer_form
-        values = tail.values()
-        return Fraction(min(values), den), Fraction(max(values), den)
+        """The least and the greatest value: the values at the deviation and
+        over each background's cell, where an absent residue stands for 0."""
+        t = self.tail
+        values = [b + d for b, d in map(t.numerators, t.table.nums)]
+        for bg in t._distinct.values():
+            values += (v * (t.den // bg.cell.den) for v in bg.cell.nums.values())
+            if len(bg.cell) < prod(bg.period):
+                values.append(0)
+        return Fraction(min(values), t.den), Fraction(max(values), t.den)
 
     def bound(self):
         lo, hi = self.extremes
@@ -316,17 +317,18 @@ def periodic_observable(period, table: Mapping) -> SiteObservable:
     missing = [r for r in itertools.product(*(range(l) for l in period)) if r not in residues]
     if missing:
         raise ValueError(f"periodic table misses residues, e.g. {missing[0]}")
-    return SiteObservable(len(period), _one_background(PeriodicTail(period, residues)))
+    background = PeriodicTail(period, LatticeSignal.from_entries(len(period), residues))
+    return SiteObservable(len(period), _tail(_everywhere(background), None, {}))
 
 
 def constant_observable(dim: int, value) -> SiteObservable:
-    return SiteObservable(dim, _one_background(_constant_tail(dim, parse_rational(value))))
+    return SiteObservable(dim, _tail(_everywhere(_constant_tail(dim, parse_rational(value))), None, {}))
 
 
 def localized_observable(dim: int, constant, box: Box, table: Mapping) -> SiteObservable:
     """Constant outside the box: one constant background on every orthant."""
-    background = _constant_tail(dim, parse_rational(constant))
-    return SiteObservable(dim, _one_background(background, box, _site_table(dim, table, "constantOutsideBox table")))
+    background = _everywhere(_constant_tail(dim, parse_rational(constant)))
+    return SiteObservable(dim, _tail(background, box, _site_table(dim, table, "constantOutsideBox table")))
 
 
 def orthant_observable(dim: int, constants: Mapping, box: Box, table: Mapping) -> SiteObservable:
@@ -342,7 +344,7 @@ def orthant_observable(dim: int, constants: Mapping, box: Box, table: Mapping) -
         if signs not in constants:
             raise ValueError(f"missing orthant constant for signs {signs}")
         backgrounds[signs] = shared[constants[signs]]
-    return SiteObservable(dim, Tail(backgrounds, box, table))
+    return SiteObservable(dim, _tail(backgrounds, box, table))
 
 
 def sign_observable() -> SiteObservable:
@@ -376,8 +378,9 @@ def _orthant_parts(box: Box):
         yield tuple(s for s, _, _ in sides), Box(tuple(a for _, a, _ in sides), tuple(b for _, _, b in sides))
 
 
-def _periodic_box_sum(tails, box: Box):
-    """Sum over the box of a product of periodic tails, by residue counting."""
+def _periodic_box_sum(tails, box: Box) -> int:
+    """Sum over the box of a product of periodic tails, by residue counting,
+    over the product of their cells' denominators."""
     axes = []
     for i, (a, b) in enumerate(zip(box.lo, box.hi)):
         l = lcm(*(t.period[i] for t in tails))
@@ -385,7 +388,7 @@ def _periodic_box_sum(tails, box: Box):
     total = 0
     for cell in itertools.product(*axes):
         residue = tuple(rho for rho, _ in cell)
-        total += prod(t.value(residue) for t in tails) * prod(c for _, c in cell)
+        total += prod(t.numerator(residue) for t in tails) * prod(c for _, c in cell)
     return total
 
 
@@ -395,15 +398,18 @@ def _box_sum(observables, box: Box):
     Each tail equals a periodic background on every orthant away from its
     finitely many deviation sites, so the sum is a residue count per orthant
     piece of the box plus a correction at the deviation sites inside it.
-    The sum runs on the tails' integer forms and divides once at the end.
+    The sum runs on the numerators, each tail's over its ``den``, and
+    divides once at the end.
     """
-    parts = list(_orthant_parts(box))
-    forms, dens = zip(*(o.tail.integer_form for o in observables))
-    backgrounds = {signs: [t.backgrounds[signs] for t in forms] for signs, _ in parts}
-    total = sum(_periodic_box_sum(backgrounds[signs], part) for signs, part in parts)
-    for site in {s for t in forms for s in t.table if box.contains(s)}:
-        total += prod(t.value(site) for t in forms) - prod(bg.value(site) for bg in backgrounds[_signs(site)])
-    return Fraction(total, prod(dens))
+    tails = [o.tail for o in observables]
+    total = 0
+    for signs, part in _orthant_parts(box):
+        backgrounds = [t.backgrounds[signs] for t in tails]
+        total += _periodic_box_sum(backgrounds, part) * prod(t.den // bg.cell.den for t, bg in zip(tails, backgrounds))
+    for site in {s for t in tails for s in t.table.nums if box.contains(s)}:
+        parts = [t.numerators(site) for t in tails]
+        total += prod(b + d for b, d in parts) - prod(b for b, _ in parts)
+    return Fraction(total, prod(t.den for t in tails))
 
 
 def product_average(observables, family: BoxFamily):
@@ -414,12 +420,12 @@ def product_average(observables, family: BoxFamily):
 def _orthant_means(observables) -> list:
     """Per orthant, the mean of the product of the backgrounds over one joint period cell."""
     dim = observables[0].dim
-    forms, dens = zip(*(o.tail.integer_form for o in observables))
     means = []
     for signs in itertools.product((-1, 1), repeat=dim):
-        backgrounds = [t.backgrounds[signs] for t in forms]
+        backgrounds = [o.tail.backgrounds[signs] for o in observables]
         cell = Box(origin(dim), tuple(lcm(*(bg.period[i] for bg in backgrounds)) - 1 for i in range(dim)))
-        means.append(Fraction(_periodic_box_sum(backgrounds, cell), prod(dens) * cell.size))
+        den = prod(bg.cell.den for bg in backgrounds) * cell.size
+        means.append(Fraction(_periodic_box_sum(backgrounds, cell), den))
     return means
 
 
@@ -471,9 +477,9 @@ class AverageEstimate:
 def _box_average_range(f: SiteObservable, r: int):
     """The least and the greatest radius-r box average of f over every center.
 
-    The deviations are the sites where f differs from its background.  With
+    The deviations are the tail's table, over the tail's ``den``.  With
     one background on every orthant, the background part of the box sum is
-    periodic in the center: convolving the background's table with the
+    periodic in the center: convolving the background's cell with the
     residue counts of [-r, r] along each axis in turn gives it on one period
     cell of centers, and without deviations that cell holds every value.
     Otherwise moving the center along axis i adds the slice that enters the
@@ -486,12 +492,13 @@ def _box_average_range(f: SiteObservable, r: int):
     Taking each axis in turn, the extremes lie among the candidates of
     ``_candidate_centers``.
     """
-    tail, den = f.tail.integer_form
-    den *= (2 * r + 1) ** f.dim  # of the box averages
-    backgrounds = tail.backgrounds
-    deviation = {s: d for s, v in tail.table.items() if (d := v - backgrounds[_signs(s)].value(s))}
+    tail, backgrounds = f.tail, f.tail.backgrounds
+    den = tail.den * (2 * r + 1) ** f.dim  # of the box averages
+    deviation = {s: v * (tail.den // tail.table.den) for s, v in tail.table.nums.items()}
     if tail.uniform:
-        period, cell = backgrounds[(1,) * f.dim].period, backgrounds[(1,) * f.dim].cell
+        bg = backgrounds[(1,) * f.dim]
+        period, scale = bg.period, tail.den // bg.cell.den
+        cell = {c: bg.numerator(c) * scale for c in itertools.product(*map(range, period))}
         for i, l in enumerate(period):
             counts = [_residue_count(k, l, -r, r) for k in range(l)]
             cell = {c: sum(n * cell[(*c[:i], (c[i] + k) % l, *c[i + 1 :])] for k, n in enumerate(counts)) for c in cell}
@@ -514,7 +521,8 @@ def _box_average_range(f: SiteObservable, r: int):
         if tail.uniform:
             total = cell[tuple(v % l for v, l in zip(c, period))]
         else:
-            total = sum(_periodic_box_sum([backgrounds[g]], part) for g, part in _orthant_parts(Box.centered(c, r)))
+            parts = ((backgrounds[g], part) for g, part in _orthant_parts(Box.centered(c, r)))
+            total = sum(_periodic_box_sum([bg], part) * (tail.den // bg.cell.den) for bg, part in parts)
         grid = grids.get(tuple((v - r) // side for v in c))
         if grid:
             coords, prefix = grid
@@ -547,15 +555,15 @@ def _candidate_centers(sites, r: int, periods, extra, i: int = 0) -> list[tuple[
     fixed only those sites bend the sum along the later axes.
     """
     l = periods[i]
-    sites = sorted(sites, key=lambda s: s[i])
-    keys = [s[i] for s in sites]
     span = {}  # candidate coordinate -> the least and the greatest t it comes from
-    for t in sorted({*keys, *extra}):
+    for t in sorted({*(s[i] for s in sites), *extra}):
         for v in (t - r - 1, t + r):
             for k in range(1 - l, l + 1):
                 span.setdefault(v + k, [t, t])[1] = t
-    if i + 1 == len(periods):
+    if i + 1 == len(periods):  # the last axis: only the set of coordinates counts
         return [(v,) for v in span]
+    sites = sorted(sites, key=lambda s: s[i])
+    keys = [s[i] for s in sites]
     later = {}  # the slice of sites a box may meet -> their candidates on the later axes
     out = []
     for v, (a, b) in span.items():
@@ -622,21 +630,6 @@ class CellObservable:
         vals = [abs(self.default)] + [abs(v) for v in self.values.values()]
         return max(vals)
 
-    def scale(self, factor) -> "CellObservable":
-        return CellObservable(
-            self.dim,
-            self.depth,
-            {k: factor * v for k, v in self.values.items()},
-            factor * self.default,
-        )
-
-    def add(self, other: "CellObservable") -> "CellObservable":
-        if (self.dim, self.depth) != (other.dim, other.depth):
-            raise ValueError("can only add cell observables of equal dimension and depth")
-        merged = {k: self.values.get(k, self.default) + other.values.get(k, other.default)
-                  for k in set(self.values) | set(other.values)}
-        return CellObservable(self.dim, self.depth, merged, self.default + other.default)
-
     def evaluate(self, x: PhasePoint, p: WalkDistribution) -> object:
         """Value at a phase point, by extracting digits from both coordinates."""
         table = PartitionTable.from_walk(p)
@@ -676,9 +669,10 @@ def _default_plus(F: CellObservable, masses) -> SiteObservable:
     """The site function F.default plus each (site, mass) of ``masses``."""
     contrib: dict = {}
     for site, mass in masses:
-        contrib[site] = contrib.get(site, Fraction(0)) + mass
-    table = {s: F.default + v for s, v in contrib.items() if v != 0}
-    return localized_observable(F.dim, F.default, Box.spanning(table.keys(), F.dim), table)
+        contrib[site] = contrib.get(site, 0) + mass
+    deviation = LatticeSignal.from_entries(F.dim, contrib)
+    background = _everywhere(_constant_tail(F.dim, F.default))
+    return SiteObservable(F.dim, Tail(background, Box.spanning(deviation.nums, F.dim), deviation))
 
 
 def reduce_to_site(F: CellObservable, p: WalkDistribution) -> SiteObservable:
@@ -715,17 +709,6 @@ def evolve_site(f: SiteObservable, p: WalkDistribution, n: int) -> SiteObservabl
     if f.dim != p.dim:
         raise ValueError("observable and walk dimensions differ")
     return SiteObservable(f.dim, f.tail.evolve(convolution_power(p, n)))
-
-
-def av_invariance_check(f: SiteObservable, p: WalkDistribution, n: int, family: BoxFamily | None = None):
-    """|Av(f evolved n steps) - Av(f)|; contractually 0 for analytic tails."""
-    if family is None:
-        family = BoxFamily.translation_invariant(f.dim)
-    before = f.analytic_average(family)
-    if before is NON_CONVERGENT:
-        raise ValueError("observable does not admit an analytic average for this family")
-    after = evolve_site(f, p, n).analytic_average(family)
-    return abs(after - before)
 
 
 # ---------------------------------------------------------------------------
@@ -785,12 +768,13 @@ def observable_from_config(dim: int, cfg: Mapping):
 
 
 def _table_config(table: dict) -> dict:
-    return {",".join(map(str, s)): format_rational(Fraction(v)) for s, v in sorted(table.items())}
+    return {",".join(map(str, s)): format_rational(v) for s, v in sorted(table.items())}
 
 
 def observable_to_config(obs) -> dict:
     """The config dict that observable_from_config reads; a boxed tail's
-    backgrounds are constants."""
+    backgrounds are constants, and its table names only the sites where it
+    departs from them."""
     if isinstance(obs, CellObservable):
         return {
             "kind": "cell",
@@ -809,10 +793,12 @@ def observable_to_config(obs) -> dict:
     t = obs.tail
     if t.box is None:
         bg = next(iter(t.backgrounds.values()))
-        return {"kind": "periodic", "period": list(bg.period), "table": _table_config(bg.cell)}
+        cell = {r: bg.value(r) for r in itertools.product(*map(range, bg.period))}
+        return {"kind": "periodic", "period": list(bg.period), "table": _table_config(cell)}
     constants = {signs: bg.value(signs) for signs, bg in t.backgrounds.items()}
     if t.uniform:
         head = {"kind": "constantOutsideBox", "constant": format_rational(Fraction(*set(constants.values())))}
     else:
         head = {"kind": "orthant", "constants": _table_config(constants)}
-    return {**head, "box": {"lo": list(t.box.lo), "hi": list(t.box.hi)}, "table": _table_config(t.table)}
+    table = _table_config({s: t.value(s) for s in t.table.nums})
+    return {**head, "box": {"lo": list(t.box.lo), "hi": list(t.box.hi)}, "table": table}

@@ -316,6 +316,16 @@ def test_defect_sobolev_matches_lattice_parseval():
         assert norms.bound == nowak_constant(walk.dim) * (abs(float(g[(0,) * walk.dim])) + norms.sobolev)
 
 
+def test_a_defect_is_squared_once_for_its_sobolev_part_and_its_nowak_check(third):
+    fc = FourierConfig(1, "1/10")
+    g, _ = defect_signal(third, 16, fc)  # takes the sums for the Sobolev part
+    sums = embedding._sobolev_sums(g, fc.nu)
+    assert embedding._sobolev_sums(g, fc.nu) is sums  # what nowak_check(g, fc.nu) reads, not squared again
+    squares = {s: v * v for s, v in g.nums.items()}
+    for signal, order in ((g, fc.nu + 1), (LatticeSignal(1, dict(g.nums), g.den), fc.nu)):  # another order, another signal
+        assert embedding._sobolev_sums(signal, order) == (sum(v * s[0] ** (2 * order) for s, v in squares.items()),)
+
+
 def test_defect_norms_decrease_and_respect_bound(third):
     fc = FourierConfig(1, "1/10")
     results = [defect_signal(third, n, fc, 1024) for n in (4, 16, 64, 256)]

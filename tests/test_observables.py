@@ -5,7 +5,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,6 @@ from bakerlattice import (
     CellObservable,
     LatticeSignal,
     WalkDistribution,
-    av_invariance_check,
     box_average,
     box_average_product,
     box_signal,
@@ -174,7 +173,7 @@ def test_reduce_strip_cell_single_site(third):
     values = {((0,), (k, a)): Fraction(1) for a in (1, 2, 3)}
     F = CellObservable(1, 1, values)
     reduced = reduce_to_site(F, third)
-    table = reduced.tail.table
+    table = reduced.tail.table.entries
     assert table == {(0,): Fraction(1, 3)}  # site 0 - beta^(2) = 0, value p_k
 
 
@@ -183,7 +182,7 @@ def test_reduce_expanding_cell_spreads_over_steps(third):
     k = 3
     values = {((0,), (b, k)): Fraction(1) for b in (1, 2, 3)}
     F = CellObservable(1, 1, values)
-    table = reduce_to_site(F, third).tail.table
+    table = reduce_to_site(F, third).tail.table.entries
     assert table == {
         (1,): Fraction(1, 9),  # via backward digit 1 (step -1)
         (0,): Fraction(1, 9),
@@ -218,7 +217,8 @@ def test_reduce_is_linear_and_bound_preserving(third):
             vals_b[key] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         A = CellObservable(1, 1, vals_a)
         B = CellObservable(1, 1, vals_b)
-        combo = reduce_to_site(A.add(B.scale(Fraction(3))), third)
+        combined = {k: vals_a.get(k, 0) + 3 * vals_b.get(k, 0) for k in {*vals_a, *vals_b}}  # A + 3B
+        combo = reduce_to_site(CellObservable(1, 1, combined), third)
         ra, rb = reduce_to_site(A, third), reduce_to_site(B, third)
         for site in ((-3,), (-1,), (0,), (2,)):
             assert combo.value(site) == ra.value(site) + 3 * rb.value(site)
@@ -342,6 +342,17 @@ def test_evolve_sign_tail_is_exact(third):
 
 # ---------------------------------------------------------------------------
 # average invariance under the dynamics
+
+
+def av_invariance_check(f, p, n, family=None):
+    """|Av(f evolved n steps) - Av(f)|: evolution preserves Av, so 0 for every exact tail."""
+    if family is None:
+        family = TI(f.dim)
+    before = f.analytic_average(family)
+    if before is NON_CONVERGENT:
+        raise ValueError("observable does not admit an analytic average for this family")
+    after = evolve_site(f, p, n).analytic_average(family)
+    return abs(after - before)
 
 
 @pytest.mark.parametrize("n", range(11))
@@ -670,6 +681,13 @@ def test_box_sums_match_direct_site_sum(dim, data):
     ) / Fraction(box.size)
 
 
+def tail_values(t):
+    """The values the tail takes: each background's over its cell (every
+    orthant holds every residue beyond the box) and the values at the table's sites."""
+    cells = [bg.value(r) for bg in t.backgrounds.values() for r in itertools.product(*map(range, bg.period))]
+    return cells + [t.value(s) for s in t.table.nums]
+
+
 def far_cell_means(observables, dim):
     """Direct mean of the product over one joint period cell in each orthant,
     placed beyond every deviation site."""
@@ -882,7 +900,7 @@ def test_integer_form_sums_equal_fraction_sums(dim, data):
         assert ti is NON_CONVERGENT
         assert centered == sum(means) / Fraction(len(means))
     center = data.draw(MIXED_DENOMINATORS)
-    assert f.sup_deviation(center) == max(abs(v - center) for v in f.tail.values())
+    assert f.sup_deviation(center) == max(abs(v - center) for v in tail_values(f.tail))
 
 
 ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
@@ -894,7 +912,7 @@ def test_box_sum_fraction_operations_do_not_grow_with_deviation_sites(monkeypatc
     def fraction_operations(width):
         box = Box((0, 0), (width - 1, 9))
         f = localized_observable(2, Fraction(1, 2), box, {s: Fraction(s[0] + 1, s[1] + 2) for s in box.sites()})
-        f.tail.integer_form, periodic.tail.integer_form  # built once per tail, before the sum
+        f.tail.den, periodic.tail.den  # built once per tail, before the sum
         count = 0
 
         def counted(method):
@@ -916,6 +934,81 @@ def test_box_sum_fraction_operations_do_not_grow_with_deviation_sites(monkeypatc
     assert fraction_operations(1) == fraction_operations(100)  # 10 and 1,000 deviation sites
 
 
+def test_evolution_fraction_operations_do_not_grow_with_deviation_sites(lazy2d, monkeypatch):
+    n = 6
+    pn = convolution_power(lazy2d, n)  # the law, before the count
+
+    def fraction_operations(width):
+        box = Box((0, 0), (width - 1, 9))
+        f = localized_observable(2, Fraction(1, 2), box, {s: Fraction(s[0] + 1, s[1] + 2) for s in box.sites()})
+        count = 0
+
+        def counted(method):
+            def op(*args):
+                nonlocal count
+                count += 1
+                return method(*args)
+
+            return op
+
+        with monkeypatch.context() as m:
+            for name in ARITHMETIC:
+                m.setattr(Fraction, name, counted(getattr(Fraction, name)))
+            ev = evolve_site(f, lazy2d, n)
+        for site in ((0, 0), (width, 5), (-n, 0), (width + n, 9 + n)):
+            assert ev.value(site) == direct_evolution(f, pn, site)
+        return count
+
+    assert fraction_operations(1) == fraction_operations(100)  # 10 and 1,000 deviation sites
+
+
+def assert_reduced(signal):
+    assert isinstance(signal, LatticeSignal)
+    assert signal.den > 0 and 0 not in signal.nums.values() and gcd(signal.den, *signal.nums.values()) == 1
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_cell_and_table_is_a_reduced_signal(dim, data):
+    """Backgrounds and deviations are reduced signals as built, reduced and
+    evolved: no stored deviation is 0, and a residue of value 0 is absent
+    from its cell, yet counts among the values the tail takes."""
+    obs = data.draw(config_observables(dim))
+    walk = preset("third-walk" if dim == 1 else "lazy-2d")  # a step for each digit of the cells
+    if isinstance(obs, CellObservable):
+        site_functions = [reduce_to_site(obs, walk), observables.square_marginal(obs, walk)]
+    else:
+        site_functions = [obs]
+    if dim == 1 or site_functions[0].tail.uniform:
+        site_functions.append(evolve_site(site_functions[0], walk, data.draw(st.integers(0, 3))))
+    for f in site_functions:
+        t = f.tail
+        for signal in (t.table, *(bg.cell for bg in t.backgrounds.values())):
+            assert_reduced(signal)
+        assert all(t.box.contains(s) for s in t.table.nums) if t.box else not t.table.nums
+        values = tail_values(t)
+        assert f.extremes == (min(values), max(values))
+
+
+def test_a_residue_of_value_0_counts_among_the_extremes():
+    f = periodic_observable((3,), {(0,): 0, (1,): 2, (2,): 5})
+    assert (0,) not in f.tail.backgrounds[(1,)].cell.nums
+    assert f.extremes == (0, 5)
+    g = localized_observable(1, -1, Box((0,), (1,)), {(0,): 0, (1,): -3})
+    assert g.extremes == (-3, 0)
+
+
+def test_the_table_holds_deviations_and_a_site_at_the_background_is_not_stored():
+    spec = {"kind": "constantOutsideBox", "constant": "1/2", "box": {"lo": [-1], "hi": [2]}, "table": {"0": "3", "2": "1/2"}}
+    obs = observable_from_config(1, spec)
+    assert obs.tail.table.entries == {(0,): Fraction(5, 2)}  # 3 - 1/2; site 2 is at the constant
+    written = observable_to_config(obs)
+    assert written == {**spec, "table": {"0": "3"}}
+    assert observable_from_config(1, written) == obs
+    assert len(sign_observable().tail.table) == 0  # the sign function is its step background
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_background_is_built_once_per_orthant(dim):
     signs = list(itertools.product((-1, 1), repeat=dim))
@@ -926,5 +1019,5 @@ def test_background_is_built_once_per_orthant(dim):
         periodic_observable((2,) * dim, {r: 1 for r in Box((0,) * dim, (1,) * dim).sites()}).tail,
     ]
     for t, distinct in zip(tails, (len(signs), 1, 1)):
-        for form in (t, t.integer_form[0]):  # mapped once per distinct background
+        for form in (t, abs(t)):  # mapped once per distinct background
             assert len({id(form.backgrounds[s]) for s in signs}) == distinct
