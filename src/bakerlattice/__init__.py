@@ -23,7 +23,6 @@ _EXPORTS = {
         "convolution_power",
         "convolve",
         "drift",
-        "moment",
         "span_check",
     ),
     "phase": (
@@ -70,7 +69,6 @@ _EXPORTS = {
         "itinerary_oracle",
         "m1_limit",
         "m1_report",
-        "m2_entry",
         "m2_table",
         "m4_report",
         "m5_gap",
@@ -78,7 +76,7 @@ _EXPORTS = {
         "rate_profile",
     ),
     "presets": ("PRESETS", "preset"),
-    "embedding": ("a_norm", "h_norm", "nowak_check", "nowak_constant", "sobolev_part"),
+    "embedding": ("a_norm", "nowak_check", "nowak_constant", "sobolev_part"),
     # the torus diagnostics are numerical throughout and load numpy
     "fourier": (
         "AliasingError",
@@ -91,7 +89,6 @@ _EXPORTS = {
         "drift_removed_char",
         "periodic_pairing",
         "smallest_grid",
-        "taylor_coefficient",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

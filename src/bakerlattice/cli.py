@@ -431,10 +431,9 @@ def _cmd_a1_check(config, walk, family, out_dir, plot):
 def _cmd_audit(config, walk, family, out_dir, plot):
     from . import mixing
 
-    observables = [F.observable for F in _observables_from_config(config, walk)]
+    observables = _observables_from_config(config, walk)
     locals_ = _locals_from_config(config, walk)
     record = mixing.implication_audit(
-        walk,
         observables,
         locals_,
         _get(config, "schedules.n_list"),

@@ -59,11 +59,6 @@ def sobolev_part(a: LatticeSignal, order: int) -> float:
     return sum(sqrt(t / den2) for t in _sobolev_sums(a, order))
 
 
-def h_norm(a: LatticeSignal, nu_bar: int) -> float:
-    """|a_0| + sum_i (sum_alpha |alpha_i^nu_bar a_alpha|^2)^(1/2)."""
-    return abs(float(a[origin(a.dim)])) + sobolev_part(a, nu_bar)
-
-
 def nowak_constant(d: int) -> float:
     """Constant C_d with ||a||_l1 <= C_d ||a~||_{H^nu_bar} on Z^d (d <= 4)."""
     if not 1 <= d <= 4:

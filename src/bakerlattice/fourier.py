@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 
 import numpy as np
 
 # the coefficient inequality is numpy-free; it lives in .embedding and is re-exported
-from .embedding import a_norm, h_norm, nowak_check, nowak_constant, sobolev_part
+from .embedding import a_norm, nowak_check, nowak_constant, sobolev_part
 from .lattice import (
     LatticeSignal,
     WalkDistribution,
@@ -296,21 +296,3 @@ def periodic_pairing(
     flipped = char_function(p.signal().reflect(), M).values  # p~(-theta)
     spectral = complex(np.sum(np.conj(coeffs) * flipped**n))
     return PeriodicPairing(space, spectral)
-
-
-# ---------------------------------------------------------------------------
-# the box kernel's Taylor coefficients
-
-
-def taylor_coefficient(j: int, r: int) -> Fraction:
-    """Order-2j Taylor coefficient of the 1d box kernel transform at 0.
-
-    xi_j(r) = (-1)^j / (2j)! * (2r+1)^-1 * sum_{a=-r}^r a^(2j), via the exact
-    power sum (xi_1(r) = -r(r+1)/6).
-    """
-    if j < 0 or r < 1:
-        raise ValueError("need j >= 0 and r >= 1")
-    if j == 0:
-        return Fraction(1)
-    power_sum = 2 * sum(a ** (2 * j) for a in range(1, r + 1))
-    return Fraction((-1) ** j * power_sum, factorial(2 * j) * (2 * r + 1))

@@ -2,7 +2,7 @@
 
 Walk distributions are finite probability vectors with exact rational
 weights.  Signals are finitely supported rational functions on Z^d, so
-convolutions, moments, drift and the boundary-defect computation stay
+convolutions, drift and the boundary-defect computation stay
 rational and tests can assert equalities instead of tolerances.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm, prod, sqrt
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping
 
 from .rational import check_keys, format_rational, parse_integer, parse_integers, parse_rational, record
@@ -116,16 +116,15 @@ class WalkDistribution:
     """Finite-support step distribution {p_beta} on Z^d with rational weights.
 
     The support is kept in lexicographic order; this fixes the enumeration
-    j -> beta^(j) used by the phase-space partition.  N = 1 is rejected by
-    default (a single deterministic step carries no randomness) but can be
-    allowed where only the characteristic function is needed.
+    j -> beta^(j) used by the phase-space partition.  N = 1 is rejected (a
+    single deterministic step carries no randomness).
     """
 
     dim: int
     support: tuple[tuple[Site, Fraction], ...]
 
     @classmethod
-    def from_weights(cls, dim: int, weights: Mapping, allow_trivial: bool = False) -> "WalkDistribution":
+    def from_weights(cls, dim: int, weights: Mapping) -> "WalkDistribution":
         items = []
         for coords, w in weights.items():
             site = _as_site((coords,) if isinstance(coords, int) else coords, dim)
@@ -140,7 +139,7 @@ class WalkDistribution:
         total = sum(w for _, w in items)
         if total != 1:
             raise ValueError(f"weights must sum to 1 exactly, got {total}")
-        if len(items) < 2 and not allow_trivial:
+        if len(items) < 2:
             raise ValueError("walk needs at least two active directions (N >= 2)")
         return cls(dim, tuple(items))
 
@@ -169,7 +168,7 @@ class WalkDistribution:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping, allow_trivial: bool = False) -> "WalkDistribution":
+    def from_json_dict(cls, data: Mapping) -> "WalkDistribution":
         """The walk ``to_json_dict`` writes; a key it does not write is a ConfigError."""
         check_keys(data, "", {"dim", "support"})
         dim = parse_integer(data["dim"])
@@ -177,7 +176,7 @@ class WalkDistribution:
         for k, entry in enumerate(data["support"]):
             check_keys(entry, f"support[{k}]", {"beta", "p"})
             weights[parse_integers(entry["beta"])] = parse_rational(entry["p"])
-        return cls.from_weights(dim, weights, allow_trivial=allow_trivial)
+        return cls.from_weights(dim, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +301,7 @@ def convolution_power(p: WalkDistribution, n: int) -> LatticeSignal:
 
 
 # ---------------------------------------------------------------------------
-# moments and drift
+# drift
 
 
 def drift(p: WalkDistribution) -> tuple[Fraction, ...]:
@@ -310,22 +309,6 @@ def drift(p: WalkDistribution) -> tuple[Fraction, ...]:
     return tuple(
         sum((w * s[i] for s, w in p.support), Fraction(0)) for i in range(p.dim)
     )
-
-
-def moment(p: WalkDistribution, k: int) -> Fraction | float:
-    """sum_beta |beta|^k p_beta with the Euclidean norm.
-
-    Even k is exact: a ``Fraction`` summed from the rational |beta|^2 powers.
-    Odd k is a float, because |beta| is irrational in general.
-    """
-    if k < 1:
-        raise ValueError("moment order must be >= 1")
-    if k % 2 == 0:
-        return sum(
-            (w * Fraction(sum(c * c for c in s)) ** (k // 2) for s, w in p.support),
-            Fraction(0),
-        )
-    return float(sum(float(w) * sqrt(sum(c * c for c in s)) ** k for s, w in p.support))
 
 
 # ---------------------------------------------------------------------------

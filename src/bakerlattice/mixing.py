@@ -174,13 +174,6 @@ def m5_gap(f, p: WalkDistribution, n: int, family: BoxFamily | None = None):
     return m5_report(Evolution(f, p), [n], family).series[n]
 
 
-def m2_entry(
-    f: SiteObservable, g: SiteObservable, p: WalkDistribution, n: int, box: Box
-):
-    """mu_V((F o T^n) G) over V = box x [0,1)^2, exactly."""
-    return box_average_product(evolve_site(f, p, n), g, box)
-
-
 def m1_computable(F: Evolution, G: Evolution) -> bool:
     """M1's rules: F is periodic and G has an exact translation-invariant average."""
     return F.site.tail.box is None and G.average(BoxFamily.translation_invariant(G.site.dim)) is not NON_CONVERGENT
@@ -201,31 +194,25 @@ def m1_limit(f, g, p: WalkDistribution, n: int):
     return m1_report(F, G, [n]).series[n]
 
 
-def itinerary_oracle(
-    F,
-    Q: Strip,
-    p: WalkDistribution,
-    n: int,
-    budget: int = DEFAULT_BUDGET,
-):
+def itinerary_oracle(F, Q: Strip, p: WalkDistribution, n: int):
     """Ground truth mu((F o T^n) 1_Q) by exact enumeration of the N^n strips.
 
     Accepts a site observable or a depth-m cell observable; for the latter
     each image strip is integrated cell by cell (forward digits weight the
     full-width coordinate by cylinder widths, backward digits intersect the
     strip interval with contracting cylinders).  Raises BudgetExceededError
-    before anything is pushed when N^(n+2m) would exceed ``budget`` (m = 0
-    for a site observable).
+    before anything is pushed when N^(n+2m) would exceed DEFAULT_BUDGET,
+    10^7 (m = 0 for a site observable).
     """
     if not isinstance(F, (SiteObservable, CellObservable)):
         raise TypeError("oracle needs a site observable or a cell observable")
     m = F.depth if isinstance(F, CellObservable) else 0
-    if p.size ** (n + 2 * m) > budget:
+    if p.size ** (n + 2 * m) > DEFAULT_BUDGET:
         raise BudgetExceededError(
-            f"N^(n+2m) = {p.size}^{n + 2 * m} exceeds the itinerary budget {budget}"
+            f"N^(n+2m) = {p.size}^{n + 2 * m} exceeds the itinerary budget {DEFAULT_BUDGET}"
         )
     table = PartitionTable.from_walk(p)
-    pushed = push_strip(Q, p, n, budget=budget, table=table)
+    pushed = push_strip(Q, p, n, table=table)
     if isinstance(F, SiteObservable):
         return sum((c.height * F.value(c.site) for c in pushed.components), Fraction(0))
     by_site: dict = {}
@@ -546,8 +533,7 @@ class AuditRecord:
 
 
 def implication_audit(
-    p: WalkDistribution,
-    globals_: list,
+    evolutions: list[Evolution],
     locals_: list[LocalObservable],
     n_list,
     r_list,
@@ -556,10 +542,10 @@ def implication_audit(
 ) -> AuditRecord:
     """Numerical audit of the implication chain on a suite of observables.
 
-    The globals are site or cell observables, each taken as it was read and
-    paired by ``Evolution.at``.  With gap(t) the sup deviation of F o T^t
-    from Av F, every M4 deviation must sit below gap(n) * mu(|g|) (M3 for
-    zero-mean locals).  The M5-to-M2 route decomposes G over the squares of
+    The globals are one or more Evolutions of site or cell observables under
+    one walk, each taken as it was read and paired by ``Evolution.at``.
+    With gap(t) the sup deviation of F o T^t from Av F, every M4 deviation
+    must sit below gap(n) * mu(|g|) (M3 for zero-mean locals).  The M5-to-M2 route decomposes G over the squares of
     the box: with g_alpha = G 1_{square alpha} the deviation
     |mu_V((F o T^n) G) - Av F Av G| is dominated by
     |Av F| |mu_V(G) - Av G|  +  0  +  gap(n) * mu_V(|G|),
@@ -571,12 +557,12 @@ def implication_audit(
     reports' own numbers: the deviations and bounds of ``m4_report`` and the
     deviations of ``m2_table``.
     """
+    dim = evolutions[0].p.dim
     if family is None:
-        family = BoxFamily.translation_invariant(p.dim)
+        family = BoxFamily.translation_invariant(dim)
     n_list = sorted(int(n) for n in n_list)
     r_list = sorted(int(r) for r in r_list)
-    boxes = {r: Box.centered(origin(p.dim), r) for r in r_list}
-    evolutions = [Evolution(g, p) for g in globals_]
+    boxes = {r: Box.centered(origin(dim), r) for r in r_list}
     averages = [G.average(family) for G in evolutions]
     convergent = [i for i, av in enumerate(averages) if av is not NON_CONVERGENT]
     # mu_V(G), mu_V(|base of G|) and the images' mass in |G| / |V| depend on neither F nor n

@@ -94,12 +94,6 @@ class Box:
     def dilate(self, amount: int) -> "Box":
         return Box(tuple(a - amount for a in self.lo), tuple(b + amount for b in self.hi))
 
-    def hull(self, other: "Box") -> "Box":
-        return Box(
-            tuple(min(a, c) for a, c in zip(self.lo, other.lo)),
-            tuple(max(b, d) for b, d in zip(self.hi, other.hi)),
-        )
-
     @classmethod
     def spanning(cls, sites, dim: int) -> "Box":
         pts = list(sites)
@@ -262,13 +256,24 @@ class SiteObservable:
     @cached_property
     def extremes(self) -> tuple[Fraction, Fraction]:
         """The least and the greatest value: the values at the deviation and
-        over each background's cell, where an absent residue stands for 0."""
+        over each background's cell, where an absent residue stands for 0.
+        Each numerator is scaled to ``den`` once; over one constant
+        background c the deviation's values are c plus its least and greatest."""
         t = self.tail
-        values = [b + d for b, d in map(t.numerators, t.table.nums)]
-        for bg in t._distinct.values():
-            values += (v * (t.den // bg.cell.den) for v in bg.cell.nums.values())
-            if len(bg.cell) < prod(bg.period):
-                values.append(0)
+        nums, scale = t.table.nums, t.den // t.table.den
+        cells = {k: (bg.period, {r: v * (t.den // bg.cell.den) for r, v in bg.cell.nums.items()})
+                 for k, bg in t._distinct.items()}
+        values = [v for _, cell in cells.values() for v in cell.values()]
+        if any(len(cell) < prod(period) for period, cell in cells.values()):
+            values.append(0)
+        period, cell = cells[id(t.backgrounds[(1,) * self.dim])]
+        if t.uniform and prod(period) == 1 and nums:
+            c = cell.get(origin(self.dim), 0)
+            values += (c + min(nums.values()) * scale, c + max(nums.values()) * scale)
+        else:
+            for s, d in nums.items():
+                period, cell = cells[id(t.backgrounds[_signs(s)])]
+                values.append(cell.get(tuple(map(mod, s, period)), 0) + d * scale)
         return Fraction(min(values), t.den), Fraction(max(values), t.den)
 
     def bound(self):

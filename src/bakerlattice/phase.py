@@ -20,7 +20,7 @@ DEFAULT_BUDGET = 10**7
 
 
 class BudgetExceededError(RuntimeError):
-    """Itinerary enumeration would exceed the configured component budget."""
+    """Itinerary enumeration would exceed the component budget, DEFAULT_BUDGET."""
 
 
 def _check_unit(value, name: str):
@@ -170,7 +170,6 @@ def push_strip(
     strip: Strip,
     p: WalkDistribution,
     n: int,
-    budget: int = DEFAULT_BUDGET,
     table: PartitionTable | None = None,
 ) -> ItineraryPushforward:
     """Push a full-width strip forward n steps, exactly.
@@ -178,15 +177,15 @@ def push_strip(
     The image of a strip of height h under one step consists of N strips,
     one per partition cell k, at site + step(k), with interval
     q_k + w_k * [lo, hi).  Raises BudgetExceededError when N^n would exceed
-    ``budget`` (callers should switch to the convolution path instead).
+    DEFAULT_BUDGET (callers should switch to the convolution path instead).
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
     if table is None:
         table = PartitionTable.from_walk(p)
-    if p.size**n > budget:
+    if p.size**n > DEFAULT_BUDGET:
         raise BudgetExceededError(
-            f"N^n = {p.size}^{n} exceeds the itinerary budget {budget}"
+            f"N^n = {p.size}^{n} exceeds the itinerary budget {DEFAULT_BUDGET}"
         )
     comps = [ItineraryComponent((), strip.site, strip.lo, strip.hi)]
     for _ in range(n):

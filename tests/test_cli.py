@@ -785,6 +785,22 @@ def test_audit_takes_each_average_and_m5_gap_once(tmp_path, capsys, monkeypatch)
     assert fills == {"means": 2, "extremes": 2 * 4}
 
 
+def test_audit_reduces_each_cell_once(tmp_path, capsys, monkeypatch):
+    # the audit takes the Evolutions the config reader built: one reduction
+    # and one square marginal per cell
+    calls = Counter()
+    for name in ("reduce_to_site", "square_marginal"):
+        def counting(*args, _take=getattr(mixing, name), _name=name):
+            calls[_name] += 1
+            return _take(*args)
+
+        monkeypatch.setattr(mixing, name, counting)
+    cell = {"kind": "cell", "m": 1, "values": [{"site": [0], "back": [1], "fwd": [2], "value": "1"}]}
+    config = {"observables": [cell, {"kind": "periodic", "period": [2], "table": {"0": "1", "1": "-1"}}],
+              "schedules": {"n_list": [2, 3, 4]}}
+    assert run("audit", config, tmp_path / "out") == 0
+    assert calls == {"reduce_to_site": 1, "square_marginal": 1}
+
 REPORT_1D = {
     "walk": {"preset": "third-walk"},
     "family": "centeredOnly",

@@ -194,7 +194,7 @@ def test_audit_rows_equal_the_enumeration(case):
     deepest = max(obs.depth for obs, _ in globals_)
     n = max(case["n"], 2 * deepest)
     [(strip, weight)] = local.terms
-    record = implication_audit(p, [obs for obs, _ in globals_], [local], [n], [r], TI)
+    record = implication_audit([Evolution(obs, p) for obs, _ in globals_], [local], [n], [r], TI)
     assert record.ok
     gaps = {}  # (observable, t) -> gap(t)
 

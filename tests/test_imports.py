@@ -1,6 +1,7 @@
 """Package imports: each command loads only its own layers, exact commands
 start without numpy, and every exported name resolves lazily."""
 
+import ast
 import importlib
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 import bakerlattice
 
 SRC = str(Path(bakerlattice.__file__).resolve().parents[1])
+ROOT = Path(SRC).parent
 
 
 def fresh_python(code, tmp_path):
@@ -213,3 +215,24 @@ def test_fourier_name_imports_in_a_fresh_interpreter(tmp_path):
         tmp_path,
     )
     assert proc.stdout.strip() == "True"
+
+
+# the config writer: nothing in the package calls it, but a config must
+# round-trip every observable kind, and it is the way back
+UNCALLED_EXPORTS = {"observable_to_config"}
+
+
+def test_every_export_has_a_caller():
+    """Each exported name is read by the package, a demo or an acceptance
+    criterion; an import of the name is not a use of it."""
+    files = [*(ROOT / "src" / "bakerlattice").glob("*.py"), *(ROOT / "demos").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    used = set()
+    for path in files:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(bakerlattice.__all__) - used - UNCALLED_EXPORTS) == []

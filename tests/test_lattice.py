@@ -22,7 +22,6 @@ from bakerlattice import (
     drift,
     evolve_site,
     localized_observable,
-    moment,
     periodic_observable,
     sign_observable,
     span_check,
@@ -271,12 +270,12 @@ def test_power_semigroup(seed, m, n):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_power_drift_scales_linearly(drifted, n):
     pn = convolution_power(drifted, n)
-    pn_walk = WalkDistribution.from_weights(1, pn.entries, allow_trivial=True)
+    pn_walk = WalkDistribution.from_weights(1, pn.entries)
     assert drift(pn_walk) == (n * Fraction(1, 3),)
 
 
 # ---------------------------------------------------------------------------
-# drift and moments
+# drift
 
 
 def test_drift_symmetric_walk_is_zero(third):
@@ -284,26 +283,12 @@ def test_drift_symmetric_walk_is_zero(third):
 
 
 def test_drift_single_step_distribution():
-    p = WalkDistribution.from_weights(1, {(1,): 1}, allow_trivial=True)
+    p = WalkDistribution(1, (((1,), Fraction(1)),))
     assert drift(p) == (Fraction(1),)
 
 
 def test_drift_biased_walk(drifted):
     assert drift(drifted) == (Fraction(1, 3),)
-
-
-def test_moment_half_step():
-    p = WalkDistribution.from_weights(1, {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
-    assert moment(p, 1) == 0.5
-
-
-def test_moment_second_third_walk(third):
-    assert moment(third, 2) == Fraction(2, 3)
-
-
-def test_moment_always_finite(lazy2d):
-    for k in range(1, 6):
-        assert moment(lazy2d, k) < float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +440,7 @@ def brute_a1_defect(p: WalkDistribution, r: int) -> Fraction:
 
 
 def test_a1_defect_identity_walk_is_zero():
-    p = WalkDistribution.from_weights(1, {(0,): 1}, allow_trivial=True)
+    p = WalkDistribution(1, (((0,), Fraction(1)),))
     assert a1_defect(p, 5) == 0
 
 

@@ -16,6 +16,7 @@ from bakerlattice import (
     Strip,
     WalkDistribution,
     box_average,
+    box_average_product,
     constant_observable,
     correlate_global_local,
     evolve_site,
@@ -24,7 +25,6 @@ from bakerlattice import (
     localized_observable,
     m1_limit,
     m1_report,
-    m2_entry,
     m2_table,
     m4_report,
     m5_gap,
@@ -39,6 +39,12 @@ from conftest import random_periodic, random_site_observable, random_strip, rand
 
 TI = BoxFamily.translation_invariant
 CENTERED = BoxFamily.centered_only
+
+
+def m2_entry(f, g, p, n, box):
+    """mu_V((F o T^n) G) over V = box x [0,1)^2, by the box sum of the evolved
+    product: the direct reference for each entry of ``m2_table``."""
+    return box_average_product(evolve_site(f, p, n), g, box)
 
 
 @pytest.fixture
@@ -314,11 +320,11 @@ def test_cell_oracle_over_budget_pushes_no_strip(third, monkeypatch):
         raise AssertionError("push_strip called")
 
     monkeypatch.setattr(mixing, "push_strip", no_push)
-    F = CellObservable(1, 3, {((0,), (1,) * 6): Fraction(1)})
+    F = CellObservable(1, 6, {((0,), (1,) * 12): Fraction(1)})
     q = Strip((0,), Fraction(0), Fraction(1))
-    # N^n = 3^4 is within the budget, N^(n+2m) = 3^10 is not
-    with pytest.raises(BudgetExceededError, match=r"N\^\(n\+2m\) = 3\^10 exceeds the itinerary budget 1000"):
-        itinerary_oracle(F, q, third, 4, budget=1000)
+    # N^n = 3^4 is within the budget of 10^7, N^(n+2m) = 3^16 is not
+    with pytest.raises(BudgetExceededError, match=r"N\^\(n\+2m\) = 3\^16 exceeds the itinerary budget 10000000"):
+        itinerary_oracle(F, q, third, 4)
 
 
 def test_depth_one_cells_obey_offset_gap(third, parity):
@@ -426,7 +432,7 @@ def test_audit_third_walk_suite(third, parity):
         LocalObservable.from_strip(Strip((1,), Fraction(0), Fraction(1, 2)), Fraction(-2)),
     ]
     record = implication_audit(
-        third, [parity, other], locals_, [1, 2, 4], [2, 8], TI(1)
+        [Evolution(parity, third), Evolution(other, third)], locals_, [1, 2, 4], [2, 8], TI(1)
     )
     assert record.ok
     assert record.m4_rows and record.m2_rows
@@ -440,7 +446,7 @@ def test_audit_third_walk_suite(third, parity):
 def test_audit_constant_rows_are_exactly_zero(third):
     c = constant_observable(1, Fraction(2))
     record = implication_audit(
-        third, [c], [LocalObservable.unit_square((0,))], [1, 3], [2], TI(1)
+        [Evolution(c, third)], [LocalObservable.unit_square((0,))], [1, 3], [2], TI(1)
     )
     for row in record.m4_rows:
         assert row.deviation == 0
@@ -455,7 +461,7 @@ def test_audit_zero_mean_locals_flag_m3(third, parity):
             (Strip((0,), Fraction(1, 2), Fraction(1)), Fraction(-1)),
         )
     )
-    record = implication_audit(third, [parity], [g], [1, 2], [2], TI(1))
+    record = implication_audit([Evolution(parity, third)], [g], [1, 2], [2], TI(1))
     assert all(row.zero_mean for row in record.m4_rows)
     assert record.ok
 
@@ -470,7 +476,7 @@ def test_audit_and_m4_report_evolve_each_pair_once(monkeypatch, third, parity):
     monkeypatch.setattr(mixing, "evolve_site", counting)
     other = periodic_observable((3,), {(0,): 2, (1,): 0, (2,): 1})
     g = LocalObservable.unit_square((0,))
-    implication_audit(third, [parity, other], [g, g], [1, 2, 4], [2, 8], TI(1))
+    implication_audit([Evolution(parity, third), Evolution(other, third)], [g, g], [1, 2, 4], [2, 8], TI(1))
     assert sorted(calls) == sorted((id(f), n) for f in (parity, other) for n in (1, 2, 4))
 
 
@@ -484,7 +490,7 @@ def test_audit_takes_each_global_box_mean_once(monkeypatch, third, parity):
     monkeypatch.setattr(mixing, "box_average", counting)
     other = periodic_observable((3,), {(0,): 2, (1,): 0, (2,): 1})
     g = LocalObservable.unit_square((0,))
-    record = implication_audit(third, [parity, other], [g], [1, 2, 4], [2, 8], TI(1))
+    record = implication_audit([Evolution(parity, third), Evolution(other, third)], [g], [1, 2, 4], [2, 8], TI(1))
     # mu_V(G) and mu_V(|G|) for 2 globals and 2 radii, not once more per F
     assert len(calls) == 2 * 2 * 2
     assert len(record.m2_rows) == 2 * 2 * 3 * 2

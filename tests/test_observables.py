@@ -566,7 +566,6 @@ def test_box_basics():
     assert box.size == 25
     assert box.contains((3, 1)) and not box.contains((4, 0))
     assert box.dilate(1).size == 49
-    assert Box((0,), (3,)).hull(Box((-2,), (1,))) == Box((-2,), (3,))
     with pytest.raises(ValueError):
         Box((1,), (0,))
 
@@ -582,6 +581,11 @@ def walks(draw, dim, reach):
     sites = draw(st.lists(step, min_size=2, max_size=4, unique=True))
     raw = [draw(st.integers(1, 9)) for _ in sites]
     return WalkDistribution.from_weights(dim, {s: Fraction(w, sum(raw)) for s, w in zip(sites, raw)})
+
+
+def hull(a: Box, b: Box) -> Box:
+    """The least box containing both."""
+    return Box(tuple(map(min, a.lo, b.lo)), tuple(map(max, a.hi, b.hi)))
 
 
 def direct_evolution(f, pn, site):
@@ -613,7 +617,7 @@ def test_evolve_site_matches_direct_sum(dim, data):
         if not f.tail.uniform:  # widened to the cut at 0
             box = Box((min(box.lo[0], 0),), (max(box.hi[0], -1),))
         assert ev.tail.box == box.dilate(reach)
-        window = box.hull(Box.centered((0,) * dim, 0)).dilate(reach)
+        window = hull(box, Box.centered((0,) * dim, 0)).dilate(reach)
     pn = convolution_power(p, n)
     for site in window.dilate(2).sites():
         assert ev.value(site) == direct_evolution(f, pn, site)
@@ -748,12 +752,12 @@ def window_box_sums(f, r, window):
 def test_uniformity_defect_is_the_sup_over_every_center(dim, data):
     f = data.draw(st.one_of(summable_observables(dim), periodic_observables(dim, max_period=5)))
     r = data.draw(st.integers(0, 6 if dim == 1 else 3))
-    hull = Box.centered((0,) * dim, 0)
+    span = Box.centered((0,) * dim, 0)
     if f.tail.box is not None:
-        hull = hull.hull(f.tail.box)
+        span = hull(span, f.tail.box)
     # a box further than 8 from 0 and the tail box on some axis lies in one
     # background, of period at most 5 there: the window holds every box sum
-    averages = {c: s / Fraction((2 * r + 1) ** dim) for c, s in window_box_sums(f, r, hull.dilate(r + 8)).items()}
+    averages = {c: s / Fraction((2 * r + 1) ** dim) for c, s in window_box_sums(f, r, span.dilate(r + 8)).items()}
     ti = estimate_average(f, TI(dim), [r])
     if ti.non_convergent:
         assert ti.uniformity_defect == max(averages.values()) - min(averages.values())
@@ -967,13 +971,9 @@ def assert_reduced(signal):
     assert signal.den > 0 and 0 not in signal.nums.values() and gcd(signal.den, *signal.nums.values()) == 1
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_every_cell_and_table_is_a_reduced_signal(dim, data):
-    """Backgrounds and deviations are reduced signals as built, reduced and
-    evolved: no stored deviation is 0, and a residue of value 0 is absent
-    from its cell, yet counts among the values the tail takes."""
+def drawn_site_functions(dim, data):
+    """A config observable's site functions: itself, or a cell's reduction
+    and square marginal, then the first of them evolved 0 to 3 steps."""
     obs = data.draw(config_observables(dim))
     walk = preset("third-walk" if dim == 1 else "lazy-2d")  # a step for each digit of the cells
     if isinstance(obs, CellObservable):
@@ -982,13 +982,43 @@ def test_every_cell_and_table_is_a_reduced_signal(dim, data):
         site_functions = [obs]
     if dim == 1 or site_functions[0].tail.uniform:
         site_functions.append(evolve_site(site_functions[0], walk, data.draw(st.integers(0, 3))))
-    for f in site_functions:
+    return site_functions
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_cell_and_table_is_a_reduced_signal(dim, data):
+    """Backgrounds and deviations are reduced signals as built, reduced and
+    evolved: no stored deviation is 0, and a residue of value 0 is absent
+    from its cell, yet counts among the values the tail takes."""
+    for f in drawn_site_functions(dim, data):
         t = f.tail
         for signal in (t.table, *(bg.cell for bg in t.backgrounds.values())):
             assert_reduced(signal)
         assert all(t.box.contains(s) for s in t.table.nums) if t.box else not t.table.nums
         values = tail_values(t)
         assert f.extremes == (min(values), max(values))
+
+
+def extremes_by_numerators(f):
+    """The least and the greatest value of f, each deviation site read through
+    ``Tail.numerators``: the reference for ``SiteObservable.extremes``."""
+    t = f.tail
+    values = [b + d for b, d in map(t.numerators, t.table.nums)]
+    for bg in t._distinct.values():
+        values += (v * (t.den // bg.cell.den) for v in bg.cell.nums.values())
+        if len(bg.cell) < prod(bg.period):
+            values.append(0)
+    return Fraction(min(values), t.den), Fraction(max(values), t.den)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_extremes_equal_the_per_site_reading(dim, data):
+    for f in drawn_site_functions(dim, data):
+        assert f.extremes == extremes_by_numerators(f)
 
 
 def test_a_residue_of_value_0_counts_among_the_extremes():
