@@ -11,8 +11,9 @@ modulus 1 at theta = pi.
 import numpy as np
 
 from bakerlattice import (
+    Evolution,
     char_function,
-    m5_gap,
+    m5_report,
     periodic_observable,
     preset,
     span_check,
@@ -28,7 +29,7 @@ for name in ("third-walk", "reducible-1d"):
         print(f" (basis {verdict.basis})")
     else:
         print()
-    gaps = [m5_gap(parity, p, n) for n in range(8)]
+    gaps = m5_report(Evolution(parity, p), range(8)).series.values()
     print("  m5 gap of the parity observable:", ", ".join(str(g) for g in gaps))
     grid = char_function(p.signal(), 256)
     mod = np.abs(grid.values)

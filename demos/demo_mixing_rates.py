@@ -14,10 +14,9 @@ from bakerlattice import (
     BoxFamily,
     Evolution,
     LocalObservable,
-    correlate_global_local,
-    m1_limit,
+    m1_report,
     m2_table,
-    m5_gap,
+    m4_report,
     m5_report,
     periodic_observable,
     preset,
@@ -26,6 +25,7 @@ from bakerlattice import (
 
 p = preset("third-walk")
 parity = periodic_observable((2,), {(0,): 1, (1,): -1})
+P = Evolution(parity, p)
 family = BoxFamily.translation_invariant(1)
 g = LocalObservable.unit_square((0,))
 
@@ -34,20 +34,19 @@ print()
 
 print("M4 (global-local): mu((f o T^n) 1_{S_0}) and M5 (uniform over strips):")
 print(f"  {'n':>3} {'correlation':>14} {'m5 gap':>10}")
+correlations, gaps = m4_report(P, g, range(9)).series, m5_report(P, range(9)).series
 for n in range(9):
-    corr = correlate_global_local(parity, g, p, n)
-    gap = m5_gap(parity, p, n)
-    print(f"  {n:>3} {str(corr):>14} {str(gap):>10}")
+    print(f"  {n:>3} {str(correlations[n]):>14} {str(gaps[n]):>10}")
 print()
 
-fit = rate_profile(m5_report(Evolution(parity, p), range(1, 16)))
+fit = rate_profile(m5_report(P, range(1, 16)))
 print(f"Fitted exponential decay rate: {fit.exponential_rate:.6f} (log 3 = {log(3):.6f})")
 print()
 
 print("M2 (global-global, box-averaged): entries converge jointly in n and r,")
 print("and the eps-M scan certifies the joint limit on the computed grid:")
 other = periodic_observable((3,), {(0,): 1, (1,): 0, (2,): -1})
-report = m2_table(Evolution(parity, p), Evolution(other, p), range(1, 13), [2, 8, 32, 128], family,
+report = m2_table(P, Evolution(other, p), range(1, 13), [2, 8, 32, 128], family,
                   eps_schedule=(Fraction(1, 10), Fraction(1, 1000)))
 for (n, r) in [(1, 2), (4, 8), (8, 32), (12, 128)]:
     print(f"  n={n:>2} r={r:>3}: deviation {float(abs(report.series[(n, r)])):.2e}")
@@ -57,5 +56,5 @@ print()
 
 print("M1 (averaged product): Av((f o T^n) f) exists for periodic pairs and")
 print("decays to Av(f)^2 = 0:")
-for n in range(6):
-    print(f"  n={n}: {m1_limit(parity, parity, p, n)}")
+for n, value in m1_report(P, P, range(6)).series.items():
+    print(f"  n={n}: {value}")

@@ -58,20 +58,16 @@ _EXPORTS = {
         "sign_observable",
     ),
     "mixing": (
-        "NOT_COMPUTABLE",
         "AuditRecord",
         "CorrelationReport",
         "Evolution",
         "LocalObservable",
         "RateFit",
-        "correlate_global_local",
         "implication_audit",
         "itinerary_oracle",
-        "m1_limit",
         "m1_report",
         "m2_table",
         "m4_report",
-        "m5_gap",
         "m5_report",
         "rate_profile",
     ),

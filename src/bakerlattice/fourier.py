@@ -104,7 +104,8 @@ class FourierConfig:
     Hard requirement: 0 < eps < 1/3.  The sharper bound
     eps < 1/(2(5 nu + 2 + d/2)) that the decay *proof* needs is exposed as
     ``eps_proof_bound`` and reported, not enforced: the measured decay is
-    meaningful for any eps below 1/3.
+    meaningful for any eps below 1/3.  The walk dimension d must lie in
+    1..4, where the embedding constant C_d is tabulated.
     """
 
     dim: int
@@ -114,6 +115,8 @@ class FourierConfig:
         object.__setattr__(self, "eps", parse_rational(self.eps))
         if not 0 < self.eps < Fraction(1, 3):
             raise ValueError(f"eps must lie in (0, 1/3), got {self.eps}")
+        if not 1 <= self.dim <= 4:
+            raise ValueError(f"walk dimension {self.dim} is outside 1..4, the dimensions with a tabulated constant C_d")
 
     @property
     def nu(self) -> int:

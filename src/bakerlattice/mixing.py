@@ -1,12 +1,15 @@
 """Estimators for the five infinite-volume mixing notions.
 
-Global-local correlations mu((F o T^n) g) for a tail-modeled site function F
-and a finite weighted-strip local observable g reduce exactly to
-sum_terms weight * height * (n-step site evolution of F)(strip site); the
-brute-force itinerary enumeration provides an independent exact oracle for
-the same quantity.  Global-global quantities are exact box averages of the
-evolved product.  Everything stays rational when the inputs are rational;
-rate extraction is the one float step.
+Each notion is one report over the times ``n_list`` (``m5_report``,
+``m4_report``, ``m2_table``, ``m1_report``), which takes each observable as
+an ``Evolution`` and reads it through ``Evolution.at``, the one time rule.
+A global-local correlation mu((F o T^n) g) for a finite weighted-strip
+local observable g reduces exactly to sum_terms weight * height * (F o T^n
+as a site function)(strip site); the brute-force itinerary enumeration
+``itinerary_oracle`` provides an independent exact oracle for the same
+quantity.  Global-global quantities are exact box averages of the evolved
+product.  Everything stays rational when the inputs are rational; rate
+extraction is the one float step.
 
 Notions measured (t the time, V a box of the exhaustive family):
   M1  Av((F o T^t) G) -> Av(F) Av(G)           (average of the product exists)
@@ -28,7 +31,6 @@ from .observables import (
     Box,
     BoxFamily,
     CellObservable,
-    Sentinel,
     SiteObservable,
     box_average,
     box_average_product,
@@ -48,10 +50,6 @@ from .phase import (
     push_strip,
 )
 from .rational import ConfigError, field, format_rational, record, to_jsonable, write_csv
-
-
-# the requested limit is outside the analytic tail models
-NOT_COMPUTABLE = Sentinel("NotComputable")
 
 
 @record(frozen=True)
@@ -144,54 +142,14 @@ class Evolution:
 # correlations
 
 
-def correlate_global_local(
-    f: SiteObservable, g: LocalObservable, p: WalkDistribution, n: int
-):
-    """mu((F o T^n) g), exactly, through the n-step site evolution of f.
-
-    The integral of a stable site function over a full-width strip only sees
-    the strip's site and height, so the correlation is the weighted sum of
-    the evolved values at the strip sites.
-    """
-    return _pair(evolve_site(f, p, n), g.terms)
-
-
 def _pair(ev: SiteObservable, terms):
     """mu(ev g) for a stable site function ev and the (strip, weight) terms of g."""
     return sum((w * s.height * ev.value(s.site) for s, w in terms), Fraction(0))
 
 
-def m5_gap(f, p: WalkDistribution, n: int, family: BoxFamily | None = None):
-    """Exact sup over unit-mass strip observables of the M4 deviation at time n.
-
-    The supremum over weighted strips of |mu((F o T^n) g) - Av(F) mu(g)| /
-    mu(|g|) is attained on single strips and equals
-    sup_alpha |(evolved f)(alpha) - Av(f)|, which the tail model makes exact.
-    f is a site or a cell observable; a depth-m cell pairs with strips of
-    depth m, so its gap at time n is that of its reduction at n - 2m
-    (``Evolution.at``).
-    """
-    return m5_report(Evolution(f, p), [n], family).series[n]
-
-
 def m1_computable(F: Evolution, G: Evolution) -> bool:
     """M1's rules: F is periodic and G has an exact translation-invariant average."""
     return F.site.tail.box is None and G.average(BoxFamily.translation_invariant(G.site.dim)) is not NON_CONVERGENT
-
-
-def m1_limit(f, g, p: WalkDistribution, n: int):
-    """Av((F o T^n) G) for periodic F, from the backgrounds of both tails.
-
-    A G without an exact translation-invariant average is NOT_COMPUTABLE (a
-    statement about the tail models, not a mixing failure); it is detected
-    before anything is evolved.
-    """
-    F, G = Evolution(f, p), Evolution(g, p)
-    if F.site.tail.box is not None:
-        raise ValueError("M1 limit needs a periodic first observable")
-    if not m1_computable(F, G):
-        return NOT_COMPUTABLE
-    return m1_report(F, G, [n]).series[n]
 
 
 def itinerary_oracle(F, Q: Strip, p: WalkDistribution, n: int):
@@ -394,9 +352,12 @@ def m1_report(
     """Av((F o T^n) G) at the times ``n_list``, for a periodic F (of depth 0).
 
     A cell G enters through its marginal: its finite excess has no density.
+    Any other pair (``m1_computable``) is refused, naming the rule it breaks,
+    before anything is evolved.
     """
     if not m1_computable(F, G):
-        raise ValueError("M1 series not computable for these tail models")
+        needs = "a periodic F" if F.site.tail.box is not None else "a G with an exact translation-invariant average"
+        raise ValueError(f"M1 series needs {needs}")
     family = BoxFamily.translation_invariant(F.site.dim)
     target = F.average(family) * G.average(family)
     series = {n: product_average([F.at(n, 0), G.marginal], family) for n in n_list}

@@ -45,40 +45,31 @@ class PhasePoint:
 class PartitionTable:
     """Cumulative cell boundaries 0 = q_0 < q_1 < ... < q_N = 1.
 
-    ``order`` maps cell index k (0-based) to an index into the walk support;
-    the default is the identity (lexicographic enumeration).  Alternative
-    orders produce conjugate systems and exist so tests can confirm that
-    exported quantities do not depend on the enumeration.
+    Cell k (0-based) belongs to the k-th step of the walk's support, in the
+    support's own order.
     """
 
     walk: WalkDistribution
-    order: tuple[int, ...]
     cumulative: tuple[Fraction, ...]
 
     @classmethod
-    def from_walk(cls, p: WalkDistribution, order=None) -> "PartitionTable":
-        if order is None:
-            order = tuple(range(p.size))
-        else:
-            order = tuple(int(i) for i in order)
-            if sorted(order) != list(range(p.size)):
-                raise ValueError("order must be a permutation of the support indices")
+    def from_walk(cls, p: WalkDistribution) -> "PartitionTable":
         bounds = [Fraction(0)]
-        for k in order:
-            bounds.append(bounds[-1] + p.support[k][1])
+        for _, w in p.support:
+            bounds.append(bounds[-1] + w)
         if bounds[-1] != 1:
             raise ValueError("partition widths must sum to 1")
-        return cls(p, order, tuple(bounds))
+        return cls(p, tuple(bounds))
 
     @property
     def size(self) -> int:
         return self.walk.size
 
     def cell_step(self, k: int) -> Site:
-        return self.walk.support[self.order[k]][0]
+        return self.walk.support[k][0]
 
     def cell_weight(self, k: int) -> Fraction:
-        return self.walk.support[self.order[k]][1]
+        return self.walk.support[k][1]
 
     def locate(self, y) -> int:
         """0-based index k of the half-open cell [q_k, q_{k+1}) containing y."""
@@ -86,20 +77,18 @@ class PartitionTable:
         return bisect_right(self.cumulative, y) - 1
 
 
-def step(x: PhasePoint, p: WalkDistribution, table: PartitionTable | None = None) -> PhasePoint:
+def step(x: PhasePoint, p: WalkDistribution) -> PhasePoint:
     """One forward step; exact when the coordinates of x are rational."""
-    if table is None:
-        table = PartitionTable.from_walk(p)
+    table = PartitionTable.from_walk(p)
     k = table.locate(x.y1)
     q, w = table.cumulative[k], table.cell_weight(k)
     site = tuple(a + b for a, b in zip(x.site, table.cell_step(k)))
     return PhasePoint(site, (x.y1 - q) / w, w * x.y2 + q)
 
 
-def inverse_step(x: PhasePoint, p: WalkDistribution, table: PartitionTable | None = None) -> PhasePoint:
+def inverse_step(x: PhasePoint, p: WalkDistribution) -> PhasePoint:
     """The unique preimage under ``step``; the cell is selected by y2."""
-    if table is None:
-        table = PartitionTable.from_walk(p)
+    table = PartitionTable.from_walk(p)
     k = table.locate(x.y2)
     q, w = table.cumulative[k], table.cell_weight(k)
     site = tuple(a - b for a, b in zip(x.site, table.cell_step(k)))

@@ -19,6 +19,7 @@ from bakerlattice import (
     NON_CONVERGENT,
     Box,
     BoxFamily,
+    Evolution,
     FourierConfig,
     LocalObservable,
     a1_boundary_constant,
@@ -26,13 +27,13 @@ from bakerlattice import (
     box_average_product,
     char_function,
     convolution_power,
-    correlate_global_local,
     defect_signal,
     drift_removed_char,
     estimate_average,
     evolve_site,
     itinerary_oracle,
-    m5_gap,
+    m4_report,
+    m5_report,
     nowak_check,
     nowak_constant,
     periodic_observable,
@@ -78,7 +79,7 @@ def test_criterion_1_oracle_equivalence():
             q = random_strip(rng, dim)
             n = rng.randint(0, 6)
             oracle = itinerary_oracle(f, q, p, n)
-            engine = correlate_global_local(f, LocalObservable.from_strip(q), p, n)
+            engine = m4_report(Evolution(f, p), LocalObservable.from_strip(q), [n]).series[n]
             assert oracle == engine, f"case {case}: {oracle} != {engine}"
 
 
@@ -99,8 +100,9 @@ def test_criterion_3_m5_exact_rate():
     with criterion(3, "m5 gap of the alternating observable is exactly 3^-n, n <= 20", 1.0):
         p = preset("third-walk")
         f = periodic_observable((2,), {(0,): 1, (1,): -1})
+        gaps = m5_report(Evolution(f, p), range(21)).series
         for n in range(21):
-            gap = m5_gap(f, p, n)
+            gap = gaps[n]
             assert gap == Fraction(1, 3**n)
             # independent oracle: naive convolution chain, direct sup over residues
             law = {(0,): Fraction(1)}
@@ -136,8 +138,9 @@ def test_criterion_5_irreducibility_gate():
     with criterion(5, "sublattice walk: gap stuck at 1 and |p~(pi)| = 1; full walks stay below 1", 2.0):
         red = preset("reducible-1d")
         parity = periodic_observable((2,), {(0,): 1, (1,): -1})
+        gaps = m5_report(Evolution(parity, red), range(21)).series
         for n in range(21):
-            assert m5_gap(parity, red, n) == 1
+            assert gaps[n] == 1
         grid = char_function(red.signal(), 512)
         assert abs(grid.values[256]) == pytest.approx(1.0, abs=1e-12)  # theta = pi
         for name, M in (("third-walk", 512), ("lazy-2d", 64)):

@@ -457,6 +457,17 @@ def test_2d_orthant_with_differing_constants_exit_2(tmp_path, capsys, command, f
     assert message == f"invalid observable {ORTHANT_2D!r}: orthant constants that differ evolve exactly only in dimension 1"
 
 
+def test_fourier_decay_on_a_5d_walk_exit_2_before_any_law(tmp_path, capsys, monkeypatch):
+    # C_d is tabulated for d <= 4: such a walk once exited 3 with a
+    # traceback, and only after every law of its schedule was computed
+    from bakerlattice import fourier
+
+    monkeypatch.setattr(fourier, "defect_signal", lambda *args: pytest.fail("a law was computed"))
+    walk = {"dim": 5, "support": [{"beta": [0] * 5, "p": "1/2"}, {"beta": [1, 0, 0, 0, 0], "p": "1/2"}]}
+    message = refused(tmp_path, capsys, "fourier-decay", {"walk": walk, "schedules": {"decay_n_list": [1]}})
+    assert message == "walk dimension 5 is outside 1..4, the dimensions with a tabulated constant C_d"
+
+
 @pytest.mark.parametrize(
     "command, config, field",
     [

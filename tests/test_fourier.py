@@ -404,10 +404,10 @@ def test_periodic_pairing_identity(third, n):
     assert pairing.space_value == Fraction(-1, 3) ** n
     assert abs(complex(pairing.space_value) - pairing.spectral_value) < 1e-10
     # the space side is the unit-square global-local correlation
-    from bakerlattice import LocalObservable, correlate_global_local, periodic_observable
+    from bakerlattice import Evolution, LocalObservable, m4_report, periodic_observable
 
     parity = periodic_observable((2,), {(0,): 1, (1,): -1})
-    corr = correlate_global_local(parity, LocalObservable.unit_square((0,)), third, n)
+    corr = m4_report(Evolution(parity, third), LocalObservable.unit_square((0,)), [n]).series[n]
     assert corr == pairing.space_value
 
 

@@ -236,3 +236,13 @@ def test_every_export_has_a_caller():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(bakerlattice.__all__) - used - UNCALLED_EXPORTS) == []
+
+
+def test_the_readme_library_tour_runs(tmp_path):
+    """The README's "Library tour" block runs as written in a new interpreter,
+    so the tour cannot name a function the package no longer has."""
+    tour = (ROOT / "README.md").read_text().split("## Library tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "assert" in code
+    proc = fresh_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from bakerlattice import (
-    NOT_COMPUTABLE,
     Box,
     BoxFamily,
     CellObservable,
@@ -18,16 +17,13 @@ from bakerlattice import (
     box_average,
     box_average_product,
     constant_observable,
-    correlate_global_local,
     evolve_site,
     implication_audit,
     itinerary_oracle,
     localized_observable,
-    m1_limit,
     m1_report,
     m2_table,
     m4_report,
-    m5_gap,
     m5_report,
     periodic_observable,
     rate_profile,
@@ -35,7 +31,7 @@ from bakerlattice import (
     sign_observable,
 )
 from bakerlattice import mixing
-from conftest import random_periodic, random_site_observable, random_strip, random_walk
+from conftest import random_site_observable, random_strip, random_walk
 
 TI = BoxFamily.translation_invariant
 CENTERED = BoxFamily.centered_only
@@ -61,13 +57,13 @@ def test_correlate_zero_steps_reads_site_value(third):
     f = random_site_observable(rng, 1)
     q = Strip((0,), Fraction(1, 8), Fraction(5, 8))
     g = LocalObservable.from_strip(q)
-    assert correlate_global_local(f, g, third, 0) == f.value((0,)) * q.height
+    assert m4_report(Evolution(f, third), g, [0]).series[0] == f.value((0,)) * q.height
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_correlate_parity_unit_square(third, parity, n):
     g = LocalObservable.unit_square((0,))
-    assert correlate_global_local(parity, g, third, n) == Fraction(-1, 3) ** n
+    assert m4_report(Evolution(parity, third), g, [n]).series[n] == Fraction(-1, 3) ** n
 
 
 def test_correlate_constant_with_zero_mean_local(third):
@@ -79,8 +75,7 @@ def test_correlate_constant_with_zero_mean_local(third):
         )
     )
     assert g.mass() == 0
-    for n in range(5):
-        assert correlate_global_local(f, g, third, n) == 0
+    assert m4_report(Evolution(f, third), g, range(5)).series == dict.fromkeys(range(5), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -89,35 +84,35 @@ def test_correlate_constant_with_zero_mean_local(third):
 
 def test_m5_gap_constant_observable(third):
     f = constant_observable(1, Fraction(3, 7))
-    assert all(m5_gap(f, third, n) == 0 for n in range(8))
+    assert m5_report(Evolution(f, third), range(8)).series == dict.fromkeys(range(8), 0)
 
 
 @pytest.mark.parametrize("n", range(12))
 def test_m5_gap_parity_exact_rate(third, parity, n):
-    assert m5_gap(parity, third, n) == Fraction(1, 3**n)
+    assert m5_report(Evolution(parity, third), [n]).series[n] == Fraction(1, 3**n)
 
 
 def test_m5_gap_reducible_parity_never_decays(reducible, parity):
-    for n in range(21):
-        assert m5_gap(parity, reducible, n) == 1
+    assert m5_report(Evolution(parity, reducible), range(21)).series == dict.fromkeys(range(21), 1)
 
 
 def test_m5_gap_monotone_for_third_walk(third, parity):
-    gaps = [m5_gap(parity, third, n) for n in range(41)]
+    gaps = list(m5_report(Evolution(parity, third), range(41)).series.values())
     assert all(a >= b for a, b in zip(gaps, gaps[1:]))
 
 
 def test_m5_gap_offset_bookkeeping(third, parity):
     # a depth-2 cell pairs with depth-2 strips: its gap at n is its reduction's at n - 4
     F = CellObservable(1, 2, {((0,), (1, 3, 2, 1)): Fraction(3), ((1,), (2, 2, 3, 3)): Fraction(-1)})
-    assert m5_gap(F, third, 10) == m5_gap(reduce_to_site(F, third), third, 6)
+    cell, reduced = Evolution(F, third), Evolution(reduce_to_site(F, third), third)
+    assert m5_report(cell, [10]).series[10] == m5_report(reduced, [6]).series[6]
     with pytest.raises(ValueError, match="below the depth offset"):
-        m5_gap(F, third, 3)
+        m5_report(cell, [3])
 
 
 def test_m5_gap_requires_analytic_average(third):
     with pytest.raises(ValueError, match="analytic average"):
-        m5_gap(sign_observable(), third, 2, family=TI(1))
+        m5_report(Evolution(sign_observable(), third), [2], family=TI(1))
 
 
 def test_m5_gap_invariant_under_support_translation(parity):
@@ -127,8 +122,7 @@ def test_m5_gap_invariant_under_support_translation(parity):
     shifted = WalkDistribution.from_weights(
         1, {(0,): Fraction(1, 3), (1,): Fraction(1, 3), (2,): Fraction(1, 3)}
     )
-    for n in range(8):
-        assert m5_gap(parity, base, n) == m5_gap(parity, shifted, n)
+    assert m5_report(Evolution(parity, base), range(8)).series == m5_report(Evolution(parity, shifted), range(8)).series
 
 
 def test_m5_gap_checkerboard_2d(lazy2d):
@@ -136,20 +130,20 @@ def test_m5_gap_checkerboard_2d(lazy2d):
     checker = periodic_observable(
         (2, 2), {(0, 0): 1, (1, 1): 1, (0, 1): -1, (1, 0): -1}
     )
-    for n in range(6):
-        assert m5_gap(checker, lazy2d, n) == Fraction(3, 5) ** n
+    assert m5_report(Evolution(checker, lazy2d), range(6)).series == {n: Fraction(3, 5) ** n for n in range(6)}
 
 
 def test_m5_gap_is_supremum_over_strips(third, parity):
     """Every strip realizes at most the gap; a best strip attains it."""
     rng = random.Random(8)
     n = 3
-    gap = m5_gap(parity, third, n)
+    P = Evolution(parity, third)
+    gap = m5_report(P, [n]).series[n]
     best = Fraction(0)
     for _ in range(40):
         q = random_strip(rng, 1)
         g = LocalObservable.from_strip(q)
-        dev = abs(correlate_global_local(parity, g, third, n)) / g.abs_mass()
+        dev = abs(m4_report(P, g, [n]).series[n]) / g.abs_mass()
         best = max(best, dev)
         assert dev <= gap
     assert best == gap  # strips at any site reach |(-1/3)^n|
@@ -157,10 +151,11 @@ def test_m5_gap_is_supremum_over_strips(third, parity):
 
 def test_m5_strip_value_independent_of_interval(third, parity):
     n = 4
+    P = Evolution(parity, third)
     vals = set()
     for lo, hi in ((0, 1), (Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 7), Fraction(2, 7))):
         g = LocalObservable.from_strip(Strip((1,), lo, hi))
-        vals.add(correlate_global_local(parity, g, third, n) / g.mass())
+        vals.add(m4_report(P, g, [n]).series[n] / g.mass())
     assert len(vals) == 1
 
 
@@ -215,33 +210,36 @@ def test_m2_periodic_pair_certificate(third, parity):
 def test_m1_site_constant_factorizes(third):
     f = constant_observable(1, Fraction(3))
     g = periodic_observable((2,), {(0,): 1, (1,): 5})
-    for n in range(5):
-        assert m1_limit(f, g, third, n) == 3 * 3
+    assert m1_report(Evolution(f, third), Evolution(g, third), range(5)).series == dict.fromkeys(range(5), 3 * 3)
 
 
 @pytest.mark.parametrize("n", range(8))
 def test_m1_parity_pair_decays(third, parity, n):
-    assert m1_limit(parity, parity, third, n) == Fraction(-1, 3) ** n
+    P = Evolution(parity, third)
+    assert m1_report(P, P, [n]).series[n] == Fraction(-1, 3) ** n
 
 
 def test_m1_reducible_even_indicator_fails_to_factor(reducible):
-    even = periodic_observable((2,), {(0,): 1, (1,): 0})
-    for n in range(1, 6):
-        assert m1_limit(even, even, reducible, n) == Fraction(1, 2)
+    E = Evolution(periodic_observable((2,), {(0,): 1, (1,): 0}), reducible)
+    series = m1_report(E, E, range(1, 6)).series
+    assert series == dict.fromkeys(range(1, 6), Fraction(1, 2))
     # the factorized target would be 1/4: mixing fails on the sublattice walk
-    assert m1_limit(even, even, reducible, 5) != Fraction(1, 4)
+    assert series[5] != Fraction(1, 4)
 
 
 def test_m1_with_localized_second_observable(third, parity):
     g = localized_observable(1, Fraction(2), Box.centered((0,), 1), {(0,): Fraction(7)})
-    for n in range(4):
-        assert m1_limit(parity, g, third, n) == Fraction(2) * 0  # c * Av(f)
+    series = m1_report(Evolution(parity, third), Evolution(g, third), range(4)).series
+    assert series == dict.fromkeys(range(4), Fraction(2) * 0)  # c * Av(f)
 
 
 def test_m1_not_computable_for_sign(third, parity):
-    assert m1_limit(parity, sign_observable(), third, 3) is NOT_COMPUTABLE
+    P, sign = Evolution(parity, third), Evolution(sign_observable(), third)
+    assert not mixing.m1_computable(P, sign)
+    with pytest.raises(ValueError, match="translation-invariant average"):
+        m1_report(P, sign, [3])
     with pytest.raises(ValueError, match="periodic"):
-        m1_limit(sign_observable(), parity, third, 1)
+        m1_report(sign, P, [1])
 
 
 def test_m1_not_computable_is_decided_before_evolving(monkeypatch, third, parity):
@@ -252,9 +250,11 @@ def test_m1_not_computable_is_decided_before_evolving(monkeypatch, third, parity
         return evolve_site(f, p, n)
 
     monkeypatch.setattr(mixing, "evolve_site", counting)
-    assert m1_limit(parity, sign_observable(), third, 3) is NOT_COMPUTABLE
+    P = Evolution(parity, third)
+    with pytest.raises(ValueError, match="translation-invariant average"):
+        m1_report(P, Evolution(sign_observable(), third), [3])
     assert calls == []
-    assert m1_limit(parity, parity, third, 3) == Fraction(-1, 27)
+    assert m1_report(P, P, [3]).series[3] == Fraction(-1, 27)
     assert calls == [3]
 
 
@@ -279,7 +279,7 @@ def test_oracle_equals_correlation_engine(seed, third):
     q = random_strip(rng, 1)
     n = rng.randint(0, 5)
     oracle = itinerary_oracle(f, q, p, n)
-    engine = correlate_global_local(f, LocalObservable.from_strip(q), p, n)
+    engine = m4_report(Evolution(f, p), LocalObservable.from_strip(q), [n]).series[n]
     assert oracle == engine
 
 
@@ -302,14 +302,14 @@ def test_oracle_cell_observable_matches_reduction(third):
                 key = ((rng.randint(-1, 1),), tuple(rng.randint(1, 3) for _ in range(2 * m)))
                 values[key] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             F = CellObservable(1, m, values, default=Fraction(rng.randint(-1, 1)))
-            reduced = reduce_to_site(F, third)
+            reduced = Evolution(reduce_to_site(F, third), third)
             q = random_strip(rng, 1)
-            for n in (m, m + 1, m + 3):
-                oracle = itinerary_oracle(F, q, third, n)
-                engine = correlate_global_local(
-                    reduced, LocalObservable.from_strip(q), third, n - m
-                )
-                assert oracle == engine
+            g = LocalObservable.from_strip(q)
+            times = (m, m + 1, m + 3)
+            engine = m4_report(reduced, g, [n - m for n in times]).series
+            as_read = m4_report(Evolution(F, third), g, times).series  # the depth rule evolves n - m steps
+            for n in times:
+                assert itinerary_oracle(F, q, third, n) == engine[n - m] == as_read[n]
 
 
 def test_cell_oracle_over_budget_pushes_no_strip(third, monkeypatch):
@@ -334,7 +334,9 @@ def test_depth_one_cells_obey_offset_gap(third, parity):
 
     table = PartitionTable.from_walk(third)
     n = 5
-    bound = m5_gap(parity, third, n - 2)  # the depth-1 pairing offset is 2
+    P = Evolution(parity, third)
+    gaps = m5_report(P, [n - 2, n - 1]).series
+    bound = gaps[n - 2]  # the depth-1 pairing offset is 2
     achieved = Fraction(0)
     for k in range(1, 4):  # forward digit: y1 cell
         for b in range(1, 4):  # backward digit: y2 cylinder
@@ -344,13 +346,11 @@ def test_depth_one_cells_obey_offset_gap(third, parity):
             w = table.cell_weight(k - 1)
             strip = Strip(site, table.cumulative[k - 1] + w * lo, table.cumulative[k - 1] + w * hi)
             mass = strip.height
-            corr = correlate_global_local(
-                parity, LocalObservable.from_strip(strip), third, n - 1
-            )
+            corr = m4_report(P, LocalObservable.from_strip(strip), [n - 1]).series[n - 1]
             dev = abs(corr) / mass
             achieved = max(achieved, dev)
             assert dev <= bound
-    assert achieved == m5_gap(parity, third, n - 1)
+    assert achieved == gaps[n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -501,24 +501,17 @@ def test_audit_takes_each_global_box_mean_once(monkeypatch, third, parity):
 def test_reports_match_their_single_point_functions(dim, seed):
     rng = random.Random(seed)
     p = random_walk(rng, dim, reach=1)
-    f, g, periodic = random_site_observable(rng, dim), random_site_observable(rng, dim), random_periodic(rng, dim)
-    local = LocalObservable(((random_strip(rng, dim), Fraction(2)), (random_strip(rng, dim), Fraction(-1, 3))))
+    f, g = random_site_observable(rng, dim), random_site_observable(rng, dim)
     times = range(4)
-    F = Evolution(f, p)
-    m5 = m5_report(F, times)
     # a depth-1 cell carries its offset: its M5 series at n + 2 is its reduction's at n
     cell = CellObservable(dim, 1, {(random_strip(rng, dim).site, (rng.randint(1, p.size), rng.randint(1, p.size))): Fraction(2)})
     shifted = m5_report(Evolution(cell, p), range(2, 6))
-    m4 = m4_report(F, local, times)
-    m2 = m2_table(F, Evolution(g, p), times, [1, 3])
-    m1 = m1_report(Evolution(periodic, p), Evolution(g, p), times)
+    reduced = m5_report(Evolution(reduce_to_site(cell, p), p), times)
+    m2 = m2_table(Evolution(f, p), Evolution(g, p), times, [1, 3])
     for n in times:
-        assert m5.series[n] == m5_gap(f, p, n)
-        assert shifted.series[n + 2] == m5_gap(cell, p, n + 2) == m5_gap(reduce_to_site(cell, p), p, n)
-        assert m4.series[n] == correlate_global_local(f, local, p, n)
+        assert shifted.series[n + 2] == reduced.series[n]
         for r in (1, 3):
             assert m2.series[(n, r)] == m2_entry(f, g, p, n, Box.centered((0,) * dim, r))
-        assert m1.series[n] == m1_limit(periodic, g, p, n)
 
 
 # ---------------------------------------------------------------------------
