@@ -526,18 +526,17 @@ def implication_audit(
     boxes = {r: Box.centered(origin(dim), r) for r in r_list}
     averages = [G.average(family) for G in evolutions]
     convergent = [i for i, av in enumerate(averages) if av is not NON_CONVERGENT]
-    # mu_V(G), mu_V(|base of G|) and the images' mass in |G| / |V| depend on neither F nor n
+    # mu_V(G), mu_V(|base of G|) and the images' mass in |G| / |V| depend on neither F nor n;
+    # each observable takes every radius in turn, so its box sums share one pass
     means = {}
     for gi in convergent:
         G = evolutions[gi]
         abs_base = SiteObservable(G.base.dim, abs(G.base.tail))
+        mu_g = [box_average(G.marginal, box) for box in boxes.values()]
+        mu_base = [box_average(abs_base, box) for box in boxes.values()]
         means[gi] = {
-            r: (
-                box_average(G.marginal, box),
-                box_average(abs_base, box),
-                sum((abs(e) * s.height for s, e in G.images_in(box)), Fraction(0)) / box.size,
-            )
-            for r, box in boxes.items()
+            r: (g, base, sum((abs(e) * s.height for s, e in G.images_in(box)), Fraction(0)) / box.size)
+            for (r, box), g, base in zip(boxes.items(), mu_g, mu_base)
         }
     m4_rows = []
     m2_rows = []

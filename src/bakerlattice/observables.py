@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
-from operator import mod
+from operator import is_not, mod
 from typing import Mapping
 
 from .lattice import (
@@ -173,10 +173,15 @@ class Tail:
         """The least common denominator of the backgrounds and the deviation."""
         return lcm(self.table.den, *(bg.cell.den for bg in self._distinct.values()))
 
+    @cached_property
+    def _cells(self) -> dict:
+        """signs -> (period, the background's cell numerators over ``den``)."""
+        return self._mapped(lambda bg: (bg.period, {r: v * (self.den // bg.cell.den) for r, v in bg.cell.nums.items()}))
+
     def numerators(self, site) -> tuple[int, int]:
         """The background and the deviation at the site, over ``den``."""
-        bg, table = self.backgrounds[(1,) * len(site) if self.uniform else _signs(site)], self.table
-        return bg.numerator(site) * (self.den // bg.cell.den), table.nums.get(site, 0) * (self.den // table.den)
+        period, cell = self._cells[_signs(site)]
+        return cell.get(tuple(map(mod, site, period)), 0), self.table.nums.get(site, 0) * (self.den // self.table.den)
 
     def value(self, site) -> Fraction:
         return Fraction(sum(self.numerators(site)), self.den)
@@ -260,19 +265,17 @@ class SiteObservable:
         Each numerator is scaled to ``den`` once; over one constant
         background c the deviation's values are c plus its least and greatest."""
         t = self.tail
-        nums, scale = t.table.nums, t.den // t.table.den
-        cells = {k: (bg.period, {r: v * (t.den // bg.cell.den) for r, v in bg.cell.nums.items()})
-                 for k, bg in t._distinct.items()}
+        nums, scale, cells = t.table.nums, t.den // t.table.den, t._cells
         values = [v for _, cell in cells.values() for v in cell.values()]
         if any(len(cell) < prod(period) for period, cell in cells.values()):
             values.append(0)
-        period, cell = cells[id(t.backgrounds[(1,) * self.dim])]
+        period, cell = cells[(1,) * self.dim]
         if t.uniform and prod(period) == 1 and nums:
             c = cell.get(origin(self.dim), 0)
             values += (c + min(nums.values()) * scale, c + max(nums.values()) * scale)
         else:
             for s, d in nums.items():
-                period, cell = cells[id(t.backgrounds[_signs(s)])]
+                period, cell = cells[_signs(s)]
                 values.append(cell.get(tuple(map(mod, s, period)), 0) + d * scale)
         return Fraction(min(values), t.den), Fraction(max(values), t.den)
 
@@ -397,24 +400,56 @@ def _periodic_box_sum(tails, box: Box) -> int:
     return total
 
 
+# the last (tails, corrections by site, corrections by sup-norm radius), the
+# tails held so that no other object takes their ids: m2_table and
+# implication_audit ask for one product at each radius of a schedule in turn
+_last_corrections: tuple = ((), {}, {})
+
+
 def _box_sum(observables, box: Box):
     """Exact sum over the box of the pointwise product of the observables.
 
     Each tail equals a periodic background on every orthant away from its
-    finitely many deviation sites, so the sum is a residue count per orthant
-    piece of the box plus a correction at the deviation sites inside it.
-    The sum runs on the numerators, each tail's over its ``den``, and
-    divides once at the end.
+    finitely many deviation sites, so the sum is the backgrounds' sum plus
+    a correction prod(b + d) - prod(b) at each deviation site in the box,
+    with b and d each tail's background and deviation numerators there.
+    The corrections are read once per tuple of tails, and a box centred at
+    the origin adds those of the radii up to its own.  The sum runs on the
+    numerators, each tail's over its ``den``, and divides once at the end.
     """
+    global _last_corrections
     tails = [o.tail for o in observables]
+    memo = _last_corrections  # read once: another thread may replace it meanwhile
+    if len(memo[0]) != len(tails) or any(map(is_not, memo[0], tails)):
+        reads = [(t._cells, t.table.nums, t.den // t.table.den) for t in tails]
+        corrections, by_radius = {}, {}
+        for s in {s for t in tails for s in t.table.nums}:
+            signs, with_d, without_d = _signs(s), 1, 1
+            for cells, nums, scale in reads:
+                period, cell = cells[signs]
+                b = cell.get(tuple(map(mod, s, period)), 0)
+                with_d, without_d = with_d * (b + nums.get(s, 0) * scale), without_d * b
+            corrections[s], r = with_d - without_d, max(map(abs, s))
+            by_radius[r] = by_radius.get(r, 0) + corrections[s]
+        memo = _last_corrections = (tuple(tails), corrections, by_radius)
+    _, corrections, by_radius = memo
+    r = box.hi[0]
+    if box.lo == (-r,) * box.dim and box.hi == (r,) * box.dim:
+        total = sum(c for radius, c in by_radius.items() if radius <= r)
+    else:
+        total = sum(c for s, c in corrections.items() if box.contains(s))
+    return Fraction(total + _background_sum(tails, box), prod(t.den for t in tails))
+
+
+def _background_sum(tails, box: Box) -> int:
+    """Sum over the box of the product of the tails' backgrounds, each over
+    its tail's ``den``: a residue count per orthant piece of the box, or over
+    the whole box at once when every tail has one background."""
     total = 0
-    for signs, part in _orthant_parts(box):
+    for signs, part in [((1,) * box.dim, box)] if all(t.uniform for t in tails) else _orthant_parts(box):
         backgrounds = [t.backgrounds[signs] for t in tails]
         total += _periodic_box_sum(backgrounds, part) * prod(t.den // bg.cell.den for t, bg in zip(tails, backgrounds))
-    for site in {s for t in tails for s in t.table.nums if box.contains(s)}:
-        parts = [t.numerators(site) for t in tails]
-        total += prod(b + d for b, d in parts) - prod(b for b, _ in parts)
-    return Fraction(total, prod(t.den for t in tails))
+    return total
 
 
 def product_average(observables, family: BoxFamily):
@@ -501,9 +536,8 @@ def _box_average_range(f: SiteObservable, r: int):
     den = tail.den * (2 * r + 1) ** f.dim  # of the box averages
     deviation = {s: v * (tail.den // tail.table.den) for s, v in tail.table.nums.items()}
     if tail.uniform:
-        bg = backgrounds[(1,) * f.dim]
-        period, scale = bg.period, tail.den // bg.cell.den
-        cell = {c: bg.numerator(c) * scale for c in itertools.product(*map(range, period))}
+        period, cell = tail._cells[(1,) * f.dim]
+        cell = {c: cell.get(c, 0) for c in itertools.product(*map(range, period))}
         for i, l in enumerate(period):
             counts = [_residue_count(k, l, -r, r) for k in range(l)]
             cell = {c: sum(n * cell[(*c[:i], (c[i] + k) % l, *c[i + 1 :])] for k, n in enumerate(counts)) for c in cell}
@@ -526,8 +560,7 @@ def _box_average_range(f: SiteObservable, r: int):
         if tail.uniform:
             total = cell[tuple(v % l for v, l in zip(c, period))]
         else:
-            parts = ((backgrounds[g], part) for g, part in _orthant_parts(Box.centered(c, r)))
-            total = sum(_periodic_box_sum([bg], part) * (tail.den // bg.cell.den) for bg, part in parts)
+            total = _background_sum([tail], Box.centered(c, r))
         grid = grids.get(tuple((v - r) // side for v in c))
         if grid:
             coords, prefix = grid

@@ -4,6 +4,8 @@ cell reduction, and site evolution."""
 import itertools
 import random
 import re
+import sys
+import threading
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -37,7 +39,7 @@ from bakerlattice import (
     sign_observable,
 )
 from bakerlattice import observables
-from conftest import random_periodic, random_site_observable, random_walk
+from conftest import random_localized, random_periodic, random_site_observable, random_walk
 
 TI = BoxFamily.translation_invariant
 CENTERED = BoxFamily.centered_only
@@ -683,6 +685,56 @@ def test_box_sums_match_direct_site_sum(dim, data):
     assert box_average_product(f, g, box) == sum(
         f.value(s) * g.value(s) for s in box.sites()
     ) / Fraction(box.size)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_centred_box_sums_asked_in_any_order_match_direct_site_sum(dim, data):
+    """A centred box takes a product's deviation corrections summed by radius,
+    computed once for the last tails asked: singles and pairs asked in a
+    random order, at random radii, must each still give the site sum."""
+    obs = data.draw(st.lists(summable_observables(dim), min_size=2, max_size=3))
+    radii = data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+    values = [{s: f.value(s) for s in Box.centered((0,) * dim, max(radii)).sites()} for f in obs]
+    queries = [(i, j, r) for i in range(len(obs)) for j in (None, *range(len(obs))) for r in radii]
+    for i, j, r in data.draw(st.permutations(queries)):
+        box = Box.centered((0,) * dim, r)
+        if j is None:
+            got, want = box_average(obs[i], box), sum(values[i][s] for s in box.sites())
+        else:
+            got, want = box_average_product(obs[i], obs[j], box), sum(values[i][s] * values[j][s] for s in box.sites())
+        assert got == want / Fraction(box.size)
+
+
+def test_centred_box_sums_from_concurrent_threads_match_one_thread():
+    """Threads asking for the box sums of different pairs share the memo of
+    the last pair's corrections: each sum must still be its own pair's."""
+    rng = random.Random(17)
+    pairs = [(random_localized(rng, 2), random_site_observable(rng, 2)) for _ in range(6)]
+    boxes = [Box.centered((0, 0), r) for r in range(7)]
+    expected = [[box_average_product(f, g, box) for box in boxes] for f, g in pairs]
+    wrong = []
+
+    def ask(seed):
+        draw = random.Random(seed)
+        for _ in range(10000):
+            i, r = draw.randrange(len(pairs)), draw.randrange(len(boxes))
+            if box_average_product(*pairs[i], boxes[r]) != expected[i][r]:
+                wrong.append((i, r))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def tail_values(t):
