@@ -13,10 +13,9 @@ every artifact embeds identify every input: identical inputs, identical bytes.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import itertools
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +34,15 @@ from .lattice import (
 from .presets import PRESETS, preset
 from .rational import ConfigError, check_keys, format_rational, parse_integer, parse_integers, parse_rational
 from .rational import write_csv, write_json
+
+# the interpreter's own SHA-256, so that no command loads OpenSSL
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # a build without builtin hashes
+        from hashlib import sha256
 
 MIXING_KINDS = ("M5", "M4", "M2", "M1")
 
@@ -182,7 +190,7 @@ def _objects(value, name: str) -> list:
 
 def _meta(config: dict, command: str) -> dict:
     """What every artifact embeds: the command, the hash of the merged config and the seed."""
-    digest = hashlib.sha256(json.dumps(config, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    digest = sha256(json.dumps(config, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     return {"command": command, "config_hash": digest[:16], "seed": config["seed"]}
 
 
@@ -474,7 +482,10 @@ def run(command: str, config: dict, out_dir, seed=None, plot=False) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # an existing file, or a path under one
+            raise ConfigError(f"--out: cannot create directory: {exc}") from exc
         config["seed"] = _get(config, "seed")
         code, summary, payload = _BODIES[command](config, walk, family, out, plot)
         write_json(out / f"{command.replace('-', '_')}.json", payload)
@@ -490,32 +501,91 @@ def _refuse(message: str) -> int:
     return 2
 
 
-class _Parser(argparse.ArgumentParser):
-    """A command line argparse refuses is a ConfigError, not a usage text."""
+_USAGE = f"""usage: bakerlattice [-h] [--config PATH] [--out DIR] [--seed INT] [--plot] command
 
-    def error(self, message):
-        raise ConfigError(message)
+Random-walk baker lattices: mixing estimators and torus diagnostics.
+
+commands: {', '.join(COMMANDS)}
+
+options:
+  --config PATH  JSON experiment config (default: the third-walk defaults)
+  --out DIR      output directory (default: artifacts)
+  --seed INT     override the config seed
+  --plot         also emit SVG plots
+  -h, --help     show this help and exit"""
+
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _is_flag(arg: str) -> bool:
+    """Whether ``arg`` is a flag rather than a value: it starts with a dash
+    and is not a lone dash, a negative number or text with a space in it,
+    the rule argparse kept."""
+    return arg[:1] == "-" and arg != "-" and " " not in arg and not _NEGATIVE_NUMBER.match(arg)
+
+
+def _read_argv(argv):
+    """(command, config, out, seed, plot) from the command line, or None for
+    -h/--help.  Each flag takes ``--flag value`` or ``--flag=value``, and
+    the last of a repeated flag wins.  Refusals are ConfigErrors worded as
+    argparse words them; a flag is spelled in full, and a bare ``--`` is an
+    unrecognized argument."""
+    command, config, out, seed, plot = None, None, Path("artifacts"), None, False
+    extras = []
+    args = iter(argv)
+    for arg in args:
+        if not _is_flag(arg):
+            if command is not None:
+                extras.append(arg)
+            elif arg not in COMMANDS:
+                raise ConfigError(f"argument command: invalid choice: {arg!r} (choose from {', '.join(COMMANDS)})")
+            else:
+                command = arg
+            continue
+        if arg in ("-h", "--help"):
+            return None
+        flag, eq, value = arg.partition("=")
+        if flag == "--plot":
+            if eq:
+                raise ConfigError(f"argument --plot: ignored explicit argument {value!r}")
+            plot = True
+        elif flag in ("--config", "--out", "--seed"):
+            if not eq:
+                value = next(args, None)
+                if value is None or _is_flag(value):
+                    raise ConfigError(f"argument {flag}: expected one argument")
+            if flag == "--seed":
+                try:
+                    seed = int(value)
+                except ValueError:
+                    raise ConfigError(f"argument --seed: invalid int value: {value!r}") from None
+            elif flag == "--config":
+                config = Path(value)
+            else:
+                out = Path(value)
+        else:
+            extras.append(arg)
+    if command is None:
+        raise ConfigError("the following arguments are required: command")
+    if extras:
+        raise ConfigError(f"unrecognized arguments: {' '.join(extras)}")
+    return command, config, out, seed, plot
 
 
 def main(argv=None) -> int:
-    parser = _Parser(
-        prog="bakerlattice",
-        description="Random-walk baker lattices: mixing estimators and torus diagnostics.",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", type=Path, default=None, help="JSON experiment config")
-    parser.add_argument("--out", type=Path, default=Path("artifacts"), help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--plot", action="store_true", help="also emit SVG plots")
     try:
-        opts = parser.parse_args(argv)
-        config = {} if opts.config is None else json.loads(Path(opts.config).read_text())
+        opts = _read_argv(sys.argv[1:] if argv is None else argv)
+        if opts is None:
+            print(_USAGE)
+            return 0
+        command, config_path, out, seed, plot = opts
+        config = {} if config_path is None else json.loads(config_path.read_text())
     except ConfigError as exc:
         return _refuse(str(exc))
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         return _refuse(f"cannot read config: {exc}")
     try:
-        return run(opts.command, config, opts.out, seed=opts.seed, plot=opts.plot)
+        return run(command, config, out, seed=seed, plot=plot)
     except Exception as exc:
         import traceback  # only a fault pays for the import
 

@@ -1,5 +1,6 @@
 """Command line front end: exit codes, artifacts, determinism."""
 
+import argparse
 import contextlib
 import copy
 import filecmp
@@ -1080,13 +1081,123 @@ def test_main_rejects_a_config_file_that_is_not_utf8(tmp_path, capsys):
         (["audit", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
         (["audit", "--budget", "5"], "unrecognized arguments: --budget 5"),
         (["fourier-decay", "--grid", "64"], "unrecognized arguments: --grid 64"),
+        # --out is a flag, not the value of --seed
+        (["audit", "--seed"], "argument --seed: expected one argument"),
+        ([], "the following arguments are required: command"),
     ],
 )
 def test_refused_command_line_is_one_json_line(tmp_path, capsys, argv, message):
-    # argparse's refusals keep the exit-2 contract: no usage text, one JSON line
+    # a refused command line keeps the exit-2 contract: no usage text, one JSON line
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2
     assert message in one_error_line(capsys)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_an_out_that_cannot_be_a_directory_exit_2(tmp_path, capsys, out):
+    # both once ended in exit 3, with a FileExistsError or NotADirectoryError
+    # traceback from the mkdir
+    (tmp_path / "file").write_text("kept")
+    assert main(["span-check", "--out", str(tmp_path / out)]) == 2
+    assert one_error_line(capsys).startswith("--out: cannot create directory: ")
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+def argparse_reader(argv):
+    """The argparse parser the command line was once read with, as the oracle
+    of ``cli._read_argv``: the same tuple, or a ConfigError."""
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise cli.ConfigError(message)
+
+    parser = Parser(prog="bakerlattice")
+    parser.add_argument("command", choices=cli.COMMANDS)
+    parser.add_argument("--config", type=Path, default=None)
+    parser.add_argument("--out", type=Path, default=Path("artifacts"))
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--plot", action="store_true")
+    opts = parser.parse_args(argv)
+    return opts.command, opts.config, opts.out, opts.seed, opts.plot
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit"],
+        ["--out", "o", "--config", "c.json", "--seed", "3", "correlate"],
+        ["--plot", "span-check", "--out", "o"],
+        ["audit", "--out=o", "--config=c.json", "--seed=7"],
+        ["audit", "--out=a=b", "--config", "x=y"],
+        ["audit", "--seed", "-5"],
+        ["audit", "--seed=-5", "--out", "-"],
+        ["audit", "--out", "-a b"],
+        ["audit", "--seed", "1", "--out", "a", "--seed", "2", "--out", "b"],
+        ["audit", "--config", "a.json", "--config=b.json"],
+        ["audit", "--plot", "--seed", "4", "--plot"],
+        ["--seed", "+8", "audit", "--plot"],
+    ],
+)
+def test_the_reader_reads_what_argparse_read(argv):
+    assert cli._read_argv(argv) == argparse_reader(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--plot"],
+        ["frobnicate"],
+        ["-5"],
+        ["audit", "correlate"],
+        ["audit", "--seed", "x"],
+        ["audit", "--seed", "1.5"],
+        ["audit", "--seed"],
+        ["audit", "--seed", "--out", "x"],
+        ["audit", "--out", "--help"],
+        ["audit", "--config", "-x"],
+        ["audit", "--budget", "5"],
+        ["audit", "--budget=5"],
+        ["audit", "-x"],
+        ["audit", "--plot=yes"],
+        ["--seed", "x", "frobnicate"],
+        ["--budget", "frobnicate"],
+    ],
+)
+def test_the_reader_refuses_what_argparse_refused(capsys, argv):
+    with pytest.raises(cli.ConfigError) as refused:
+        argparse_reader(argv)
+    assert main(argv) == 2
+    # the same words, up to how the list of choices is quoted
+    message = one_error_line(capsys)
+    assert message.partition(" (choose from")[0] == str(refused.value).partition(" (choose from")[0]
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [(["audit", "--conf", "c.json"], "--conf c.json"), (["audit", "--"], "--"), (["--", "audit"], "--")],
+)
+def test_abbreviated_flags_and_a_bare_double_dash_are_refused(capsys, argv, extra):
+    # argparse took --conf for --config and -- as the end of the flags; the
+    # reader takes each flag as spelled in full only
+    argparse_reader(argv)
+    assert main(argv) == 2
+    assert one_error_line(capsys) == f"unrecognized arguments: {extra}"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["audit", "--seed", "3", "--help", "--budget"], ["--budget", "-h"]])
+def test_help_prints_the_usage_and_returns_0(tmp_path, capsys, monkeypatch, argv):
+    # argparse printed its help and raised SystemExit(0); main returns 0
+    # without reading the rest of the command line, and runs nothing
+    with pytest.raises(SystemExit):
+        argparse_reader(argv)
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: bakerlattice ") and err == ""
+    assert all(command in out for command in cli.COMMANDS)
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

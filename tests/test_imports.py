@@ -130,6 +130,32 @@ def test_exact_commands_leave_dataclasses_unloaded(tmp_path, command, config):
     assert proc.stdout.splitlines()[-2:] == ["0", "False"]
 
 
+# prints which of OpenSSL's _hashlib, argparse and the gettext and locale it
+# imports are loaded: the config hash is the interpreter's builtin SHA-256,
+# and cli reads the command line itself
+STARTUP = "import sys\nprint(sorted({'_hashlib', 'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+
+
+@pytest.mark.parametrize("command, config", [*EXACT_COMMANDS, ("fourier-decay", None)])
+def test_commands_load_neither_openssl_nor_argparse(tmp_path, command, config):
+    proc = fresh_python(f"{command_statement(tmp_path, command, config)}\n{STARTUP}", tmp_path)
+    assert proc.stdout.splitlines()[-2:] == ["0", "[]"]
+
+
+def test_the_config_hash_falls_back_to_hashlib(tmp_path):
+    # a build without the builtin hash modules hashes through hashlib, to the same digest
+    proc = fresh_python(
+        "import json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from bakerlattice import cli\n"
+        "import hashlib\n"
+        "assert cli.main(['span-check', '--out', 'out']) == 0\n"
+        "print(cli.sha256 is hashlib.sha256, json.load(open('out/span_check.json'))['config_hash'])\n",
+        tmp_path,
+    )
+    assert proc.stdout.splitlines()[-1] == "True 482dd339c6505bf2"
+
+
 # prints whether difflib is loaded: the config key check imports it only to
 # name the known key nearest a refused one
 DIFFLIB = "import sys\nprint('difflib' in sys.modules)\n"
