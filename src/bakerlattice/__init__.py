@@ -38,7 +38,6 @@ _EXPORTS = {
         "step",
     ),
     "observables": (
-        "NON_CONVERGENT",
         "AverageEstimate",
         "Box",
         "CellObservable",

@@ -287,11 +287,11 @@ def _cmd_mixing_report(config, walk, family, out_dir, plot):
         averages.append(
             {
                 "observable": i,
-                "value": "NonConvergent" if est.non_convergent else est.value,
+                "value": "NonConvergent" if est.value is None else est.value,
                 "uniformity_defect": est.uniformity_defect,
             }
         )
-        if est.non_convergent:
+        if est.value is None:
             continue
         if "M5" in kinds:
             reports[f"m5_{i}"] = mixing.m5_report(F, n_list, family, metadata={**meta, "observable": i})

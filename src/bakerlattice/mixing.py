@@ -27,7 +27,6 @@ from numbers import Rational
 
 from .lattice import WalkDistribution, origin
 from .observables import (
-    NON_CONVERGENT,
     Box,
     BoxFamily,
     CellObservable,
@@ -149,7 +148,7 @@ def _pair(ev: SiteObservable, terms):
 
 def m1_computable(F: Evolution, G: Evolution) -> bool:
     """M1's rules: F is periodic and G has an exact translation-invariant average."""
-    return F.site.tail.box is None and G.average(BoxFamily.translation_invariant(G.site.dim)) is not NON_CONVERGENT
+    return F.site.tail.box is None and G.average(BoxFamily.translation_invariant(G.site.dim)) is not None
 
 
 def itinerary_oracle(F, Q: Strip, p: WalkDistribution, n: int):
@@ -205,7 +204,7 @@ class CorrelationReport:
     eps_scan: dict = field(default_factory=dict)
 
     def deviations(self) -> dict:
-        if self.target is None or self.target is NON_CONVERGENT:
+        if self.target is None:
             return {}
         return {k: abs(v - self.target) for k, v in self.series.items()}
 
@@ -213,7 +212,7 @@ class CorrelationReport:
         return to_jsonable(
             {
                 "kind": self.kind,
-                "target": None if self.target is NON_CONVERGENT else self.target,
+                "target": self.target,
                 "series": dict(sorted(self.series.items())),
                 "gap_series": dict(sorted(self.gap_series.items())),
                 "eps_scan": self.eps_scan,
@@ -237,11 +236,7 @@ class CorrelationReport:
 
 
 def _cell(value):
-    if value is None:
-        return ""
-    if value is NON_CONVERGENT:
-        return "NonConvergent"
-    return format_rational(value)
+    return "" if value is None else format_rational(value)
 
 
 def m5_report(
@@ -255,7 +250,7 @@ def m5_report(
     if family is None:
         family = BoxFamily.translation_invariant(F.site.dim)
     av = F.average(family)
-    if av is NON_CONVERGENT:
+    if av is None:
         raise ValueError("M5 gap needs an observable with an analytic average")
     series = {n: F.at(n, F.depth).sup_deviation(av) for n in n_list}
     return CorrelationReport(
@@ -282,11 +277,11 @@ def m4_report(
     if family is None:
         family = BoxFamily.translation_invariant(F.site.dim)
     av = F.average(family)
-    target = None if av is NON_CONVERGENT else av * g.mass()
+    target = None if av is None else av * g.mass()
     evs = {n: F.at(n, 0) for n in n_list}
     series = {n: _pair(ev, g.terms) for n, ev in evs.items()}
     gaps = {}
-    if av is not NON_CONVERGENT:
+    if av is not None:
         gaps = {n: ev.sup_deviation(av) * g.abs_mass() for n, ev in evs.items()}
     return CorrelationReport("M4", series, target, gap_series=gaps, metadata=metadata or {})
 
@@ -316,8 +311,7 @@ def m2_table(
     if family is None:
         family = BoxFamily.translation_invariant(dim)
     av_f, av_g = F.average(family), G.average(family)
-    have_target = av_f is not NON_CONVERGENT and av_g is not NON_CONVERGENT
-    target = av_f * av_g if have_target else NON_CONVERGENT
+    target = None if av_f is None or av_g is None else av_f * av_g
     series = {}
     for n in sorted(n_list):
         shifted, ev = F.at(n, G.depth), F.at(n, 0)  # the pair's offset is refused first
@@ -325,7 +319,7 @@ def m2_table(
             box = Box.centered(origin(dim), r)
             series[(n, r)] = box_average_product(ev, G.base, box) + _pair(shifted, G.images_in(box)) / box.size
     scan = {}
-    if have_target:
+    if target is not None:
         volumes = {(2 * r + 1) ** dim for _, r in series}
         thresholds = sorted({n for n, _ in series} | volumes)
         for eps in eps_schedule:
@@ -395,9 +389,11 @@ def _slope(xs, ys) -> float:
 def rate_profile(series, target=Fraction(0)) -> RateFit:
     """Fit decay rates to a series n -> value against its target.
 
-    Accepts a plain mapping or a CorrelationReport (whose own target is then
-    used).  Values equal to the target are treated as floor; a series with
-    fewer than two points off the floor gets the floor flag instead of rates.
+    Accepts a plain mapping or a CorrelationReport, whose own target is then
+    used; a report without one (an observable with no average) is refused
+    with a ValueError rather than fitted against a default.  Values equal to
+    the target are treated as floor; a series with fewer than two points off
+    the floor gets the floor flag instead of rates.
     The power law fits against log n, so only on the points with n >= 1; it
     is None when fewer than two of them remain.
     Values must be exact (ints or Fractions): a float raises TypeError
@@ -406,7 +402,9 @@ def rate_profile(series, target=Fraction(0)) -> RateFit:
     if isinstance(series, CorrelationReport):
         if series.kind == "M2":
             raise ValueError("rate fitting needs a single-index series, not an M2 matrix")
-        target = series.target if series.target is not None else target
+        if series.target is None:
+            raise ValueError(f"the {series.kind} report has no target: its observable has no average under the family")
+        target = series.target
         series = series.series
     if len(series) < 4:
         raise ValueError("rate fitting needs at least 4 points")
@@ -516,7 +514,9 @@ def implication_audit(
     last term is gap(n) |d| + gap(n - m_G) * (their mass in |G - d|) / |V|.
     All comparisons are exact for rational inputs.  The rows audit the
     reports' own numbers: the deviations and bounds of ``m4_report`` and the
-    deviations of ``m2_table``.
+    deviations of ``m2_table``.  Only the globals with an average under the
+    family are audited, and a suite with none, which would check nothing,
+    is refused with a ConfigError.
     """
     dim = evolutions[0].p.dim
     if family is None:
@@ -525,7 +525,9 @@ def implication_audit(
     r_list = sorted(int(r) for r in r_list)
     boxes = {r: Box.centered(origin(dim), r) for r in r_list}
     averages = [G.average(family) for G in evolutions]
-    convergent = [i for i, av in enumerate(averages) if av is not NON_CONVERGENT]
+    convergent = [i for i, av in enumerate(averages) if av is not None]
+    if not convergent:
+        raise ConfigError(f"audit needs a global observable with an average under the {family.kind} family, and none has one")
     # mu_V(G), mu_V(|base of G|) and the images' mass in |G| / |V| depend on neither F nor n;
     # each observable takes every radius in turn, so its box sums share one pass
     means = {}

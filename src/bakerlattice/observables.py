@@ -34,22 +34,6 @@ from .phase import PartitionTable, PhasePoint
 from .rational import check_keys, format_rational, parse_integer, parse_integers, parse_rational, record
 
 
-class Sentinel:
-    """Named marker for a limit that has no value; compare with ``is``."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __repr__(self):
-        return self.name
-
-
-# the infinite-volume average does not exist for this family
-NON_CONVERGENT = Sentinel("NonConvergent")
-
-
 # ---------------------------------------------------------------------------
 # boxes
 
@@ -284,8 +268,8 @@ class SiteObservable:
         return max(-lo, hi)
 
     def analytic_average(self, family: BoxFamily):
-        """Exact infinite-volume average, or NON_CONVERGENT when the family's
-        box averages have no common limit."""
+        """Exact infinite-volume average, or None when the family's box
+        averages have no common limit."""
         return _family_average(self.means, family)
 
     def sup_deviation(self, center):
@@ -453,7 +437,7 @@ def _background_sum(tails, box: Box) -> int:
 
 
 def product_average(observables, family: BoxFamily):
-    """Exact infinite-volume average of the pointwise product, or NON_CONVERGENT."""
+    """Exact infinite-volume average of the pointwise product, or None."""
     return _family_average(_orthant_means(observables), family)
 
 
@@ -479,7 +463,7 @@ def _family_average(means, family: BoxFamily):
     if all(m == means[0] for m in means):
         return means[0]
     if family.translation_invariant_p:
-        return NON_CONVERGENT
+        return None
     return sum(means) / Fraction(len(means))
 
 
@@ -501,7 +485,7 @@ def box_average_product(f: SiteObservable, g: SiteObservable, box: Box):
 class AverageEstimate:
     """Result of an infinite-volume average computation.
 
-    ``value`` is the exact limit for the chosen family, or NON_CONVERGENT.
+    ``value`` is the exact limit for the chosen family, or None.
     ``uniformity_defect`` is exact too: at the largest radius, the sup over
     every center of the family (the origin alone for the centered family)
     of |box average - value|; when the limit does not exist it is the
@@ -511,7 +495,6 @@ class AverageEstimate:
 
     value: object
     uniformity_defect: object
-    non_convergent: bool = False
 
 
 def _box_average_range(f: SiteObservable, r: int):
@@ -623,8 +606,8 @@ def estimate_average(f: SiteObservable, family: BoxFamily, radii) -> AverageEsti
         samples = _box_average_range(f, r_max)
     else:
         samples = [box_average(f, Box.centered(origin(f.dim), r_max))]
-    if value is NON_CONVERGENT:
-        return AverageEstimate(value, max(samples) - min(samples), non_convergent=True)
+    if value is None:
+        return AverageEstimate(None, max(samples) - min(samples))
     return AverageEstimate(value, max(abs(s - value) for s in samples))
 
 

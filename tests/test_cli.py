@@ -18,7 +18,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from bakerlattice import cli, evolve_site, mixing, observables
+from bakerlattice import BoxFamily, cli, evolve_site, mixing, observables
 from bakerlattice.cli import main, run
 from bakerlattice.embedding import nowak_constant
 from bakerlattice.observables import SiteObservable
@@ -625,6 +625,33 @@ def test_m1_pairs_without_an_exact_average_are_skipped(tmp_path, capsys):
     assert read_json(tmp_path / "o" / "mixing_report.json")["artifacts"] == ["m1_0_0.csv", "m1_0_0.json"]
 
 
+def test_a_missing_target_is_one_empty_cell_and_one_null_across_commands(tmp_path, capsys):
+    # the sign has no translation-invariant average, so no report pairing it
+    # has a target; the M2 CSV once wrote "NonConvergent" where M4 left it empty
+    config = {"observables": [{"kind": "sign1d"}, PERIODIC], "mixing_kinds": ["M5", "M4", "M2", "M1"],
+              "schedules": {"n_list": [1, 2], "r_list": [1, 2], "radii": [4]}}
+    without = []
+    for command in ("correlate", "mixing-report"):
+        out = tmp_path / command
+        assert run(command, config, out) == 0
+        for name in read_json(out / f"{command.replace('-', '_')}.json")["artifacts"]:
+            if not name.endswith(".csv"):
+                continue
+            stem, rows = name[:-4], [l.split(",") for l in (out / name).read_text().splitlines()[1:]]
+            if "target" not in rows[0]:
+                continue
+            cells = {row[rows[0].index("target")] for row in rows[1:]}
+            target = read_json(out / f"{stem}.json")["target"]
+            if target is None:
+                assert cells == {""}, stem
+                without.append(stem)
+            else:
+                assert "" not in cells, stem
+    # mixing-report writes no M5 or M4 report of an observable without an average
+    assert sorted(without) == ["correlate_0_0", "m2_0_0", "m2_0_1"]
+    assert read_json(tmp_path / "mixing-report" / "mixing_report.json")["averages"][0]["value"] == "NonConvergent"
+
+
 def test_m1_report_errors_are_not_swallowed(tmp_path, capsys, monkeypatch):
     # a fault inside a layer escapes as itself, not relabelled as a refused config
     def failing(*args, **kwargs):
@@ -756,6 +783,19 @@ def test_audit_command(tmp_path, capsys):
     )
     assert header == "n,r,term1,term2,term3,bound,measured"
     assert read_json(out / "audit.json")["ok"] is True
+
+
+def test_audit_with_no_average_under_the_family_exit_2_writing_nothing(tmp_path, capsys):
+    # the sign has no translation-invariant average, so nothing is left to
+    # audit; this once exited 0 with ok=True and a header-only audit.csv
+    config = {"observables": [{"kind": "sign1d"}]}
+    message = refused(tmp_path, capsys, "audit", config)
+    assert message == "audit needs a global observable with an average under the translationInvariant family, and none has one"
+    assert list((tmp_path / "o").iterdir()) == []
+    # beside one with an average, the sign is skipped, as before
+    out = tmp_path / "both"
+    assert run("audit", {"observables": [{"kind": "sign1d"}, PERIODIC]}, out) == 0
+    assert {row["observable"] for row in read_json(out / "audit.json")["m4"]} == {1}
 
 
 AUDIT_2D = {
@@ -1215,9 +1255,10 @@ def subset(draw, items: dict) -> dict:
 
 @st.composite
 def accepted_configs(draw):
-    """A config that correlate, mixing-report and audit all accept, over each
-    form a key takes: a preset or a written walk, every observable kind, a
-    box given as {lo, hi} or by center and radius, optional keys left out."""
+    """A config that correlate and mixing-report accept, and audit too when
+    some observable has an average under the family, over each form a key
+    takes: a preset or a written walk, every observable kind, a box given as
+    {lo, hi} or by center and radius, optional keys left out."""
     name = draw(st.sampled_from(sorted(PRESETS)))
     walk = PRESETS[name]()
     dim = walk.dim
@@ -1346,13 +1387,27 @@ def plant_malformed(config: dict, data) -> dict:
     return planted
 
 
+def has_an_average(config) -> bool:
+    """Whether some observable of the config has an average under its family."""
+    config = cli._merged(config)
+    walk = cli._walk_from_config(config["walk"])
+    family = BoxFamily(walk.dim, config["family"])
+    return any(F.average(family) is not None for F in cli._observables_from_config(config, walk))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.sampled_from(["correlate", "mixing-report", "audit"]), accepted_configs(), st.data())
 def test_fuzzed_configs_end_in_an_exit_code(command, config, data):
     code, lines, written = run_quietly(command, config)
-    # each audit row is a triangle inequality: exit 1 there could only mean a wrong bound
-    assert code in ((0,) if command == "audit" else (0, 1)), lines
-    assert f"{command.replace('-', '_')}.json" in written
+    if command == "audit" and not has_an_average(config):
+        # nothing to audit: refused in one JSON line, with nothing written
+        assert code == 2 and len(lines) == 1 and not written
+        assert json.loads(lines[0])["error"]["message"].startswith("audit needs a global observable with an average")
+        event("audit: no average")
+    else:
+        # each audit row is a triangle inequality: exit 1 there could only mean a wrong bound
+        assert code in ((0,) if command == "audit" else (0, 1)), lines
+        assert f"{command.replace('-', '_')}.json" in written
     # a malformed value or key anywhere ends in an exit code too, and a refusal in one JSON line
     code, lines, written = run_quietly(command, plant_malformed(config, data))
     assert code in ((0, 2) if command == "audit" else (0, 1, 2))

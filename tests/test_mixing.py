@@ -31,6 +31,7 @@ from bakerlattice import (
     sign_observable,
 )
 from bakerlattice import mixing
+from bakerlattice.rational import ConfigError
 from conftest import random_site_observable, random_strip, random_walk
 
 TI = BoxFamily.translation_invariant
@@ -421,6 +422,17 @@ def test_rate_profile_accepts_report(third, parity):
     assert fit.exponential_rate == pytest.approx(1.0986122886681098, abs=1e-6)
 
 
+def test_rate_profile_refuses_a_report_without_a_target(third):
+    # the sign has no translation-invariant average, so its M4 report has no
+    # target; rate_profile once fitted it against the default target 0
+    rep = m4_report(Evolution(sign_observable(), third), LocalObservable.unit_square((0,)), range(1, 10))
+    assert rep.target is None
+    with pytest.raises(ValueError, match="the M4 report has no target"):
+        rate_profile(rep)
+    # a plain mapping keeps its explicit target
+    assert rate_profile(rep.series, Fraction(0)).points_used == 9
+
+
 # ---------------------------------------------------------------------------
 # implication audit
 
@@ -464,6 +476,19 @@ def test_audit_zero_mean_locals_flag_m3(third, parity):
     record = implication_audit([Evolution(parity, third)], [g], [1, 2], [2], TI(1))
     assert all(row.zero_mean for row in record.m4_rows)
     assert record.ok
+
+
+def test_audit_skips_a_global_without_an_average_and_refuses_a_suite_of_them(third, parity):
+    g = LocalObservable.unit_square((0,))
+    sign, P = Evolution(sign_observable(), third), Evolution(parity, third)
+    record = implication_audit([sign, P], [g], [1, 2], [2], TI(1))
+    assert {row.observable for row in record.m4_rows} == {1}
+    assert {(row.observable, row.other) for row in record.m2_rows} == {(1, 1)}
+    with pytest.raises(ConfigError, match="under the translationInvariant family"):
+        implication_audit([sign], [g], [1, 2], [2], TI(1))
+    # an average of exactly 0 is an average
+    assert parity.analytic_average(TI(1)) == 0
+    assert implication_audit([P], [g], [1, 2], [2], TI(1)).m2_rows
 
 
 def test_audit_and_m4_report_evolve_each_pair_once(monkeypatch, third, parity):
