@@ -11,6 +11,7 @@ against which all correlation formulas are checked.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 
 from .lattice import Site, WalkDistribution, convolution_power
@@ -261,16 +262,21 @@ def simulate_walk(
     ``STREAMS`` PCG64 child generators spawned from the seed and merged by
     summation, so the result is reproducible and order-independent.
     """
+    if n < 0:
+        raise ValueError("depth must be nonnegative")
     if samples < 1:
         raise ValueError("need at least one sample")
     import numpy as np
 
     table = PartitionTable.from_walk(p)
     bounds = np.array([float(q) for q in table.cumulative])
+    inner = bounds[1:-1].tolist()
     widths = np.array([float(table.cell_weight(k)) for k in range(table.size)])
-    steps_arr = np.array([table.cell_step(k) for k in range(table.size)], dtype=np.int64)
+    steps = [table.cell_step(k) for k in range(table.size)]
+    axis_steps = [np.array(axis, dtype=np.int64) for axis in zip(*steps)]
+    top = np.nextafter(1.0, 0.0)
 
-    counts: dict = {}
+    counts = Counter()
     children = np.random.SeedSequence(seed).spawn(STREAMS)
     base, extra = divmod(samples, STREAMS)
     for i, child in enumerate(children):
@@ -279,27 +285,22 @@ def simulate_walk(
             continue
         rng = np.random.default_rng(child)
         y1 = rng.random(m)
-        pos = np.zeros((m, p.dim), dtype=np.int64)
+        pos = [np.zeros(m, dtype=np.int64) for _ in range(p.dim)]
         for _ in range(n):
-            k = np.searchsorted(bounds, y1, side="right") - 1
-            k = np.minimum(k, table.size - 1)
-            pos += steps_arr[k]
+            k = _cells(y1, inner)
+            for x, s in zip(pos, axis_steps):
+                x += s[k]
             y1 = (y1 - bounds[k] + rng.random(m) * 2.0**-53) / widths[k]
-            y1 = np.clip(y1, 0.0, np.nextafter(1.0, 0.0))
-        for site, c in zip(*_site_counts(pos)):
-            key = tuple(site)
-            counts[key] = counts.get(key, 0) + c
-    return SiteHistogram(p, n, samples, seed, counts)
+            y1 = np.clip(y1, 0.0, top)
+        counts.update(zip(*(x.tolist() for x in pos)))
+    return SiteHistogram(p, n, samples, seed, {site: counts[site] for site in sorted(counts)})
 
 
-def _site_counts(pos) -> tuple[list, list]:
-    """Distinct rows of an (m, d) integer array in lexicographic order, with counts.
+def _cells(y1, inner):
+    """Cell index of each y1 in [0, 1): how many of the inner bounds q_1 .. q_{N-1} it reaches.
 
-    One lexsort (column 0 primary) and a run-length pass over the sorted
-    rows; the same rows and order as ``np.unique(pos, axis=0)``.
+    For the sorted bounds of a partition table this is
+    ``searchsorted(bounds, y1, "right") - 1``, and it never exceeds N - 1,
+    also where float bounds meet.
     """
-    import numpy as np
-
-    rows = pos[np.lexsort(pos.T[::-1])]
-    starts = np.flatnonzero(np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1))))
-    return rows[starts].tolist(), np.diff(starts, append=len(rows)).tolist()
+    return sum(y1 >= q for q in inner)

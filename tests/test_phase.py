@@ -1,5 +1,6 @@
 """Point dynamics, exact strip pushforward, and the Monte Carlo walk law."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -15,11 +16,12 @@ from bakerlattice import (
     WalkDistribution,
     convolution_power,
     inverse_step,
+    preset,
     push_strip,
     simulate_walk,
     step,
 )
-from bakerlattice.phase import _site_counts, cylinder_interval
+from bakerlattice.phase import _cells, cylinder_interval
 from conftest import random_strip, random_walk
 
 
@@ -196,17 +198,105 @@ def test_simulate_2d_sites(lazy2d):
     assert sum(hist.counts.values()) == 5000
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_site_counts_equal_unique_rows(dim):
+DYADIC = WalkDistribution.from_weights(1, {-1: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)})
+# the float bounds of this walk meet at 1.0: its second cell is empty in binary64
+TINY = WalkDistribution.from_weights(1, {-1: 1 - Fraction(1, 2**60), 1: Fraction(1, 2**60)})
+LAZY_3D = WalkDistribution.from_weights(
+    3,
+    {s: Fraction(1, 7) for s in [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]},
+)
+PIN_WALKS = {
+    "third-walk": preset("third-walk"),
+    "drifted-1d": preset("drifted-1d"),
+    "lazy-2d": preset("lazy-2d"),
+    "lazy-3d": LAZY_3D,
+    "dyadic": DYADIC,
+    "tiny": TINY,
+}
+
+
+def _counts_digest(counts: dict) -> str:
+    return hashlib.sha256(repr(sorted(counts.items())).encode()).hexdigest()
+
+
+# sha256 of the sorted (site, count) pairs; a histogram is a function of
+# (walk, n, samples, seed) and STREAMS, and any change to the draws, the
+# float recurrence of y1 or the cell rule moves it
+@pytest.mark.parametrize(
+    "walk, n, samples, seed, digest",
+    [
+        # the simulate shapes of the law-diagnostics benchmark
+        ("lazy-2d", 16, 50000, 1, "d9f1cfaa8bef6809fa137b1188b4b13ea93007629e576e89b9f343905113bcfd"),
+        ("dyadic", 120, 20000, 1, "07349dfbb5cb7f367b8d9500cc3ad198f43559921187b63e0a7b1274e4b5cebb"),
+        # the 3-d 7-step lazy walk on simulate's defaults (4 steps, 10^5 samples, seed 0)
+        ("lazy-3d", 4, 100000, 0, "5f00fbca98bf24b2dfb614d7ce9921f110e21522999f02da792e11048ff736fc"),
+        # samples not a multiple of STREAMS: the first streams take one more
+        ("lazy-3d", 7, 10003, 4, "14ad664baee2ace55c0b77508748a357372ffcd1006245f77f8aef1f37381a2d"),
+        ("drifted-1d", 9, 10003, 2, "3ed94f1a15fc809b15c9857c1844318967e392973ef8b43f2f36e5814b5c0b86"),
+        ("third-walk", 40, 10003, 5, "8e452a18b338f3ec47a0a014e766507233d7316c959af267fd6d4d6bb923e53e"),
+        ("tiny", 40, 2000, 3, "52fdf51503d44091b35dc1b444358f0d9d5800bee71a6aa4f4715a80f5938c15"),
+    ],
+)
+def test_simulate_histograms_are_pinned(walk, n, samples, seed, digest):
+    assert _counts_digest(simulate_walk(PIN_WALKS[walk], n, samples, seed).counts) == digest
+
+
+@pytest.mark.parametrize(
+    "walk, n, samples, seed, counts",
+    [
+        # fewer samples than STREAMS: the last streams draw nothing
+        ("third-walk", 3, 5, 7, {(-1,): 1, (0,): 1, (2,): 2, (3,): 1}),
+        ("lazy-2d", 9, 7, 8, {(-2, -2): 2, (-1, 0): 1, (0, -2): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}),
+        ("drifted-1d", 3, 5, 9, {(-1,): 1, (1,): 2, (3,): 2}),
+        ("tiny", 40, 7, 3, {(-40,): 7}),
+        (
+            "lazy-3d", 3, 13, 6,
+            {(-2, 0, -1): 1, (-1, -1, 1): 1, (0, 0, -1): 2, (0, 0, 0): 1, (0, 1, -1): 1, (0, 1, 2): 1,
+             (0, 2, -1): 1, (1, -1, 1): 2, (1, 0, 0): 2, (1, 0, 2): 1},
+        ),
+        ("lazy-2d", 0, 7, 1, {(0, 0): 7}),
+        ("dyadic", 0, 10003, 1, {(0,): 10003}),
+    ],
+)
+def test_simulate_small_histograms_are_pinned(walk, n, samples, seed, counts):
+    assert simulate_walk(PIN_WALKS[walk], n, samples, seed).counts == counts
+
+
+def test_simulate_rejects_negative_steps(third):
+    with pytest.raises(ValueError, match="nonnegative"):
+        simulate_walk(third, -3, 10, seed=0)
+
+
+# float bounds [0, 0, 1/2, 1/2, 1]: 2^-1100 underflows to 0.0 and 1/2 + 2^-60 rounds to 1/2
+COLLIDING = WalkDistribution.from_weights(
+    1,
+    {
+        -1: Fraction(1, 2**1100),
+        0: Fraction(1, 2) - Fraction(1, 2**1100),
+        1: Fraction(1, 2**60),
+        2: Fraction(1, 2) - Fraction(1, 2**60),
+    },
+)
+
+
+@pytest.mark.parametrize("walk", [COLLIDING, TINY, DYADIC, LAZY_3D, preset("third-walk"), preset("lazy-2d")])
+def test_cells_equal_searchsorted_at_every_float_bound(walk):
     import numpy as np
 
-    rng = np.random.default_rng(dim)
-    near = [rng.integers(-4, 5, size=(m, dim)) for m in (1, 2, 7, 5000)]
-    # coordinates across the whole int64 range, each row repeated
-    far = np.repeat(rng.integers(-(2**63), 2**63 - 1, size=(50, dim)), 3, axis=0)
-    for pos in [*near, far]:
-        sites, counts = np.unique(pos, axis=0, return_counts=True)
-        assert _site_counts(pos) == (sites.tolist(), counts.tolist())
+    bounds = np.array([float(q) for q in PartitionTable.from_walk(walk).cumulative])
+    near = [np.nextafter(bounds, 0.0), bounds, np.nextafter(bounds, 1.0), [0.0, np.nextafter(1.0, 0.0)]]
+    y = np.concatenate(near)
+    y = y[(y >= 0.0) & (y < 1.0)]
+    expected = np.searchsorted(bounds, y, side="right") - 1
+    k = _cells(y, bounds[1:-1].tolist())
+    assert k.dtype == np.intp and k.tolist() == expected.tolist()
+    assert k.max() <= walk.size - 1
+
+
+def test_colliding_walks_have_colliding_float_bounds():
+    for walk, equal in [(COLLIDING, [0.0, 0.5]), (TINY, [1.0])]:
+        bounds = [float(q) for q in PartitionTable.from_walk(walk).cumulative]
+        assert [a for a, b in zip(bounds, bounds[1:]) if a == b] == equal
 
 
 def test_histogram_csv(tmp_path, third):
