@@ -12,7 +12,7 @@ torus side by a unimodular multiplier whose gradient at 0 is at most 1/(2n).
 from bakerlattice import (
     FourierConfig,
     defect_signal,
-    drift_removed_char,
+    drift_removal,
     nowak_constant,
     preset,
 )
@@ -48,6 +48,6 @@ print()
 drifted = preset("drifted-1d")
 print("Drift removal for the biased walk (v = 1/3):")
 for n in (3, 10, 100):
-    _, removal = drift_removed_char(drifted, n, 256)
+    removal = drift_removal(drifted, n)
     print(f"  n={n:>3}: delta = {removal.delta[0]:>2},"
           f" |gradient at 0| = {removal.gradient_at_zero[0]} <= 1/(2n) = {removal.gradient_bound}")

@@ -81,7 +81,7 @@ _EXPORTS = {
         "box_signal",
         "char_function",
         "defect_signal",
-        "drift_removed_char",
+        "drift_removal",
         "periodic_pairing",
         "smallest_grid",
     ),

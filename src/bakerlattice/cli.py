@@ -100,7 +100,8 @@ def _merged(config) -> dict:
 
 def _get(config: dict, name: str):
     """The value of key ``name`` (``schedules.<key>`` for a schedule) of the
-    merged config: parsed and at least its least value, or its default."""
+    merged config: parsed, at least its least value and, for a list, with
+    no entry repeated; or its default."""
     default, parse, least = _KEYS[name]
     head, _, key = name.rpartition(".")
     level = config[head] if head else config
@@ -110,6 +111,8 @@ def _get(config: dict, name: str):
     if parse is None:
         return value
     value = _parsed(parse, value, name)
+    if isinstance(value, list) and len(set(value)) < len(value):
+        raise ConfigError(f"{name} repeats an entry, got {value}")
     if least is None:
         return value
     if isinstance(value, list):
@@ -233,7 +236,7 @@ def _write_reports(reports: dict, out_dir, plot: bool) -> list:
     written = []
     for stem, report in reports.items():
         report.write_csv(out_dir / f"{stem}.csv")
-        write_json(out_dir / f"{stem}.json", report.to_json_dict())
+        write_json(out_dir / f"{stem}.json", report)
         written.extend([f"{stem}.csv", f"{stem}.json"])
         if plot and report.kind == "M5":
             from .svgplot import write_loglog_svg

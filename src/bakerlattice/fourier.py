@@ -48,10 +48,6 @@ class TorusGrid:
         if self.values.shape != (self.points_per_axis,) * self.dim:
             raise ValueError("value array shape does not match the grid")
 
-    def theta_axis(self) -> np.ndarray:
-        M = self.points_per_axis
-        return 2.0 * np.pi * np.arange(M) / M
-
 
 def smallest_grid(bandwidth: int) -> int:
     """Smallest power of two strictly larger than twice the bandwidth."""
@@ -98,8 +94,8 @@ def box_signal(dim: int, r: int) -> LatticeSignal:
 class FourierConfig:
     """Exponent bookkeeping for the defect-decay diagnostics.
 
-    nu is the Sobolev derivative order max(2, floor(d/2)+1); nu_bar the
-    embedding order floor(d/2)+1.  The box radius schedule is
+    nu is the Sobolev derivative order max(2, floor(d/2)+1), at least the
+    embedding order that ``nowak_check`` defaults to.  The box radius schedule is
     r_n = ceil(n^eps) (computed in integer arithmetic, no float powers).
     Hard requirement: 0 < eps < 1/3.  The sharper bound
     eps < 1/(2(5 nu + 2 + d/2)) that the decay *proof* needs is exposed as
@@ -121,10 +117,6 @@ class FourierConfig:
     @property
     def nu(self) -> int:
         return max(2, self.dim // 2 + 1)
-
-    @property
-    def nu_bar(self) -> int:
-        return self.dim // 2 + 1
 
     @property
     def eps_proof_bound(self) -> Fraction:
@@ -170,10 +162,7 @@ def _defect(p: WalkDistribution, n: int, r: int) -> LatticeSignal:
 
 
 def defect_signal(
-    p: WalkDistribution,
-    n: int,
-    config: FourierConfig,
-    grid_size: int | None = None,
+    p: WalkDistribution, n: int, config: FourierConfig, grid_size: int
 ) -> tuple[LatticeSignal, DefectNorms]:
     """Exact g^(n) = p^(n) - q^(r_n) * p^(n), with its decay norms record.
 
@@ -188,7 +177,7 @@ def defect_signal(
     r = config.radius(n)
     g = _defect(p, n, r)
     radius = max(g.support_radius())
-    M = int(grid_size) if grid_size else smallest_grid(radius)
+    M = int(grid_size)
     if M <= 2 * radius:
         raise AliasingError(f"grid {M} below the defect bandwidth {2 * radius + 1}")
     gt = char_function(g, M)
@@ -221,32 +210,15 @@ class DriftRemoval:
         return Fraction(1, 2 * self.n)
 
 
-def drift_removed_char(
-    p: WalkDistribution, n: int, grid_size: int
-) -> tuple[TorusGrid, DriftRemoval]:
-    """Grid samples of p~(theta) exp(-i (delta . theta) / n), plus diagnostics.
-
-    For zero-drift walks delta = 0 and the returned grid equals the plain
-    characteristic function sample for sample.
-    """
+def drift_removal(p: WalkDistribution, n: int) -> DriftRemoval:
+    """The integer shift delta that removes n steps of drift, with its exact
+    gradients: the multiplier exp(-i (delta . theta) / n) is 1 for a
+    zero-drift walk."""
     if n < 1:
         raise ValueError("n must be >= 1")
     v = drift(p)
     delta = tuple(nearest_integer(n * vi) for vi in v)
-    grid = char_function(p.signal(), grid_size)
-    values = grid.values
-    if any(delta):
-        M = grid.points_per_axis
-        theta = grid.theta_axis()
-        for axis, d_i in enumerate(delta):
-            if d_i == 0:
-                continue
-            phase = np.exp(-1j * (d_i / n) * theta)
-            shape = [1] * p.dim
-            shape[axis] = M
-            values = values * phase.reshape(shape)
-    removal = DriftRemoval(n, delta, tuple(abs(vi - Fraction(di, n)) for vi, di in zip(v, delta)))
-    return TorusGrid(p.dim, grid.points_per_axis, values), removal
+    return DriftRemoval(n, delta, tuple(abs(vi - Fraction(di, n)) for vi, di in zip(v, delta)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,30 +233,20 @@ class PeriodicPairing:
     spectral_value: complex
 
 
-def periodic_pairing(
-    table: dict,
-    period,
-    p: WalkDistribution,
-    n: int,
-    grid_size: int | None = None,
-) -> PeriodicPairing:
+def periodic_pairing(table: dict, period, p: WalkDistribution, n: int) -> PeriodicPairing:
     """Pair a periodic site function with the n-step law, both ways.
 
     Space side: the exact sum of the table against p^(n) folded modulo the
     period.  Spectral side: the function is a finite combination of
     characters at frequencies 2 pi k / L, so the pairing is the sum over
     those frequencies of conj(c_k) p~(-theta_k)^n with c_k from the FFT of
-    the period cell.
+    the period cell.  Every grid that is a multiple of the joint period
+    picks up those frequencies alone, so the smallest one with at least 3
+    points per axis is taken.
     """
     period = tuple(int(l) for l in period)
-    if grid_size:
-        M = int(grid_size)
-    else:
-        base = lcm(*period)
-        M = base * (-(-3 // base))  # smallest multiple of the joint period >= 3
-    for l in period:
-        if M % l:
-            raise ValueError(f"grid {M} must be a multiple of every period, got {period}")
+    base = lcm(*period)
+    M = base * (-(-3 // base))
     dim = p.dim
     if len(period) != dim:
         raise ValueError("period tuple does not match the walk dimension")

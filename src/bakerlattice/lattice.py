@@ -81,10 +81,6 @@ class LatticeSignal:
         """Per-axis bound max |alpha_i| over the support (0 if empty)."""
         return tuple(max((abs(s[i]) for s in self.nums), default=0) for i in range(self.dim))
 
-    def shift(self, gamma) -> "LatticeSignal":
-        g = _as_site(gamma, self.dim)
-        return LatticeSignal(self.dim, {tuple(a + b for a, b in zip(s, g)): v for s, v in self.nums.items()}, self.den)
-
     def reflect(self) -> "LatticeSignal":
         """alpha -> a_{-alpha}: convolving with the reflection correlates."""
         return LatticeSignal(self.dim, {tuple(-c for c in s): v for s, v in self.nums.items()}, self.den)

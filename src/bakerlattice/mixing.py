@@ -168,10 +168,10 @@ def itinerary_oracle(F, Q: Strip, p: WalkDistribution, n: int):
         raise BudgetExceededError(
             f"N^(n+2m) = {p.size}^{n + 2 * m} exceeds the itinerary budget {DEFAULT_BUDGET}"
         )
-    table = PartitionTable.from_walk(p)
-    pushed = push_strip(Q, p, n, table=table)
+    pushed = push_strip(Q, p, n)
     if isinstance(F, SiteObservable):
         return sum((c.height * F.value(c.site) for c in pushed.components), Fraction(0))
+    table = PartitionTable.from_walk(p)
     by_site: dict = {}
     for (site, word), value in F.values.items():
         by_site.setdefault(site, []).append((word[:m], word[m:], value - F.default))
@@ -207,18 +207,6 @@ class CorrelationReport:
         if self.target is None:
             return {}
         return {k: abs(v - self.target) for k, v in self.series.items()}
-
-    def to_json_dict(self) -> dict:
-        return to_jsonable(
-            {
-                "kind": self.kind,
-                "target": self.target,
-                "series": dict(sorted(self.series.items())),
-                "gap_series": dict(sorted(self.gap_series.items())),
-                "eps_scan": self.eps_scan,
-                "metadata": self.metadata,
-            }
-        )
 
     def write_csv(self, path):
         devs = self.deviations()

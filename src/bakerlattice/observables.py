@@ -263,10 +263,6 @@ class SiteObservable:
                 values.append(cell.get(tuple(map(mod, s, period)), 0) + d * scale)
         return Fraction(min(values), t.den), Fraction(max(values), t.den)
 
-    def bound(self):
-        lo, hi = self.extremes
-        return max(-lo, hi)
-
     def analytic_average(self, family: BoxFamily):
         """Exact infinite-volume average, or None when the family's box
         averages have no common limit."""
@@ -646,10 +642,6 @@ class CellObservable:
                 )
             if any(d < 1 for d in word):
                 raise ValueError("digits are 1-based cell indices")
-
-    def bound(self):
-        vals = [abs(self.default)] + [abs(v) for v in self.values.values()]
-        return max(vals)
 
     def evaluate(self, x: PhasePoint, p: WalkDistribution) -> object:
         """Value at a phase point, by extracting digits from both coordinates."""

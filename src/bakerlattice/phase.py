@@ -156,12 +156,7 @@ class ItineraryPushforward:
         return masses
 
 
-def push_strip(
-    strip: Strip,
-    p: WalkDistribution,
-    n: int,
-    table: PartitionTable | None = None,
-) -> ItineraryPushforward:
+def push_strip(strip: Strip, p: WalkDistribution, n: int) -> ItineraryPushforward:
     """Push a full-width strip forward n steps, exactly.
 
     The image of a strip of height h under one step consists of N strips,
@@ -171,12 +166,11 @@ def push_strip(
     """
     if n < 0:
         raise ValueError("depth must be nonnegative")
-    if table is None:
-        table = PartitionTable.from_walk(p)
     if p.size**n > DEFAULT_BUDGET:
         raise BudgetExceededError(
             f"N^n = {p.size}^{n} exceeds the itinerary budget {DEFAULT_BUDGET}"
         )
+    table = PartitionTable.from_walk(p)
     comps = [ItineraryComponent((), strip.site, strip.lo, strip.hi)]
     for _ in range(n):
         nxt = []

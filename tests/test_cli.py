@@ -197,6 +197,27 @@ def test_schedule_entry_below_its_limit_exit_2(tmp_path, capsys, command, name, 
 
 
 @pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("audit", {"schedules": {"n_list": [2, 2, 3], "r_list": [4, 4]}}, "schedules.n_list repeats an entry, got [2, 2, 3]"),
+        ("audit", {"schedules": {"r_list": [4, 4]}}, "schedules.r_list repeats an entry, got [4, 4]"),
+        ("correlate", {"schedules": {"n_list": [2, 2]}}, "schedules.n_list repeats an entry, got [2, 2]"),
+        ("mixing-report", {"schedules": {"radii": [8, 8]}}, "schedules.radii repeats an entry, got [8, 8]"),
+        ("mixing-report", {"mixing_kinds": ["M5", "m5"]}, "mixing_kinds repeats an entry, got ['M5', 'M5']"),
+        ("fourier-decay", {"schedules": {"decay_n_list": [4, 4, 16]}}, "schedules.decay_n_list repeats an entry, got [4, 4, 16]"),
+        ("a1-check", {"schedules": {"a1_r_list": [10, 10]}}, "schedules.a1_r_list repeats an entry, got [10, 10]"),
+        ("nowak-test", {"nowak_dims": [1, 1]}, "nowak_dims repeats an entry, got [1, 1]"),
+    ],
+)
+def test_a_list_with_a_repeated_entry_exit_2(tmp_path, capsys, command, config, message):
+    # a report's series is keyed by time, so a repeated time once vanished
+    # from it, while audit wrote its rows once per repeat
+    assert run(command, config, tmp_path / "o") == 2
+    assert not any((tmp_path / "o").iterdir())
+    assert one_error_line(capsys) == message
+
+
+@pytest.mark.parametrize(
     "config, field",
     [({"seed": -1}, "seed"), ({"steps": -2}, "steps"), ({"samples": 0}, "samples"), ({"steps": 1.5}, "steps")],
 )
@@ -1305,10 +1326,10 @@ def accepted_configs(draw):
         lo, hi = sorted(draw(st.lists(st.sampled_from(STRIP_BOUNDS), min_size=2, max_size=2, unique_by=Fraction)), key=Fraction)
         return subset(draw, {"site": draw(sites), "lo": lo, "hi": hi, "weight": draw(VALUES.filter(lambda v: Fraction(v)))})
 
-    schedule = st.lists(st.integers(0, 8), min_size=1, max_size=3)
+    schedule = st.lists(st.integers(0, 8), min_size=1, max_size=3, unique=True)
     # times from 2 on: the depth offsets of two depth-1 cells add up to 2, and
     # the default times start at 1
-    times = {"n_list": draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))}
+    times = {"n_list": draw(st.lists(st.integers(2, 5), min_size=1, max_size=3, unique=True))}
     deep = any(o.get("m") for o in observables)
     schedules = {**(times if deep else subset(draw, times)), **subset(draw, {"r_list": draw(schedule), "radii": draw(schedule)})}
     return {
@@ -1318,7 +1339,7 @@ def accepted_configs(draw):
         **subset(draw, {
             "locals": [{"terms": [term() for _ in range(draw(st.integers(1, 2)))]} for _ in range(draw(st.integers(1, 2)))],
             "family": draw(st.sampled_from(["translationInvariant", "centeredOnly"])),
-            "mixing_kinds": draw(st.lists(st.sampled_from(["M5", "M4", "M2", "M1", "m4"]), min_size=1, max_size=3)),
+            "mixing_kinds": draw(st.lists(st.sampled_from(["M5", "M4", "M2", "M1", "m4"]), min_size=1, max_size=3, unique_by=str.upper)),
             "seed": draw(st.integers(0, 2**32)),
         }),
     }

@@ -46,7 +46,7 @@ def cell_integral(F, site, back, fwd, p: WalkDistribution, n: int):
     splits by itinerary; the components whose itinerary starts with fwd are
     the image of the cell, and F is integrated over each of them."""
     table = PartitionTable.from_walk(p)
-    pushed = push_strip(Strip(site, *cylinder_interval(table, back)), p, n, table=table)
+    pushed = push_strip(Strip(site, *cylinder_interval(table, back)), p, n)
     return sum(
         (
             itinerary_oracle(F, Strip(c.site, c.lo, c.hi), p, 0)

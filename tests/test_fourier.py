@@ -22,7 +22,7 @@ from bakerlattice import (
     convolution_power,
     convolve,
     defect_signal,
-    drift_removed_char,
+    drift_removal,
     nowak_check,
     nowak_constant,
     periodic_pairing,
@@ -57,7 +57,7 @@ def test_char_delta_is_one():
 
 def test_char_third_walk_closed_form(third):
     grid = char_function(third.signal(), 64)
-    theta = grid.theta_axis()
+    theta = 2 * np.pi * np.arange(64) / 64
     assert np.allclose(grid.values, (1 + 2 * np.cos(theta)) / 3, atol=1e-12)
     assert grid.values[32] == pytest.approx(-1 / 3, abs=1e-12)
 
@@ -98,7 +98,7 @@ def test_norms_on_delta_and_spike():
 @given(st.integers(0, 10**6), st.integers(-5, 5))
 def test_a_norm_translation_invariant(seed, shift):
     sig = random_signal(random.Random(seed), 1)
-    assert a_norm(sig.shift((shift,))) == a_norm(sig)
+    assert a_norm(convolve(sig, LatticeSignal.from_entries(1, {(shift,): 1}))) == a_norm(sig)
 
 
 @settings(max_examples=50, deadline=None)
@@ -260,7 +260,7 @@ def test_config_eps_validation():
     with pytest.raises(ValueError):
         FourierConfig(1, 0)
     fc = FourierConfig(1, "1/10")
-    assert fc.nu == 2 and fc.nu_bar == 1
+    assert fc.nu == 2
     assert fc.eps_proof_bound == Fraction(1, 25)
     assert not fc.eps_within_proof_bound
     assert FourierConfig(1, "1/30").eps_within_proof_bound
@@ -287,13 +287,13 @@ def test_smallest_grid():
 
 def test_defect_mass_zero_exactly(third):
     fc = FourierConfig(1, "1/10")
-    g, _ = defect_signal(third, 4, fc)
+    g, _ = defect_signal(third, 4, fc, 16)
     assert g.mass() == 0
 
 
 def test_defect_a_norm_matches_direct_rational(third):
     fc = FourierConfig(1, "1/10")
-    g, norms = defect_signal(third, 4, fc)
+    g, norms = defect_signal(third, 4, fc, 16)
     # independent route: naive convolutions, then the plain absolute sum
     p4 = convolution_power(third, 4)
     direct = p4 - convolve(box_signal(1, fc.radius(4)), p4)
@@ -307,7 +307,7 @@ def test_defect_sobolev_matches_lattice_parseval():
     for name, n in (("third-walk", 8), ("third-walk", 64), ("lazy-2d", 6)):
         walk = preset(name)
         fc = FourierConfig(walk.dim, "1/10")
-        g, norms = defect_signal(walk, n, fc, grid_size=256)
+        g, norms = defect_signal(walk, n, fc, 256)
         quadrature = 0.0
         for axis in range(walk.dim):
             dd = char_function(_derivative_weighted(g, axis, fc.nu), 256).values
@@ -318,7 +318,7 @@ def test_defect_sobolev_matches_lattice_parseval():
 
 def test_a_defect_is_squared_once_for_its_sobolev_part_and_its_nowak_check(third):
     fc = FourierConfig(1, "1/10")
-    g, _ = defect_signal(third, 16, fc)  # takes the sums for the Sobolev part
+    g, _ = defect_signal(third, 16, fc, 64)  # takes the sums for the Sobolev part
     sums = embedding._sobolev_sums(g, fc.nu)
     assert embedding._sobolev_sums(g, fc.nu) is sums  # what nowak_check(g, fc.nu) reads, not squared again
     squares = {s: v * v for s, v in g.nums.items()}
@@ -339,13 +339,13 @@ def test_defect_norms_decrease_and_respect_bound(third):
 def test_defect_grid_too_small_raises(third):
     fc = FourierConfig(1, "1/10")
     with pytest.raises(AliasingError):
-        defect_signal(third, 64, fc, grid_size=64)
+        defect_signal(third, 64, fc, 64)
 
 
 def test_derivative_weights_match_finite_differences(third):
     """Frequency-side derivative values against central differences."""
     fc = FourierConfig(1, "1/10")
-    g, _ = defect_signal(third, 4, fc, grid_size=512)
+    g, _ = defect_signal(third, 4, fc, 512)
     M = 512
     gt = char_function(g, M).values
     dd = char_function(_derivative_weighted(g, 0, 2), M).values
@@ -359,39 +359,32 @@ def test_derivative_weights_match_finite_differences(third):
 
 
 def test_drift_removal_zero_drift_identity(third):
-    grid, removal = drift_removed_char(third, 9, 64)
-    assert removal.delta == (0,)
-    assert np.array_equal(grid.values, char_function(third.signal(), 64).values)
+    removal = drift_removal(third, 9)  # delta = 0: the multiplier is exactly 1
+    assert removal.delta == (0,) and removal.gradient_at_zero == (0,)
 
 
 @pytest.mark.parametrize("n,delta", [(3, 1), (10, 3), (100, 33)])
 def test_drift_removal_nearest_integer(drifted, n, delta):
-    _, removal = drift_removed_char(drifted, n, 32)
+    removal = drift_removal(drifted, n)
     assert removal.delta == (delta,)
     assert all(g <= removal.gradient_bound for g in removal.gradient_at_zero)
 
 
 def test_drift_removal_deterministic_step_multiplier_is_one():
-    # a point mass at +1, built as a record since from_weights refuses N = 1: the phase
-    # factor cancels the character exactly, leaving the constant 1
+    # a point mass at +1, built as a record since from_weights refuses N = 1: delta = n
+    # cancels the character exp(i theta)^n exactly, leaving the constant 1
     p = WalkDistribution(1, (((1,), Fraction(1)),))
     for n in (1, 4, 9):
-        grid, removal = drift_removed_char(p, n, 32)
-        assert removal.delta == (n,)
-        assert np.max(np.abs(grid.values - 1.0)) < 1e-12
+        removal = drift_removal(p, n)
+        assert removal.delta == (n,) and removal.gradient_at_zero == (0,)
 
 
 def test_drift_removal_tie_toward_zero():
     p = WalkDistribution.from_weights(1, {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
-    _, removal = drift_removed_char(p, 1, 32)  # n v = 1/2 exactly
+    removal = drift_removal(p, 1)  # n v = 1/2 exactly
     assert removal.delta == (0,)
     assert removal.gradient_at_zero == (Fraction(1, 2),)
 
-
-def test_drift_multiplier_preserves_modulus(drifted):
-    grid, _ = drift_removed_char(drifted, 7, 64)
-    plain = char_function(drifted.signal(), 64)
-    assert np.allclose(np.abs(grid.values), np.abs(plain.values), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +410,7 @@ def test_periodic_pairing_random_tables(third):
         L = rng.randint(1, 4)
         table = {(i,): Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for i in range(L)}
         n = rng.randint(0, 20)
-        pairing = periodic_pairing(table, (L,), third, n, grid_size=4 * L)
+        pairing = periodic_pairing(table, (L,), third, n)
         pn = convolution_power(third, n)
         direct = sum((table[(s[0] % L,)] * w for s, w in pn.entries.items()), Fraction(0))
         assert pairing.space_value == direct

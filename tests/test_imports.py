@@ -7,7 +7,9 @@ import json
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -248,20 +250,44 @@ def test_fourier_name_imports_in_a_fresh_interpreter(tmp_path):
 UNCALLED_EXPORTS = {"observable_to_config"}
 
 
-def test_every_export_has_a_caller():
-    """Each exported name is read by the package, a demo or an acceptance
-    criterion; an import of the name is not a use of it."""
+def names_read():
+    """(names, attribute names) read by the package, the demos and the
+    acceptance criteria; an import of a name is not a use of it."""
     files = [*(ROOT / "src" / "bakerlattice").glob("*.py"), *(ROOT / "demos").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
-    used = set()
+    names, attributes = set(), set()
     for path in files:
         if path.name == "__init__.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    assert sorted(set(bakerlattice.__all__) - used - UNCALLED_EXPORTS) == []
+                attributes.add(node.attr)
+    return names, attributes
+
+
+def test_every_export_has_a_caller():
+    """Each exported name is read by the package, a demo or an acceptance criterion."""
+    names, attributes = names_read()
+    assert sorted(set(bakerlattice.__all__) - names - attributes - UNCALLED_EXPORTS) == []
+
+
+# a cell's value at a phase point: the tests' reference for what a cell observable reads
+UNCALLED_MEMBERS = {"CellObservable.evaluate"}
+
+
+def test_every_member_has_a_caller():
+    """Each public method or property of an exported class is read as an
+    attribute by the package, a demo or an acceptance criterion."""
+    _, attributes = names_read()
+    members = {
+        f"{name}.{member}"
+        for name in bakerlattice.__all__
+        if isinstance(cls := getattr(bakerlattice, name), type)
+        for member, value in vars(cls).items()
+        if not member.startswith("_") and isinstance(value, (FunctionType, property, cached_property, classmethod, staticmethod))
+    }
+    assert sorted(m for m in members - UNCALLED_MEMBERS if m.partition(".")[2] not in attributes) == []
 
 
 def test_the_readme_library_tour_runs(tmp_path):

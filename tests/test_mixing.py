@@ -31,7 +31,7 @@ from bakerlattice import (
     sign_observable,
 )
 from bakerlattice import mixing
-from bakerlattice.rational import ConfigError
+from bakerlattice.rational import ConfigError, to_jsonable
 from conftest import random_site_observable, random_strip, random_walk
 
 TI = BoxFamily.translation_invariant
@@ -559,7 +559,7 @@ def test_m2_report_csv_and_json(tmp_path, third, parity):
     rep.write_csv(path)
     header = [l for l in path.read_text().splitlines() if not l.startswith("#")][0]
     assert header == "n,r,value,target,deviation"
-    payload = rep.to_json_dict()
+    payload = to_jsonable(rep)
     assert payload["kind"] == "M2"
     assert "1,1" in payload["series"]
 
